@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "common/varint.h"
 
 namespace dyno::columnar {
 
@@ -14,57 +15,13 @@ constexpr uint8_t kFlagIrregular = 0x01;
 /// Name of the single column the irregular fallback stores rows under.
 constexpr const char* kRawRowColumn = "__row";
 
-void EncodeVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-Result<uint64_t> DecodeVarint(std::string_view data, size_t* offset) {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (*offset >= data.size()) {
-      return Status::DataLoss("columnar batch: truncated varint");
-    }
-    uint8_t b = static_cast<uint8_t>(data[(*offset)++]);
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  return Status::DataLoss("columnar batch: malformed varint");
-}
-
-uint64_t ZigzagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t ZigzagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-void EncodeDoubleLe(double d, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-}
-
-Result<double> DecodeDoubleLe(std::string_view data, size_t* offset) {
-  if (*offset + 8 > data.size()) {
-    return Status::DataLoss("columnar batch: truncated double");
-  }
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(static_cast<uint8_t>(data[*offset + i]))
-            << (8 * i);
-  }
-  *offset += 8;
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
+/// Reads one varint, mapping a failed read to this codec's statuses.
+Status DecodeVarint(std::string_view data, size_t* offset, uint64_t* out) {
+  const size_t start = *offset;
+  if (ReadVarint(data, offset, out)) return Status::OK();
+  return Status::DataLoss(*offset - start < kMaxVarintBytes
+                              ? "columnar batch: truncated varint"
+                              : "columnar batch: malformed varint");
 }
 
 /// The narrowest ColumnType covering every set value of a column.
@@ -118,15 +75,20 @@ Result<Value> DecodeTypedValue(ColumnType type, std::string_view data,
       return Value::Bool(b == 1);
     }
     case ColumnType::kInt: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t zz, DecodeVarint(data, offset));
+      uint64_t zz = 0;
+      DYNO_RETURN_IF_ERROR(DecodeVarint(data, offset, &zz));
       return Value::Int(ZigzagDecode(zz));
     }
     case ColumnType::kDouble: {
-      DYNO_ASSIGN_OR_RETURN(double d, DecodeDoubleLe(data, offset));
+      double d = 0.0;
+      if (!ReadDoubleLe(data, offset, &d)) {
+        return Status::DataLoss("columnar batch: truncated double");
+      }
       return Value::Double(d);
     }
     case ColumnType::kString: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t len, DecodeVarint(data, offset));
+      uint64_t len = 0;
+      DYNO_RETURN_IF_ERROR(DecodeVarint(data, offset, &len));
       if (len > data.size() - *offset) {
         return Status::DataLoss("columnar batch: truncated string");
       }
@@ -273,8 +235,9 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
 
   ColumnBatch batch;
   batch.irregular_ = (flags & kFlagIrregular) != 0;
-  DYNO_ASSIGN_OR_RETURN(batch.num_rows_, DecodeVarint(frame, &offset));
-  DYNO_ASSIGN_OR_RETURN(uint64_t num_cols, DecodeVarint(frame, &offset));
+  uint64_t num_cols = 0;
+  DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &batch.num_rows_));
+  DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &num_cols));
   if (num_cols > frame.size()) {
     return Status::DataLoss("columnar batch: column count exceeds frame");
   }
@@ -288,7 +251,8 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
   }
 
   for (uint64_t c = 0; c < num_cols; ++c) {
-    DYNO_ASSIGN_OR_RETURN(uint64_t name_len, DecodeVarint(frame, &offset));
+    uint64_t name_len = 0;
+    DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &name_len));
     if (name_len > frame.size() - offset) {
       return Status::DataLoss("columnar batch: truncated column name");
     }
@@ -317,7 +281,8 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
       if (p == static_cast<uint8_t>(Presence::kSet)) ++want_set;
     }
     offset += batch.num_rows_;
-    DYNO_ASSIGN_OR_RETURN(uint64_t set_count, DecodeVarint(frame, &offset));
+    uint64_t set_count = 0;
+    DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &set_count));
     if (set_count != want_set) {
       return Status::DataLoss("columnar batch: set count mismatch");
     }

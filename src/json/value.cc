@@ -2,43 +2,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/varint.h"
 
 namespace dyno {
 
 namespace {
 
-void EncodeVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-Result<uint64_t> DecodeVarint(std::string_view data, size_t* offset) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*offset < data.size()) {
-    uint8_t b = static_cast<uint8_t>(data[(*offset)++]);
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
-    if (shift > 63) break;
-  }
-  return Status::Internal("malformed varint");
-}
+Status MalformedVarint() { return Status::Internal("malformed varint"); }
 
 uint64_t DoubleHashKey(double d) {
   // Integral doubles hash as their integer value so 1 and 1.0 collide (they
@@ -175,22 +150,12 @@ void Value::EncodeTo(std::string* out) const {
     case Type::kBool:
       out->push_back(bool_value() ? 1 : 0);
       break;
-    case Type::kInt: {
-      // Zigzag so small negative ints stay short.
-      int64_t v = int_value();
-      uint64_t zz =
-          (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-      EncodeVarint(zz, out);
+    case Type::kInt:
+      EncodeVarint(ZigzagEncode(int_value()), out);
       break;
-    }
-    case Type::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &std::get<double>(rep_), sizeof(bits));
-      for (int i = 0; i < 8; ++i) {
-        out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-      }
+    case Type::kDouble:
+      EncodeDoubleLe(double_value(), out);
       break;
-    }
     case Type::kString: {
       const std::string& s = string_value();
       EncodeVarint(s.size(), out);
@@ -217,76 +182,82 @@ void Value::EncodeTo(std::string* out) const {
 }
 
 Result<Value> Value::Decode(std::string_view data, size_t* offset) {
+  Value v;
+  DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &v));
+  return v;
+}
+
+Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
   if (*offset >= data.size()) return Status::Internal("truncated value");
   Type t = static_cast<Type>(data[(*offset)++]);
   switch (t) {
     case Type::kNull:
-      return Value::Null();
+      return Status::OK();
     case Type::kBool: {
       if (*offset >= data.size()) return Status::Internal("truncated bool");
-      return Value::Bool(data[(*offset)++] != 0);
+      out->rep_.emplace<bool>(data[(*offset)++] != 0);
+      return Status::OK();
     }
     case Type::kInt: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t u, DecodeVarint(data, offset));
-      int64_t v = static_cast<int64_t>(u >> 1);
-      if (u & 1) v = ~v;
-      return Value::Int(v);
+      uint64_t u = 0;
+      if (!ReadVarint(data, offset, &u)) return MalformedVarint();
+      out->rep_.emplace<int64_t>(ZigzagDecode(u));
+      return Status::OK();
     }
     case Type::kDouble: {
-      if (*offset + 8 > data.size()) {
+      double d = 0.0;
+      if (!ReadDoubleLe(data, offset, &d)) {
         return Status::Internal("truncated double");
       }
-      uint64_t bits = 0;
-      for (int i = 0; i < 8; ++i) {
-        bits |= static_cast<uint64_t>(
-                    static_cast<uint8_t>(data[*offset + i]))
-                << (8 * i);
-      }
-      *offset += 8;
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value::Double(d);
+      out->rep_.emplace<double>(d);
+      return Status::OK();
     }
     case Type::kString: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
-      if (*offset + n > data.size()) return Status::Internal("bad string");
-      Value v = Value::String(std::string(data.substr(*offset, n)));
+      uint64_t n = 0;
+      if (!ReadVarint(data, offset, &n)) return MalformedVarint();
+      if (n > data.size() - *offset) return Status::Internal("bad string");
+      out->rep_.emplace<std::string>(data.data() + *offset, n);
       *offset += n;
-      return v;
+      return Status::OK();
     }
     case Type::kArray: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
+      uint64_t n = 0;
+      if (!ReadVarint(data, offset, &n)) return MalformedVarint();
       // Each element encodes to at least one byte; a count beyond the
       // remaining input is corruption, not a reason to allocate.
       if (n > data.size() - *offset) {
         return Status::Internal("array count exceeds input");
       }
-      ArrayElements elems;
-      elems.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        DYNO_ASSIGN_OR_RETURN(Value e, Value::Decode(data, offset));
-        elems.push_back(std::move(e));
+      auto elems = std::make_shared<ArrayElements>(n);
+      for (Value& e : *elems) {
+        DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &e));
       }
-      return Value::Array(std::move(elems));
+      out->rep_.emplace<ArrayPtr>(std::move(elems));
+      return Status::OK();
     }
     case Type::kStruct: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
+      uint64_t n = 0;
+      if (!ReadVarint(data, offset, &n)) return MalformedVarint();
       if (n > data.size() - *offset) {
         return Status::Internal("field count exceeds input");
       }
-      StructFields flds;
-      flds.reserve(n);
+      auto flds = std::make_shared<StructFields>();
+      flds->reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
-        DYNO_ASSIGN_OR_RETURN(uint64_t len, DecodeVarint(data, offset));
-        if (*offset + len > data.size()) {
+        uint64_t len = 0;
+        if (!ReadVarint(data, offset, &len)) return MalformedVarint();
+        if (len > data.size() - *offset) {
           return Status::Internal("bad field name");
         }
-        std::string name(data.substr(*offset, len));
+        auto& field = flds->emplace_back(
+            std::piecewise_construct,
+            std::forward_as_tuple(data.data() + *offset, len),
+            std::forward_as_tuple());
         *offset += len;
-        DYNO_ASSIGN_OR_RETURN(Value v, Value::Decode(data, offset));
-        flds.emplace_back(std::move(name), std::move(v));
+        DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &field.second));
       }
-      return Value::Struct(std::move(flds));
+      out->rep_.emplace<StructPtr>(std::move(flds));
+      return Status::OK();
     }
   }
   return Status::Internal("unknown value tag");
@@ -298,12 +269,8 @@ size_t Value::EncodedSize() const {
       return 1;
     case Type::kBool:
       return 2;
-    case Type::kInt: {
-      int64_t v = int_value();
-      uint64_t zz =
-          (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-      return 1 + VarintSize(zz);
-    }
+    case Type::kInt:
+      return 1 + VarintSize(ZigzagEncode(int_value()));
     case Type::kDouble:
       return 9;
     case Type::kString:

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -103,6 +104,10 @@ class Value {
                            ArrayPtr, StructPtr>;
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
+
+  /// Decode's allocation-free core: decodes one value into `*out` (which
+  /// must be null on entry), building containers in place.
+  static Status DecodeInto(std::string_view data, size_t* offset, Value* out);
 
   Rep rep_;
 };

@@ -82,6 +82,8 @@ struct TaskData {
   Counters counters;  ///< This task's contribution alone.
   Split output;       ///< Map-only or reduce output records.
   std::vector<std::pair<Value, Value>> emissions;  ///< Map of a reduce job.
+  /// Encoded key + value bytes of each emission, sized once at Emit.
+  std::vector<uint32_t> emission_bytes;
   uint64_t emitted_bytes = 0;
   double observer_charge = 0.0;  ///< CPU units the observer replay costs.
   Split quarantine;   ///< Poison records skipped by this (map) task.
@@ -109,6 +111,8 @@ struct RunningJob {
   /// Reduce-side state.
   int num_reduce_tasks = 0;
   std::vector<std::vector<std::pair<Value, Value>>> partitions;
+  /// Encoded bytes of each partition bucket, summed as it is (re)built.
+  std::vector<uint64_t> partition_bytes;
   std::vector<TaskRunState> reduce_states;
   std::vector<TaskData> reduce_data;
   std::deque<PendingTask> pending_reduce;
@@ -192,6 +196,7 @@ struct TaskOutcome {
   Status status;
   Split output;  ///< Records written via ctx->Output().
   std::vector<std::pair<Value, Value>> emissions;
+  std::vector<uint32_t> emission_bytes;  ///< Parallel to `emissions`.
   uint64_t emitted_bytes = 0;
   uint64_t input_records = 0;
   uint64_t input_bytes = 0;  ///< Map only; partial when the attempt errored.
@@ -260,6 +265,8 @@ struct TaskLaunch {
   /// corrupt, failing the attempt with DataLoss.
   int spill_runs = 0;
   int spill_merge_passes = 0;
+  /// Encoded bytes of the partition bucket (its `partition_bytes` total);
+  /// every byte figure of a reduce attempt is billed from it.
   uint64_t bucket_bytes = 0;
   /// Simulated memory this attempt holds: expanded state when in-memory,
   /// the task budget when spilling. Feeds JobResult::peak_task_memory_bytes.
@@ -289,6 +296,7 @@ class TaskMapContext : public MapContext {
   void Emit(Value key, Value value) override {
     size_t bytes = key.EncodedSize() + value.EncodedSize();
     out_->emitted_bytes += bytes;
+    out_->emission_bytes.push_back(static_cast<uint32_t>(bytes));
     out_->emissions.emplace_back(std::move(key), std::move(value));
   }
 
@@ -473,7 +481,8 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   out->cpu_units += ctx.extra_cpu();
 }
 
-/// Runs one reduce task's data flow over its (moved-in) partition bucket.
+/// Runs one reduce task's data flow over its (moved-in) partition bucket,
+/// whose encoded size the launch already knows (`bucket_bytes`).
 /// `spill_runs` > 1 switches the sort to the bounded-memory external path:
 /// the bucket is cut input-order into that many chunks, each chunk is
 /// stable-sorted and round-tripped through the CRC-framed spill-run codec
@@ -485,11 +494,9 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
 /// it and the attempt dies with DataLoss (never a wrong answer).
 void ExecuteReduceTask(const JobSpec& spec,
                        std::vector<std::pair<Value, Value>> bucket,
-                       int spill_runs, bool corrupt_spill,
-                       TaskOutcome* out) {
-  for (const auto& [key, value] : bucket) {
-    out->reduce_input_bytes += key.EncodedSize() + value.EncodedSize();
-  }
+                       uint64_t bucket_bytes, int spill_runs,
+                       bool corrupt_spill, TaskOutcome* out) {
+  out->reduce_input_bytes = bucket_bytes;
   out->reduce_input_records = bucket.size();
   auto key_less = [](const std::pair<Value, Value>& a,
                      const std::pair<Value, Value>& b) {
@@ -1249,11 +1256,14 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // node forces exactly this rebuild.
     const bool retain_emissions = config_.faults.node_faults();
     job->partitions.assign(reducers, {});
+    job->partition_bytes.assign(reducers, 0);
     for (TaskData& d : job->map_data) {
       if (!d.valid) continue;
-      for (auto& kv : d.emissions) {
+      for (size_t i = 0; i < d.emissions.size(); ++i) {
+        auto& kv = d.emissions[i];
         size_t p = kv.first.Hash() % static_cast<size_t>(reducers);
         if (job->reduce_states[p].completed) continue;
+        job->partition_bytes[p] += d.emission_bytes[i];
         if (retain_emissions) {
           job->partitions[p].push_back(kv);
         } else {
@@ -1264,6 +1274,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       if (!retain_emissions) {
         d.emissions.clear();
         d.emissions.shrink_to_fit();
+        d.emission_bytes.clear();
+        d.emission_bytes.shrink_to_fit();
       }
     }
     // Memory check at shuffle start (DESIGN.md §6.10): each reducer's
@@ -1279,12 +1291,9 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           std::max(1.0, static_cast<double>(config_.memory_per_task_bytes));
       for (int p = 0; p < reducers; ++p) {
         if (job->reduce_states[p].completed) continue;
-        uint64_t bytes = 0;
-        for (const auto& kv : job->partitions[p]) {
-          bytes += kv.first.EncodedSize() + kv.second.EncodedSize();
-        }
-        const double state = std::ceil(static_cast<double>(bytes) *
-                                       config_.reduce_memory_factor);
+        const double state =
+            std::ceil(static_cast<double>(job->partition_bytes[p]) *
+                      config_.reduce_memory_factor);
         if (state <= budget) continue;
         bool over = memory_mode == ClusterConfig::ReduceMemoryMode::kStrict;
         if (!over) {
@@ -1536,6 +1545,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           d.counters.output_records = o.output.num_records;
           d.emitted_bytes = o.emitted_bytes;
           d.emissions = std::move(o.emissions);
+          d.emission_bytes = std::move(o.emission_bytes);
           d.output = std::move(o.output);
           d.observer_charge = obs_charge;
           d.quarantine = std::move(o.quarantine);
@@ -1545,15 +1555,11 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     } else {
       if (t.inject_failure) {
         // Same idea for a dying reduce attempt: its bucket was left in
-        // place (nothing ran), so size the full attempt from it.
-        const auto& bucket = job->partitions[t.task_id];
-        uint64_t bucket_bytes = 0;
-        for (const auto& [key, value] : bucket) {
-          bucket_bytes += key.EncodedSize() + value.EncodedSize();
-        }
-        double n = static_cast<double>(bucket.size());
+        // place (nothing ran), so size the full attempt from it and from
+        // the bytes the launch read off the partition total.
+        double n = static_cast<double>(job->partitions[t.task_id].size());
         double est_cpu = n + n * std::log2(n + 1.0);
-        SimMillis full = CeilDiv(static_cast<double>(bucket_bytes),
+        SimMillis full = CeilDiv(static_cast<double>(t.bucket_bytes),
                                  config_.reduce_read_bytes_per_ms) +
                          CeilDiv(est_cpu, config_.cpu_units_per_ms);
         duration = std::max<SimMillis>(
@@ -1564,14 +1570,9 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         // Every shuffle fetch of the bucket (the first plus each allowed
         // re-fetch) came back corrupt; each transfer is billed. The bucket
         // stayed in place for the retry.
-        const auto& bucket = job->partitions[t.task_id];
-        uint64_t bucket_bytes = 0;
-        for (const auto& [key, value] : bucket) {
-          bucket_bytes += key.EncodedSize() + value.EncodedSize();
-        }
         duration = std::max<SimMillis>(
             1, static_cast<SimMillis>(t.corrupt_fetches) *
-                   CeilDiv(static_cast<double>(bucket_bytes),
+                   CeilDiv(static_cast<double>(t.bucket_bytes),
                            config_.reduce_read_bytes_per_ms));
       } else {
         uint64_t written_bytes = o.status.ok() ? o.output.num_bytes() : 0;
@@ -1935,13 +1936,10 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           // failed the job if the plan would exceed max_spill_runs.
           {
             const auto mode = job_memory_mode(job);
-            uint64_t bytes = 0;
-            for (const auto& kv : job.partitions[next.task_id]) {
-              bytes += kv.first.EncodedSize() + kv.second.EncodedSize();
-            }
-            launch.bucket_bytes = bytes;
-            const double state = std::ceil(
-                static_cast<double>(bytes) * config_.reduce_memory_factor);
+            launch.bucket_bytes = job.partition_bytes[next.task_id];
+            const double state =
+                std::ceil(static_cast<double>(launch.bucket_bytes) *
+                          config_.reduce_memory_factor);
             launch.task_memory_bytes = static_cast<uint64_t>(state);
             const double budget = std::max(
                 1.0, static_cast<double>(config_.memory_per_task_bytes));
@@ -2045,8 +2043,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         ExecuteMapTask(t.job->spec->inputs[t.map_ref.input_index], *t.split,
                        t.task_index, t.poison, t.skip_mode, &t.outcome);
       } else {
-        ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.spill_runs,
-                          t.corrupt_spill, &t.outcome);
+        ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.bucket_bytes,
+                          t.spill_runs, t.corrupt_spill, &t.outcome);
       }
     };
     if (pool_ != nullptr && wave.size() > 1) {

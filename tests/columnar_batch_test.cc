@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "columnar/column.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "json/value.h"
@@ -129,6 +130,31 @@ TEST(ColumnarBatchTest, ReorderedFieldsRoundTripExactly) {
       MakeRow({{"b", Value::Int(3)}, {"a", Value::Int(4)}}),
   };
   ExpectRoundTrip(rows);
+}
+
+/// A frame with a valid checksum whose body after the header is `body`.
+std::string FrameWithBody(const std::string& body) {
+  std::string frame = std::string("CB01") + '\0' + body;
+  const uint32_t crc = Crc32c(frame);
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<char>(crc >> (8 * i)));
+  }
+  return frame;
+}
+
+TEST(ColumnarBatchTest, BadVarintsKeepTheirOwnStatuses) {
+  // The row count's varint cut off by the end of the frame.
+  auto truncated = ColumnBatch::Decode(FrameWithBody("\x80"));
+  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(truncated.status().message(), "columnar batch: truncated varint");
+  // Ten continuation bytes are malformed, even when they end the frame.
+  for (const std::string tail : {"", "\x01"}) {
+    auto malformed =
+        ColumnBatch::Decode(FrameWithBody(std::string(10, '\x80') + tail));
+    EXPECT_EQ(malformed.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(malformed.status().message(),
+              "columnar batch: malformed varint");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 // manifest; a driver killed mid-query resumes from it with the same final
 // rows and the same checkpointed statistics as an uninterrupted run.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "dyno/checkpoint.h"
 #include "dyno/driver.h"
 #include "mr/engine.h"
+#include "obs/trace.h"
 #include "stats/stats_store.h"
 #include "storage/catalog.h"
 #include "storage/dfs.h"
@@ -234,6 +237,179 @@ TEST(NodeFaultTest, RandomNodeCrashesAreTransparentToJobOutput) {
   EXPECT_GT(faulty.attempts_killed_by_node, 0);
   ASSERT_NE(faulty.output, nullptr);
   EXPECT_EQ(FileBytes(*faulty.output), FileBytes(*clean.output));
+}
+
+// ---------------------------------------------------------------------------
+// Engine: shuffle-byte accounting. Every byte figure the engine bills for a
+// reduce job (shuffle transfer, reducer memory, spill I/O) must equal the
+// encoded size of the pairs the maps emitted, including after a node crash
+// forces the partitions to be rebuilt from retained emissions.
+// ---------------------------------------------------------------------------
+
+constexpr int kShuffleRows = 3000;
+constexpr int kShuffleReducers = 6;
+
+/// Emits each whole record under its group, so pair sizes vary with the id.
+JobSpec GroupRecords(std::shared_ptr<DfsFile> input) {
+  JobSpec spec = CountByGroup(std::move(input), "/out", kShuffleReducers);
+  spec.inputs[0].map_fn = [](const Value& record, MapContext* ctx) -> Status {
+    ctx->Emit(*record.FindField("g"), record);
+    return Status::OK();
+  };
+  return spec;
+}
+
+struct BilledRun {
+  JobResult result;
+  std::string trace;
+};
+
+BilledRun RunGroupRecords(const ClusterConfig& config) {
+  Dfs dfs;
+  obs::TraceSink trace;
+  MapReduceEngine engine(&dfs, config);
+  engine.set_trace(&trace);
+  auto result = engine.Submit(GroupRecords(MakeInput(&dfs, kShuffleRows, "/in")));
+  EXPECT_TRUE(result.ok());
+  return {std::move(*result), trace.SerializeJsonl()};
+}
+
+/// The integer value of `"key":N` in one serialized trace event.
+int64_t IntArg(const std::string& line, const std::string& key) {
+  size_t pos = line.find("\"" + key + "\":");
+  EXPECT_NE(pos, std::string::npos) << key << " missing in " << line;
+  if (pos == std::string::npos) return -1;
+  return std::stoll(line.substr(pos + key.size() + 3));
+}
+
+/// The serialized events named `name`, in trace order.
+std::vector<std::string> EventsNamed(const std::string& trace,
+                                     const std::string& name) {
+  std::vector<std::string> out;
+  const std::string tag = "\"name\":\"" + name + "\"";
+  size_t start = 0;
+  while (start < trace.size()) {
+    size_t end = trace.find('\n', start);
+    if (end == std::string::npos) end = trace.size();
+    std::string line = trace.substr(start, end - start);
+    if (line.find(tag) != std::string::npos) out.push_back(std::move(line));
+    start = end + 1;
+  }
+  return out;
+}
+
+/// Checks every billed byte figure of `run` against an independent
+/// EncodedSize sum over the pairs GroupRecords emits.
+void ExpectBytesMatchEmissions(const BilledRun& run,
+                               const ClusterConfig& config) {
+  std::vector<uint64_t> bytes(kShuffleReducers, 0);
+  std::vector<uint64_t> pairs(kShuffleReducers, 0);
+  for (int i = 0; i < kShuffleRows; ++i) {
+    const Value record = Row(i);
+    const Value& key = *record.FindField("g");
+    const size_t p = key.Hash() % kShuffleReducers;
+    bytes[p] += key.EncodedSize() + record.EncodedSize();
+    ++pairs[p];
+  }
+  uint64_t total = 0;
+  for (uint64_t b : bytes) total += b;
+
+  // The first shuffle moves every emitted byte; a re-shuffle after a crash
+  // moves only what the re-executed maps emitted again.
+  const auto shuffles = EventsNamed(run.trace, "shuffle_phase");
+  ASSERT_FALSE(shuffles.empty());
+  EXPECT_EQ(IntArg(shuffles[0], "bytes"), static_cast<int64_t>(total));
+  for (size_t i = 1; i < shuffles.size(); ++i) {
+    EXPECT_GT(IntArg(shuffles[i], "bytes"), 0);
+    EXPECT_LT(IntArg(shuffles[i], "bytes"), static_cast<int64_t>(total));
+  }
+
+  // Each spilling attempt sizes its bucket as its partition's bytes; the
+  // spill writes are that size once per merge pass.
+  uint64_t spill_written = 0;
+  for (const std::string& e : EventsNamed(run.trace, "task_spill")) {
+    const int64_t task = IntArg(e, "task");
+    ASSERT_GE(task, 0);
+    ASSERT_LT(task, kShuffleReducers);
+    EXPECT_EQ(IntArg(e, "bytes"), static_cast<int64_t>(bytes[task]))
+        << "task " << task;
+    spill_written += bytes[task] * IntArg(e, "merge_passes");
+  }
+  EXPECT_EQ(run.result.spill_bytes_written, spill_written);
+
+  // Peak memory: the largest reducer's expanded state, or the budget for a
+  // reducer that spills it instead.
+  const bool spill_mode =
+      config.reduce_memory_mode == ClusterConfig::ReduceMemoryMode::kSpill;
+  const double budget = static_cast<double>(config.memory_per_task_bytes);
+  uint64_t peak = 0;
+  for (int p = 0; p < kShuffleReducers; ++p) {
+    const double state = std::ceil(static_cast<double>(bytes[p]) *
+                                   config.reduce_memory_factor);
+    const bool spills = spill_mode && state > budget &&
+                        std::min<double>(std::ceil(state / budget),
+                                         static_cast<double>(pairs[p])) > 1;
+    peak = std::max(peak, spills ? config.memory_per_task_bytes
+                                 : static_cast<uint64_t>(state));
+  }
+  EXPECT_EQ(run.result.peak_task_memory_bytes, peak);
+}
+
+ClusterConfig ShuffleConfig(bool spill) {
+  ClusterConfig config = NodeConfig();
+  config.reduce_slots = 2;  // several reduce waves -> pending reducers
+  if (spill) {
+    config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kSpill;
+    config.memory_per_task_bytes = 24 * 1024;
+  }
+  return config;
+}
+
+TEST(ShuffleAccountingTest, BilledBytesEqualEmittedPairSizes) {
+  for (bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spill" : "in-memory");
+    const ClusterConfig config = ShuffleConfig(spill);
+    BilledRun run = RunGroupRecords(config);
+    ASSERT_TRUE(run.result.status.ok()) << run.result.status.ToString();
+    EXPECT_EQ(EventsNamed(run.trace, "shuffle_phase").size(), 1u);
+    if (spill) {
+      EXPECT_GT(run.result.reduce_spills, 0);
+      EXPECT_LT(run.result.reduce_spills, kShuffleReducers)
+          << "the budget should leave some reducers in memory";
+    }
+    ExpectBytesMatchEmissions(run, config);
+  }
+}
+
+TEST(ShuffleAccountingTest, RebuiltPartitionsBillTheSameBytes) {
+  for (bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spill" : "in-memory");
+    const ClusterConfig config = ShuffleConfig(spill);
+    BilledRun clean = RunGroupRecords(config);
+    ASSERT_TRUE(clean.result.status.ok());
+
+    // Sweep crash placements toward the end until one lands after the
+    // first shuffle and forces a rebuild from the retained emissions.
+    bool rebuilt = false;
+    for (int pct : {98, 96, 94, 92, 90, 85, 80, 75, 70, 60}) {
+      ClusterConfig crashy = config;
+      crashy.faults.scripted_node_crashes = {
+          {CrashAt(config, clean.result, pct, 100), 1}};
+      BilledRun faulty = RunGroupRecords(crashy);
+      ASSERT_TRUE(faulty.result.status.ok()) << faulty.result.status.ToString();
+      ASSERT_NE(faulty.result.output, nullptr);
+      EXPECT_EQ(FileBytes(*faulty.result.output),
+                FileBytes(*clean.result.output))
+          << "crash at " << pct << "%";
+      if (faulty.result.maps_invalidated > 0 &&
+          EventsNamed(faulty.trace, "shuffle_phase").size() > 1) {
+        ExpectBytesMatchEmissions(faulty, crashy);
+        rebuilt = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(rebuilt) << "no placement forced a re-shuffle";
+  }
 }
 
 // ---------------------------------------------------------------------------

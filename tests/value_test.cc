@@ -126,6 +126,80 @@ TEST(ValueTest, DecodeTruncatedFails) {
   EXPECT_FALSE(Value::Decode(buf, &offset).ok());
 }
 
+// Every malformed-input branch of Value::Decode, pinned by status code and
+// message. Tags: 1 bool, 2 int, 3 double, 4 string, 5 array, 6 struct.
+void ExpectDecodeError(std::string_view bytes, std::string_view message) {
+  size_t offset = 0;
+  Result<Value> v = Value::Decode(bytes, &offset);
+  ASSERT_FALSE(v.ok()) << "decoded " << v->ToString();
+  EXPECT_EQ(v.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(v.status().message(), message);
+}
+
+std::string Bytes(std::initializer_list<int> bytes) {
+  std::string out;
+  for (int b : bytes) out.push_back(static_cast<char>(b));
+  return out;
+}
+
+TEST(ValueTest, DecodeTruncatedScalarsFail) {
+  ExpectDecodeError("", "truncated value");
+  ExpectDecodeError(Bytes({1}), "truncated bool");
+  ExpectDecodeError(Bytes({3, 0, 0, 0, 0, 0, 0, 0}), "truncated double");
+  // A container whose element or field value is cut off.
+  ExpectDecodeError(Bytes({5, 2, 1, 1}), "truncated value");
+  ExpectDecodeError(Bytes({6, 1, 1, 'a'}), "truncated value");
+}
+
+TEST(ValueTest, DecodeMalformedVarintFails) {
+  // Continuation bit set on the last byte of the input.
+  ExpectDecodeError(Bytes({2}), "malformed varint");
+  ExpectDecodeError(Bytes({2, 0x80}), "malformed varint");
+  ExpectDecodeError(Bytes({4, 0xff, 0xff}), "malformed varint");
+  ExpectDecodeError(Bytes({5, 0x80}), "malformed varint");
+  ExpectDecodeError(Bytes({6, 0x80}), "malformed varint");
+  ExpectDecodeError(Bytes({6, 1, 0x80}), "malformed varint");
+  // Longer than 63 bits: ten continuation bytes, then a terminator.
+  std::string too_long = Bytes({2});
+  too_long.append(10, static_cast<char>(0x80));
+  too_long.push_back(0x01);
+  ExpectDecodeError(too_long, "malformed varint");
+  // The widest legal varint (ten bytes) still decodes.
+  std::string widest;
+  Value::Int(INT64_MIN).EncodeTo(&widest);
+  ASSERT_EQ(widest.size(), 11u);
+  size_t offset = 0;
+  Result<Value> v = Value::Decode(widest, &offset);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->int_value(), INT64_MIN);
+}
+
+TEST(ValueTest, DecodeBadLengthsFail) {
+  ExpectDecodeError(Bytes({4, 5, 'a', 'b'}), "bad string");
+  ExpectDecodeError(Bytes({5, 3, 0, 0}), "array count exceeds input");
+  ExpectDecodeError(Bytes({6, 4, 0, 0, 0}), "field count exceeds input");
+  ExpectDecodeError(Bytes({6, 1, 5, 'a', 'b'}), "bad field name");
+}
+
+// A length near 2^64 once wrapped `offset + length` past the bounds check
+// and decoded garbage; it is the same "bad string" / "bad field name".
+TEST(ValueTest, DecodeHugeLengthDoesNotWrapBoundsCheck) {
+  std::string huge = Bytes({4});
+  huge.append(9, static_cast<char>(0xff));
+  huge.push_back(0x01);
+  huge.append("abc");
+  ExpectDecodeError(huge, "bad string");
+  huge[0] = 6;
+  huge.insert(1, 1, static_cast<char>(1));
+  ExpectDecodeError(huge, "bad field name");
+}
+
+TEST(ValueTest, DecodeUnknownTagFails) {
+  ExpectDecodeError(Bytes({7}), "unknown value tag");
+  ExpectDecodeError(Bytes({0xff}), "unknown value tag");
+  ExpectDecodeError(Bytes({5, 1, 9}), "unknown value tag");
+}
+
 TEST(ValueTest, MultipleValuesDecodeSequentially) {
   std::string buf;
   Value::Int(1).EncodeTo(&buf);
