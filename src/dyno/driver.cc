@@ -108,12 +108,9 @@ Result<StepResult> RunRepartitionFallback(
     DYNO_ASSIGN_OR_RETURN(StepResult step, executor->ExecuteOne(request));
     ++*extra_jobs;
     current = step.relation_id;
-    // Fault counters accumulate across the fallback's jobs so the caller
-    // can account the whole recovery with one step.
-    step.job.task_failures_injected += last.job.task_failures_injected;
-    step.job.task_retries += last.job.task_retries;
-    step.job.speculative_launches += last.job.speculative_launches;
-    step.job.speculative_wins += last.job.speculative_wins;
+    // Counters accumulate across the fallback's jobs so the caller can
+    // account the whole recovery with one step.
+    step.job.Add(last.job);
     last = std::move(step);
   }
   // The stats describe the original unit's subtree, so they must be keyed
@@ -122,45 +119,6 @@ Result<StepResult> RunRepartitionFallback(
   // would pollute the stats store.
   last.subtree_signature = executor->CanonicalSignature(*unit.nodes.back());
   return last;
-}
-
-/// Folds one job's fault-model counters into a query report.
-void AddFaultCounters(const JobResult& job, QueryRunReport* report) {
-  report->task_failures_injected += job.task_failures_injected;
-  report->task_retries += job.task_retries;
-  report->speculative_launches += job.speculative_launches;
-  report->speculative_wins += job.speculative_wins;
-  report->node_crashes_observed += job.node_crashes_observed;
-  report->attempts_killed_by_node += job.attempts_killed_by_node;
-  report->maps_invalidated += job.maps_invalidated;
-  report->shuffle_fetch_retries += job.shuffle_fetch_retries;
-  report->block_corruptions += job.block_corruptions;
-  report->checksum_refetches += job.checksum_refetches;
-  report->records_quarantined += job.records_quarantined;
-  report->reduce_spills += job.reduce_spills;
-  report->spill_bytes_written += job.spill_bytes_written;
-  report->spill_bytes_read += job.spill_bytes_read;
-  report->peak_task_memory_bytes =
-      std::max(report->peak_task_memory_bytes, job.peak_task_memory_bytes);
-}
-
-void AddFaultCounters(const JobResult& job, StaticRunResult* result) {
-  result->task_failures_injected += job.task_failures_injected;
-  result->task_retries += job.task_retries;
-  result->speculative_launches += job.speculative_launches;
-  result->speculative_wins += job.speculative_wins;
-  result->node_crashes_observed += job.node_crashes_observed;
-  result->attempts_killed_by_node += job.attempts_killed_by_node;
-  result->maps_invalidated += job.maps_invalidated;
-  result->shuffle_fetch_retries += job.shuffle_fetch_retries;
-  result->block_corruptions += job.block_corruptions;
-  result->checksum_refetches += job.checksum_refetches;
-  result->records_quarantined += job.records_quarantined;
-  result->reduce_spills += job.reduce_spills;
-  result->spill_bytes_written += job.spill_bytes_written;
-  result->spill_bytes_read += job.spill_bytes_read;
-  result->peak_task_memory_bytes =
-      std::max(result->peak_task_memory_bytes, job.peak_task_memory_bytes);
 }
 
 /// How many permanent job failures one block tolerates (each triggers a
@@ -242,11 +200,8 @@ DynoDriver::DynoDriver(MapReduceEngine* engine, Catalog* catalog,
   if (options_.max_job_attempts <= 0) {
     options_.max_job_attempts = 1;
     if (const char* env = std::getenv("DYNO_MAX_JOB_ATTEMPTS")) {
-      char* end = nullptr;
-      long parsed = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 1 && parsed <= 1000) {
-        options_.max_job_attempts = static_cast<int>(parsed);
-      }
+      options_.max_job_attempts = static_cast<int>(
+          EnvInt64OrDie("DYNO_MAX_JOB_ATTEMPTS", env, 1, 1000));
     }
   }
   if (options_.retry_budget_ms < 0) {
@@ -340,7 +295,7 @@ Result<QueryRunReport> DynoDriver::ExecuteInternal(
                    /*use_combiner=*/true, options_.exec.query_id));
     current = job.output;
     ++report.jobs_run;
-    AddFaultCounters(job, &report);
+    report.Add(job);
   }
   if (query.order_by.has_value()) {
     std::string path =
@@ -352,7 +307,7 @@ Result<QueryRunReport> DynoDriver::ExecuteInternal(
                    options_.exec.query_id));
     current = job.output;
     ++report.jobs_run;
-    AddFaultCounters(job, &report);
+    report.Add(job);
   }
   report.result = current;
   report.result_records = current ? current->num_records() : 0;
@@ -451,7 +406,7 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
                        /*use_combiner=*/true, options_.exec.query_id));
         output = job.output;
         ++report.jobs_run;
-        AddFaultCounters(job, &report);
+        report.Add(job);
       }
       // Expose the block's output to downstream blocks through the catalog.
       // ReplaceTable (not RegisterTable) so re-running a query under the
@@ -479,7 +434,7 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
                    options_.exec.query_id));
     last_output = job.output;
     ++report.jobs_run;
-    AddFaultCounters(job, &report);
+    report.Add(job);
   }
   report.result = last_output;
   report.result_records = last_output ? last_output->num_records() : 0;
@@ -579,7 +534,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
                          options_.exec.query_id));
     ++report->jobs_run;
     ++report->map_only_jobs;
-    AddFaultCounters(job, report);
+    report->Add(job);
     return job.output;
   }
 
@@ -797,7 +752,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
       ++report->jobs_run;
       if (unit.map_only) ++report->map_only_jobs;
       report->stats_overhead_ms += step.job.observer_overhead_ms;
-      AddFaultCounters(step.job, report);
+      report->Add(step.job);
       if (step.job.records_quarantined > 0 && metrics != nullptr) {
         metrics->GetCounter("driver.quarantine_records")
             ->Add(static_cast<int64_t>(step.job.records_quarantined));
@@ -997,18 +952,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
     report->jobs_run += run.jobs_run;
     report->map_only_jobs += run.map_only_jobs;
     report->broadcast_fallbacks += run.broadcast_fallbacks;
-    report->task_failures_injected += run.task_failures_injected;
-    report->task_retries += run.task_retries;
-    report->speculative_launches += run.speculative_launches;
-    report->speculative_wins += run.speculative_wins;
-    report->block_corruptions += run.block_corruptions;
-    report->checksum_refetches += run.checksum_refetches;
-    report->records_quarantined += run.records_quarantined;
-    report->reduce_spills += run.reduce_spills;
-    report->spill_bytes_written += run.spill_bytes_written;
-    report->spill_bytes_read += run.spill_bytes_read;
-    report->peak_task_memory_bytes = std::max(report->peak_task_memory_bytes,
-                                              run.peak_task_memory_bytes);
+    report->Add(run);
     return run.output;
   }
 
@@ -1398,7 +1342,7 @@ Result<StaticRunResult> RunStaticPlan(
       executed.insert(ready[i]->uid);
       ++result.jobs_run;
       if (ready[i]->map_only) ++result.map_only_jobs;
-      AddFaultCounters(steps[i].job, &result);
+      result.Add(steps[i].job);
       if (ready[i]->uid == final_uid) {
         last_id = steps[i].relation_id;
         result.output = steps[i].job.output;

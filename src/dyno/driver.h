@@ -67,9 +67,9 @@ struct DynoOptions {
   /// attempts exhausted under heavy node loss) is re-submitted up to this
   /// many total attempts before the driver treats the failure as permanent
   /// and re-plans around the subtrees it already materialized. <= 0 reads
-  /// DYNO_MAX_JOB_ATTEMPTS, defaulting to 1 (no retry). OutOfMemory and
-  /// Unavailable failures are never retried (the former has its own
-  /// fallback, the latter cannot succeed).
+  /// DYNO_MAX_JOB_ATTEMPTS (strict-or-abort, 1..1000), defaulting to 1 (no
+  /// retry). OutOfMemory and Unavailable failures are never retried (the
+  /// former has its own fallback, the latter cannot succeed).
   int max_job_attempts = 0;
 
   /// Slot-millisecond cap on whole-job *retries* (attempts 2..N): once the
@@ -121,8 +121,9 @@ struct PlanEvent {
 };
 
 /// Full accounting of one query execution — the raw material for every
-/// overhead/speedup figure.
-struct QueryRunReport {
+/// overhead/speedup figure. The inherited JobTotals fold every executed job
+/// of the query (pilot runs and build-side filter jobs excluded).
+struct QueryRunReport : JobTotals {
   SimMillis total_ms = 0;
   SimMillis pilot_ms = 0;
   SimMillis optimizer_ms = 0;        ///< Sum over (re-)optimizer calls.
@@ -133,30 +134,6 @@ struct QueryRunReport {
   int plan_changes = 0;              ///< Re-optimizations that changed plan.
   /// Broadcast joins demoted to repartition at runtime (§8 dynamic join).
   int broadcast_fallbacks = 0;
-  /// Fault-model totals over every job of the query (all zero unless the
-  /// engine's FaultConfig enables injection).
-  int task_failures_injected = 0;
-  int task_retries = 0;
-  int speculative_launches = 0;
-  int speculative_wins = 0;
-  /// Node fault-domain totals (see JobResult; DESIGN.md §6.4).
-  int node_crashes_observed = 0;
-  int attempts_killed_by_node = 0;
-  int maps_invalidated = 0;
-  int shuffle_fetch_retries = 0;
-  /// Data-integrity totals (see JobResult; DESIGN.md §6.5).
-  int block_corruptions = 0;
-  int checksum_refetches = 0;
-  /// Records excluded from every output and statistic by bad-record
-  /// quarantine — observed checkpoint stats count these as excluded.
-  uint64_t records_quarantined = 0;
-  /// Reduce-memory totals (see JobResult; DESIGN.md §6.10). All zero with
-  /// the memory model off.
-  int reduce_spills = 0;
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_bytes_read = 0;
-  /// Max over the query's jobs of JobResult::peak_task_memory_bytes.
-  uint64_t peak_task_memory_bytes = 0;
   /// OOM-ladder re-executions (jobs re-run in spill mode / with doubled
   /// reducers after an OutOfMemory).
   int oom_retries = 0;
@@ -245,32 +222,14 @@ class DynoDriver {
   CheckpointManifest manifest_;
 };
 
-/// Outcome of executing a fixed physical plan (no re-optimization).
-struct StaticRunResult {
+/// Outcome of executing a fixed physical plan (no re-optimization). The
+/// inherited JobTotals fold every job the plan ran.
+struct StaticRunResult : JobTotals {
   std::shared_ptr<DfsFile> output;
   std::string final_relation_id;
   int jobs_run = 0;
   int map_only_jobs = 0;
   int broadcast_fallbacks = 0;
-  /// Fault-model totals over the plan's jobs (see QueryRunReport).
-  int task_failures_injected = 0;
-  int task_retries = 0;
-  int speculative_launches = 0;
-  int speculative_wins = 0;
-  int node_crashes_observed = 0;
-  int attempts_killed_by_node = 0;
-  int maps_invalidated = 0;
-  int shuffle_fetch_retries = 0;
-  /// Data-integrity totals (see JobResult).
-  int block_corruptions = 0;
-  int checksum_refetches = 0;
-  uint64_t records_quarantined = 0;
-  /// Reduce-memory totals (see JobResult; DESIGN.md §6.10).
-  int reduce_spills = 0;
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_bytes_read = 0;
-  uint64_t peak_task_memory_bytes = 0;
-  int oom_retries = 0;
 };
 
 /// Executes `plan` as-is on `executor` (whose bindings must cover every

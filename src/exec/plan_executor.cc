@@ -1,7 +1,5 @@
 #include "exec/plan_executor.h"
 
-#include <cstdlib>
-#include <cstdio>
 #include <atomic>
 #include <cmath>
 #include <utility>
@@ -470,12 +468,6 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
         }
         side_load += table->load_bytes;
         side_memory += table->built_bytes;
-        if (getenv("DYNO_DEBUG_BUILDS")) {
-          fprintf(stderr, "[build] unit=%s build_id=%s rows=%llu bytes=%llu est_right=%.0f\n",
-                  p.output_id.c_str(), build_id.c_str(),
-                  (unsigned long long)table->num_rows,
-                  (unsigned long long)table->built_bytes, n.right->est_bytes);
-        }
         Stage stage;
         stage.table = std::move(table);
         stage.probe_key_cols = LeftKeyColumns(n);

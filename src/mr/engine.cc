@@ -1,8 +1,6 @@
 #include "mr/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -29,6 +27,25 @@ void Counters::MergeFrom(const Counters& other) {
   reduce_input_records += other.reduce_input_records;
   output_records += other.output_records;
   output_bytes += other.output_bytes;
+}
+
+void JobTotals::Add(const JobTotals& other) {
+  task_failures_injected += other.task_failures_injected;
+  task_retries += other.task_retries;
+  speculative_launches += other.speculative_launches;
+  speculative_wins += other.speculative_wins;
+  node_crashes_observed += other.node_crashes_observed;
+  attempts_killed_by_node += other.attempts_killed_by_node;
+  maps_invalidated += other.maps_invalidated;
+  shuffle_fetch_retries += other.shuffle_fetch_retries;
+  block_corruptions += other.block_corruptions;
+  checksum_refetches += other.checksum_refetches;
+  records_quarantined += other.records_quarantined;
+  reduce_spills += other.reduce_spills;
+  spill_bytes_written += other.spill_bytes_written;
+  spill_bytes_read += other.spill_bytes_read;
+  peak_task_memory_bytes =
+      std::max(peak_task_memory_bytes, other.peak_task_memory_bytes);
 }
 
 namespace {
@@ -812,21 +829,6 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         ev = std::move(ev).Arg("query", job.spec->query_id);
       }
       trace_->Record(std::move(ev));
-    }
-  }
-
-  if (getenv("DYNO_DEBUG_JOBS") != nullptr) {
-    for (const RunningJob& job : jobs) {
-      uint64_t in_bytes = 0;
-      for (const MapInput& input : job.spec->inputs) {
-        in_bytes += input.file->num_bytes();
-      }
-      std::fprintf(stderr,
-                   "[job] %s inputs=%zu in_bytes=%llu side_mem=%llu %s\n",
-                   job.spec->name.c_str(), job.spec->inputs.size(),
-                   (unsigned long long)in_bytes,
-                   (unsigned long long)job.spec->side_memory_bytes,
-                   job.spec->reduce_fn ? "map-reduce" : "map-only");
     }
   }
 

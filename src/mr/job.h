@@ -161,8 +161,44 @@ struct JobSpec {
   double observer_cpu_per_record = 0.0;
 };
 
+/// The fault, node, integrity and reduce-memory counters of one job — and,
+/// folded with Add, of a whole query or static plan. Declared once here;
+/// JobResult, QueryRunReport and StaticRunResult all inherit it (DESIGN.md
+/// "Job accounting").
+struct JobTotals {
+  /// Fault-model accounting (all zero when fault injection is off).
+  int task_failures_injected = 0;  ///< Attempts killed by injection.
+  int task_retries = 0;            ///< Re-launches after a failed attempt.
+  int speculative_launches = 0;    ///< Backup attempts started.
+  int speculative_wins = 0;        ///< Backups that beat their primary.
+
+  /// Node fault-domain accounting (all zero without node crashes).
+  int node_crashes_observed = 0;   ///< Crashes while this job was running.
+  int attempts_killed_by_node = 0; ///< In-flight attempts lost to a crash.
+  int maps_invalidated = 0;        ///< Completed map outputs lost + re-run.
+  int shuffle_fetch_retries = 0;   ///< Reducers re-queued behind a re-shuffle.
+
+  /// Data-integrity accounting (all zero without corruption/poison faults).
+  int block_corruptions = 0;       ///< Corrupt replica reads detected.
+  int checksum_refetches = 0;      ///< Shuffle fetches redone after mismatch.
+  uint64_t records_quarantined = 0;///< Poison records skipped + quarantined.
+
+  /// Reduce-memory accounting (all zero in kUnbounded mode, DESIGN.md
+  /// §6.10). Sizes are simulated: partition bytes * reduce_memory_factor.
+  int reduce_spills = 0;           ///< Reduce tasks that spilled to DFS.
+  uint64_t spill_bytes_written = 0;///< Run-formation + merge-pass writes.
+  uint64_t spill_bytes_read = 0;   ///< Merge-pass reads.
+  /// Largest simulated memory footprint any task held: spilling tasks hold
+  /// the budget, in-memory reduce state and broadcast builds their
+  /// expanded size.
+  uint64_t peak_task_memory_bytes = 0;
+
+  /// Sums every counter, except peak_task_memory_bytes, which takes the max.
+  void Add(const JobTotals& other);
+};
+
 /// Everything known about a finished (or failed) job.
-struct JobResult {
+struct JobResult : JobTotals {
   Status status;
   std::shared_ptr<DfsFile> output;  ///< Null if the job failed.
   SimMillis submit_time_ms = 0;
@@ -181,37 +217,11 @@ struct JobResult {
   SimMillis map_slot_ms = 0;
   SimMillis reduce_slot_ms = 0;
 
-  /// Fault-model accounting (all zero when fault injection is off).
-  int task_failures_injected = 0;  ///< Attempts killed by injection.
-  int task_retries = 0;            ///< Re-launches after a failed attempt.
-  int speculative_launches = 0;    ///< Backup attempts started.
-  int speculative_wins = 0;        ///< Backups that beat their primary.
-
-  /// Node fault-domain accounting (all zero without node crashes).
-  int node_crashes_observed = 0;   ///< Crashes while this job was running.
-  int attempts_killed_by_node = 0; ///< In-flight attempts lost to a crash.
-  int maps_invalidated = 0;        ///< Completed map outputs lost + re-run.
-  int shuffle_fetch_retries = 0;   ///< Reducers re-queued behind a re-shuffle.
-
-  /// Data-integrity accounting (all zero without corruption/poison faults).
-  int block_corruptions = 0;       ///< Corrupt replica reads detected.
-  int checksum_refetches = 0;      ///< Shuffle fetches redone after mismatch.
-  uint64_t records_quarantined = 0;///< Poison records skipped + quarantined.
   /// DFS path of the per-job quarantine file (empty when no record was
   /// quarantined). Holds the poison records, in map-task order.
   std::string quarantine_path;
-
-  /// Reduce-memory accounting (all zero in kUnbounded mode, DESIGN.md
-  /// §6.10). Sizes are simulated: partition bytes * reduce_memory_factor.
-  int reduce_spills = 0;           ///< Reduce tasks that spilled to DFS.
   int spill_runs = 0;              ///< Total sorted runs written.
   int spill_merge_passes = 0;      ///< Total bounded-memory merge passes.
-  uint64_t spill_bytes_written = 0;///< Run-formation + merge-pass writes.
-  uint64_t spill_bytes_read = 0;   ///< Merge-pass reads.
-  /// Largest simulated memory footprint any task of this job held: spilling
-  /// tasks hold the budget, in-memory reduce state and broadcast builds
-  /// their expanded size.
-  uint64_t peak_task_memory_bytes = 0;
   /// Reducer count the engine froze at map-phase end (the derived count for
   /// num_reduce_tasks <= 0). The driver's OOM ladder doubles from this.
   int reduce_tasks_planned = 0;

@@ -201,5 +201,25 @@ TEST_F(DriverExtraTest, CyclicJoinGraphQ5MatchesOracle) {
   ExpectOracleMatch(q5, *report);
 }
 
+TEST(DriverKnobDeathTest, MalformedMaxJobAttemptsAbortsLoudly) {
+  // DYNO_MAX_JOB_ATTEMPTS parses strictly, like every other DYNO_* knob: a
+  // malformed or out-of-range value must not silently mean "no retry".
+  Dfs dfs;
+  Catalog catalog(&dfs);
+  ClusterConfig config;
+  config.faults.use_env_defaults = false;
+  MapReduceEngine engine(&dfs, config);
+  StatsStore store;
+  auto construct = [&](const char* value) {
+    ScopedEnv env({{"DYNO_MAX_JOB_ATTEMPTS", std::string(value)}});
+    return DynoDriver(&engine, &catalog, &store, DynoOptions())
+        .options()
+        .max_job_attempts;
+  };
+  EXPECT_EQ(construct("3"), 3);
+  EXPECT_DEATH(construct("abc"), "DYNO_MAX_JOB_ATTEMPTS");
+  EXPECT_DEATH(construct("0"), "DYNO_MAX_JOB_ATTEMPTS");
+}
+
 }  // namespace
 }  // namespace dyno

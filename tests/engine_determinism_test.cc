@@ -94,24 +94,12 @@ std::string FingerprintStats(const TableStats& stats,
                    stats.from_sample ? 1 : 0, stats.ColumnNdv(column));
 }
 
-/// Aggregate fault-model activity across the workload's jobs, so tests can
-/// assert the fault path was genuinely exercised.
-struct FaultTotals {
-  int failures_injected = 0;
-  int retries = 0;
-  int speculative_launches = 0;
-  int node_crashes = 0;
-  int maps_invalidated = 0;
-  int block_corruptions = 0;
-  int checksum_refetches = 0;
-  uint64_t records_quarantined = 0;
-};
-
 /// Builds a fresh cluster, runs the whole workload, and digests every
 /// observable outcome into one string. `faults` (optional) switches on the
-/// deterministic fault model; `totals` (optional) accumulates its activity.
+/// deterministic fault model; `totals` (optional) folds every job's
+/// counters, so tests can assert the fault path was genuinely exercised.
 std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
-                        FaultTotals* totals = nullptr) {
+                        JobTotals* totals = nullptr) {
   Dfs dfs;
   Catalog catalog(&dfs);
   ClusterConfig config;
@@ -210,16 +198,7 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
                              static_cast<long long>(engine.now()));
   for (const JobResult& job : *results) {
     fp += FingerprintJob(job) + "\n";
-    if (totals != nullptr) {
-      totals->failures_injected += job.task_failures_injected;
-      totals->retries += job.task_retries;
-      totals->speculative_launches += job.speculative_launches;
-      totals->node_crashes += job.node_crashes_observed;
-      totals->maps_invalidated += job.maps_invalidated;
-      totals->block_corruptions += job.block_corruptions;
-      totals->checksum_refetches += job.checksum_refetches;
-      totals->records_quarantined += job.records_quarantined;
-    }
+    if (totals != nullptr) totals->Add(job);
   }
   fp += "observer=" + observer_stats->Serialize() + "\n";
 
@@ -295,7 +274,7 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {
   faults.speculative_slowness_threshold = 1.5;
   faults.retry_backoff_ms = 200;
 
-  FaultTotals totals;
+  JobTotals totals;
   std::string one = RunWorkload(1, &faults, &totals);
   std::string four = RunWorkload(4, &faults);
   std::string eight = RunWorkload(8, &faults);
@@ -303,8 +282,8 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {
   EXPECT_EQ(one, eight) << "1-thread and 8-thread faulty runs diverged";
 
   // The comparison is only meaningful if faults actually fired.
-  EXPECT_GT(totals.failures_injected, 0);
-  EXPECT_GT(totals.retries, 0);
+  EXPECT_GT(totals.task_failures_injected, 0);
+  EXPECT_GT(totals.task_retries, 0);
   EXPECT_GT(totals.speculative_launches, 0);
 
   // And a faulty run is genuinely different from a clean one.
@@ -322,14 +301,15 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderNodeCrashes) {
   faults.node_recovery_ms = 200;  // nodes rejoin: slow, never doomed
   faults.retry_backoff_ms = 100;
 
-  FaultTotals totals;
+  JobTotals totals;
   std::string one = RunWorkload(1, &faults, &totals);
   std::string four = RunWorkload(4, &faults);
   std::string eight = RunWorkload(8, &faults);
   EXPECT_EQ(one, four) << "1-thread and 4-thread crashy runs diverged";
   EXPECT_EQ(one, eight) << "1-thread and 8-thread crashy runs diverged";
 
-  EXPECT_GT(totals.node_crashes, 0) << "no node crash fired at this rate";
+  EXPECT_GT(totals.node_crashes_observed, 0)
+      << "no node crash fired at this rate";
   EXPECT_GT(totals.maps_invalidated, 0)
       << "no crash ever caught a completed map output";
   EXPECT_NE(one, RunWorkload(1));
@@ -350,7 +330,7 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderDataCorruption) {
   faults.max_skipped_records = -1;
   faults.retry_backoff_ms = 100;
 
-  FaultTotals totals;
+  JobTotals totals;
   std::string one = RunWorkload(1, &faults, &totals);
   std::string four = RunWorkload(4, &faults);
   std::string eight = RunWorkload(8, &faults);
@@ -372,7 +352,7 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderDataCorruption) {
 /// so the digest — job accounting, spill counters, output bytes and the
 /// serialized trace — must be bit-identical across thread counts.
 std::string RunMemoryPressureWorkload(int threads,
-                                      FaultTotals* totals = nullptr,
+                                      JobTotals* totals = nullptr,
                                       int* spilled_tasks = nullptr) {
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -460,11 +440,7 @@ std::string RunMemoryPressureWorkload(int threads,
                     (unsigned long long)job.spill_bytes_read,
                     (unsigned long long)job.peak_task_memory_bytes,
                     job.reduce_tasks_planned);
-    if (totals != nullptr) {
-      totals->failures_injected += job.task_failures_injected;
-      totals->retries += job.task_retries;
-      totals->block_corruptions += job.block_corruptions;
-    }
+    if (totals != nullptr) totals->Add(job);
     if (spilled_tasks != nullptr) {
       *spilled_tasks += job.reduce_spills;
     }
@@ -477,7 +453,7 @@ std::string RunMemoryPressureWorkload(int threads,
 TEST(EngineDeterminismTest,
      MemoryPressureSpillsDeterministicAcrossThreadCounts) {
   ScopedEnv row_mode = RowMode();
-  FaultTotals totals;
+  JobTotals totals;
   int spilled_tasks = 0;
   std::string one = RunMemoryPressureWorkload(1, &totals, &spilled_tasks);
   std::string four = RunMemoryPressureWorkload(4);
@@ -487,7 +463,7 @@ TEST(EngineDeterminismTest,
 
   // The comparison only means something if the memory model engaged.
   EXPECT_GT(spilled_tasks, 0) << "no reducer spilled at this budget";
-  EXPECT_GT(totals.failures_injected, 0);
+  EXPECT_GT(totals.task_failures_injected, 0);
   EXPECT_NE(one.find("task_spill"), std::string::npos)
       << "spill events missing from the serialized trace";
 }
@@ -558,7 +534,7 @@ std::string RunResumeWorkload(int threads) {
 /// bytes, slot accounting, fault totals), the service metrics and the full
 /// serialized trace — all of which must be bit-identical across execution
 /// thread counts.
-std::string RunConcurrentWorkload(int threads, FaultTotals* totals = nullptr,
+std::string RunConcurrentWorkload(int threads, JobTotals* totals = nullptr,
                                   bool with_cache = false) {
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -637,13 +613,7 @@ std::string RunConcurrentWorkload(int threads, FaultTotals* totals = nullptr,
           report.task_retries, report.block_corruptions,
           report.checksum_refetches,
           (unsigned long long)report.records_quarantined);
-      if (totals != nullptr) {
-        totals->failures_injected += report.task_failures_injected;
-        totals->retries += report.task_retries;
-        totals->block_corruptions += report.block_corruptions;
-        totals->checksum_refetches += report.checksum_refetches;
-        totals->records_quarantined += report.records_quarantined;
-      }
+      if (totals != nullptr) totals->Add(report);
     }
     fp += "\n";
   }
@@ -655,7 +625,7 @@ std::string RunConcurrentWorkload(int threads, FaultTotals* totals = nullptr,
 
 TEST(EngineDeterminismTest, ConcurrentQueriesDeterministicAcrossThreadCounts) {
   ScopedEnv row_mode = RowMode();
-  FaultTotals totals;
+  JobTotals totals;
   std::string one = RunConcurrentWorkload(1, &totals);
   std::string four = RunConcurrentWorkload(4);
   std::string eight = RunConcurrentWorkload(8);
@@ -671,7 +641,7 @@ TEST(EngineDeterminismTest, ConcurrentQueriesDeterministicAcrossThreadCounts) {
         << one.substr(0, 2000);
   }
   // And the fault/corruption paths genuinely fired somewhere.
-  EXPECT_GT(totals.failures_injected + totals.retries, 0);
+  EXPECT_GT(totals.task_failures_injected + totals.task_retries, 0);
   EXPECT_GT(totals.block_corruptions + totals.checksum_refetches +
                 static_cast<int>(totals.records_quarantined),
             0);
@@ -855,7 +825,7 @@ TEST(EngineDeterminismTest, ResumedQueryIsDeterministicAcrossThreadCounts) {
 TEST(EngineDeterminismTest,
      ColumnarConcurrentFaultyCachedDeterministicAcrossThreadCounts) {
   ScopedEnv columnar({{"DYNO_COLUMNAR", "1"}, {"DYNO_ZONE_MAPS", "1"}});
-  FaultTotals totals;
+  JobTotals totals;
   std::string one = RunConcurrentWorkload(1, &totals, /*with_cache=*/true);
   std::string four = RunConcurrentWorkload(4, nullptr, /*with_cache=*/true);
   std::string eight = RunConcurrentWorkload(8, nullptr, /*with_cache=*/true);
@@ -868,7 +838,7 @@ TEST(EngineDeterminismTest,
         << "query q" << i << " did not complete";
   }
   // The regime's hazard paths genuinely fired against columnar splits.
-  EXPECT_GT(totals.failures_injected + totals.retries, 0);
+  EXPECT_GT(totals.task_failures_injected + totals.task_retries, 0);
   EXPECT_GT(totals.block_corruptions + totals.checksum_refetches +
                 static_cast<int>(totals.records_quarantined),
             0);
