@@ -35,6 +35,8 @@
 #   fuzz-smoke  codec + checkpoint-manifest + DFS-bit-rot + spill-run-rot
 #               fuzzing, small fixed budget
 #   goldens     checked-in traces match the current trace schema
+#   loc         code lines per src/ file and directory (informational,
+#               never fails; scripts/loc.sh)
 #
 # Usage: scripts/ci.sh
 # Requires cmake >= 3.20 (presets). Builds into build/, build-tsan/ and
@@ -69,6 +71,11 @@ run() {
   echo "=== ${current_step} ==="
   "$@" || fail_banner
 }
+
+# Informational only, never fails: code lines per src/ file and directory.
+echo
+echo "=== loc (informational) ==="
+scripts/loc.sh || true
 
 run "configure (default)" cmake --preset default
 run "build (default)" cmake --build --preset default -j "$(nproc)"

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <queue>
+#include <set>
 #include <utility>
 
 #include "columnar/batch_eval.h"
@@ -58,6 +60,16 @@ struct MapTaskRef {
 
 enum class JobPhase { kStartingUp, kMap, kShuffle, kReduce, kDone };
 
+/// The two kinds of task. Map and reduce tasks share one lifecycle (launch,
+/// commit, completion, retry, speculation, node-crash kill); every piece of
+/// per-kind state is an array indexed by this.
+enum TaskKind : int { kMapTask = 0, kReduceTask = 1 };
+constexpr TaskKind kTaskKinds[] = {kMapTask, kReduceTask};
+
+const char* KindName(TaskKind kind) {
+  return kind == kMapTask ? "map" : "reduce";
+}
+
 /// A queued logical task. `not_before` gates retries: a task re-enters the
 /// queue immediately after its attempt fails but only becomes launchable
 /// once its backoff elapses, keeping queue order deterministic.
@@ -66,9 +78,9 @@ struct PendingTask {
   SimMillis not_before = 0;
 };
 
-/// Attempt bookkeeping for one logical task (fault model).
-struct TaskRunState {
-  int failures = 0;             ///< Failed attempts so far.
+/// What a logical task's attempts have done so far. A node crash that loses
+/// a completed map output resets exactly this part of its TaskRunState.
+struct AttemptState {
   bool completed = false;       ///< Some attempt has finished.
   bool data_committed = false;  ///< A successful attempt's data is staged.
   bool speculated = false;      ///< A backup attempt was launched.
@@ -79,10 +91,17 @@ struct TaskRunState {
   SimMillis base_duration = 0;    ///< Its duration before straggler factor.
   int node = -1;                  ///< Node hosting the completed output.
   Status last_error;              ///< Most recent attempt failure.
+};
 
-  /// Poison-record state (map tasks only; survives node-crash resets — the
-  /// records are a property of the data, not of any attempt). Positions are
-  /// drawn once, at the task's first launch.
+/// Attempt bookkeeping for one logical task (fault model). The fields past
+/// AttemptState outlive a node-crash reset: real failures still count
+/// against the attempt budget, and the poison plan is a property of the
+/// data, not of any attempt.
+struct TaskRunState : AttemptState {
+  int failures = 0;  ///< Failed attempts so far.
+
+  /// Poison-record state (map tasks only). Positions are drawn once, at the
+  /// task's first launch.
   bool poison_drawn = false;
   std::vector<uint64_t> poison;  ///< Sorted poison record indexes.
   int poison_failures = 0;       ///< Attempts that died on a poison record.
@@ -110,6 +129,27 @@ struct TaskData {
   std::vector<Split> spill_runs;
 };
 
+/// One phase's logical tasks of a running job, indexed by task id: map
+/// tasks by their MapTaskRef, reduce tasks by partition.
+struct PhaseTasks {
+  std::vector<TaskRunState> states;
+  std::vector<TaskData> data;  ///< task_id -> staged outputs.
+  std::deque<PendingTask> pending;
+  int remaining = 0;  ///< Logical tasks not completed/skipped.
+  int active = 0;     ///< Attempts in flight, backups included.
+  int run = 0;        ///< Logical tasks completed (JobResult::*_tasks_run).
+  SimMillis slot_ms = 0;  ///< Committed attempt time (JobResult::*_slot_ms).
+  /// Durations of completed attempts — the speculation median.
+  std::vector<SimMillis> completed_ms;
+
+  /// Sizes the phase to `n` fresh logical tasks.
+  void Open(size_t n) {
+    states.assign(n, TaskRunState{});
+    data.assign(n, TaskData{});
+    remaining = static_cast<int>(n);
+  }
+};
+
 /// Execution state for one concurrently running job.
 struct RunningJob {
   const JobSpec* spec = nullptr;
@@ -117,24 +157,15 @@ struct RunningJob {
   JobPhase phase = JobPhase::kStartingUp;
   SimMillis ready_time = 0;  ///< submit + startup latency.
 
-  std::vector<MapTaskRef> map_defs;  ///< task_id -> (input, split).
-  std::vector<TaskRunState> map_states;
-  std::vector<TaskData> map_data;  ///< task_id -> staged outputs.
-  std::deque<PendingTask> pending_map;
-  int map_tasks_remaining = 0;  ///< Logical tasks not completed/skipped.
-  int active_map_tasks = 0;
-  int map_seq = 0;  ///< Tasks launched so far (distributed-cache billing).
+  PhaseTasks tasks[2];  ///< Indexed by TaskKind.
+  std::vector<MapTaskRef> map_defs;  ///< Map task_id -> (input, split).
+  int map_seq = 0;  ///< Map tasks launched so far (distributed-cache billing).
 
-  /// Reduce-side state.
-  int num_reduce_tasks = 0;
+  /// Reduce-side state. The reducer count, the size of
+  /// tasks[kReduceTask], is fixed at the first shuffle.
   std::vector<std::vector<std::pair<Value, Value>>> partitions;
   /// Encoded bytes of each partition bucket, summed as it is (re)built.
   std::vector<uint64_t> partition_bytes;
-  std::vector<TaskRunState> reduce_states;
-  std::vector<TaskData> reduce_data;
-  std::deque<PendingTask> pending_reduce;
-  int reduce_tasks_remaining = 0;
-  int active_reduce_tasks = 0;
   bool reduce_opened = false;  ///< First shuffle completed at least once.
   /// Bumped when a node crash invalidates map outputs mid-shuffle or later;
   /// a kShuffleDone event with a stale epoch is ignored.
@@ -142,10 +173,6 @@ struct RunningJob {
   /// Emission bytes already billed to the network, so a re-shuffle after a
   /// crash transfers only the re-executed maps' bytes.
   uint64_t shuffled_bytes = 0;
-
-  /// Durations of completed attempts, per phase — the speculation median.
-  std::vector<SimMillis> completed_map_ms;
-  std::vector<SimMillis> completed_reduce_ms;
 
   /// When the reduce phase opened (shuffle done) — trace span start.
   SimMillis reduce_start = 0;
@@ -174,9 +201,8 @@ struct RunningJob {
 
 enum class EventKind {
   kJobReady,
-  kMapDone,
+  kTaskDone,
   kShuffleDone,
-  kReduceDone,
   kNodeCrash,
   kNodeRecover,
   /// No-op: exists to force a scheduling pass at a known time (a retry
@@ -189,7 +215,8 @@ struct Event {
   uint64_t seq;  ///< Tie-breaker for determinism.
   EventKind kind;
   int job_index;
-  int task_id = -1;               ///< Logical task (kMapDone/kReduceDone).
+  int task_id = -1;               ///< Logical task (kTaskDone).
+  TaskKind task_kind = kMapTask;  ///< Its kind (kTaskDone).
   bool attempt_failed = false;    ///< The attempt died (injected or real).
   bool poison_failure = false;    ///< It died on a poison record.
   bool speculative = false;       ///< This is a backup attempt finishing.
@@ -208,22 +235,24 @@ struct EventLater {
 
 /// Everything one task's data flow produces. Filled on a worker thread,
 /// then merged into the RunningJob on the scheduler thread in deterministic
-/// launch order — the worker never touches shared job state.
+/// launch order — the worker never touches shared job state. Fields the
+/// other kind of task never fills stay zero.
 struct TaskOutcome {
   Status status;
   Split output;  ///< Records written via ctx->Output().
   std::vector<std::pair<Value, Value>> emissions;
   std::vector<uint32_t> emission_bytes;  ///< Parallel to `emissions`.
   uint64_t emitted_bytes = 0;
-  uint64_t input_records = 0;
-  uint64_t input_bytes = 0;  ///< Map only; partial when the attempt errored.
+  uint64_t input_records = 0;  ///< Map records scanned.
+  /// Bytes of input read: the split (partial when the map attempt errored)
+  /// or the reduce bucket.
+  uint64_t input_bytes = 0;
   /// Row-encoded size of the input scanned (== input_bytes for row splits).
   /// Feeds counters.map_input_bytes so statistics are format-independent.
   uint64_t input_logical_bytes = 0;
   /// Columnar batches decoded by this attempt (scan.batches metric).
   uint64_t batches_decoded = 0;
   uint64_t reduce_input_records = 0;
-  uint64_t reduce_input_bytes = 0;
   double cpu_units = 0.0;  ///< Excludes observer charges (added at commit).
   bool poison_failure = false;  ///< The attempt died on a poison record.
   Split quarantine;  ///< Poison records skipped in skip mode.
@@ -237,11 +266,10 @@ struct TaskOutcome {
 /// produced by the worker.
 struct TaskLaunch {
   RunningJob* job = nullptr;
-  bool is_map = true;
+  TaskKind kind = kMapTask;
   int task_id = 0;
   MapTaskRef map_ref{0, 0};
   const Split* split = nullptr;  ///< Input split (map tasks).
-  int partition = -1;            ///< Reduce tasks.
   int task_index = 0;
   SimMillis setup_ms = 0;  ///< Side-data load charge, decided at launch.
   std::vector<std::pair<Value, Value>> bucket;  ///< Reduce input.
@@ -290,6 +318,8 @@ struct TaskLaunch {
   uint64_t task_memory_bytes = 0;
   bool corrupt_spill = false;
   TaskOutcome outcome;
+
+  bool is_map() const { return kind == kMapTask; }
 };
 
 /// One attempt in flight, keyed by the seq of its completion event. A node
@@ -298,16 +328,17 @@ struct TaskLaunch {
 /// down with the node).
 struct InFlightAttempt {
   int job_index = 0;
-  bool is_map = true;
+  TaskKind kind = kMapTask;
   int task_id = 0;
   bool speculative = false;
   int node = 0;
 };
 
-/// MapContext implementation that buffers into the task's own outcome.
-class TaskMapContext : public MapContext {
+/// The map and reduce context of one task: both buffer into the task's
+/// own outcome (reduce functions never see Emit or task_index).
+class TaskContext : public MapContext, public ReduceContext {
  public:
-  TaskMapContext(TaskOutcome* out, int task_index)
+  TaskContext(TaskOutcome* out, int task_index)
       : out_(out), task_index_(task_index) {}
 
   void Emit(Value key, Value value) override {
@@ -334,24 +365,6 @@ class TaskMapContext : public MapContext {
   double extra_cpu_ = 0.0;
 };
 
-class TaskReduceContext : public ReduceContext {
- public:
-  explicit TaskReduceContext(TaskOutcome* out) : out_(out) {}
-
-  void Output(Value record) override {
-    record.EncodeTo(&out_->output.data);
-    out_->output.num_records += 1;
-  }
-
-  void ChargeCpu(double units) override { extra_cpu_ += units; }
-
-  double extra_cpu() const { return extra_cpu_; }
-
- private:
-  TaskOutcome* out_;
-  double extra_cpu_ = 0.0;
-};
-
 SimMillis CeilDiv(double amount, double rate) {
   if (amount <= 0.0) return 0;
   return static_cast<SimMillis>(std::ceil(amount / rate));
@@ -367,14 +380,9 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   // Verified read: the block checksum is checked before any record is
   // decoded (as HDFS does). At-rest corruption of the stored bytes
   // surfaces here as DataLoss, never as silently wrong rows.
-  {
-    Status verify = VerifySplit(split);
-    if (!verify.ok()) {
-      out->status = verify;
-      return;
-    }
-  }
-  TaskMapContext ctx(out, task_index);
+  out->status = VerifySplit(split);
+  if (!out->status.ok()) return;
+  TaskContext ctx(out, task_index);
 
   // Columnar splits are decoded whole-block into rows first; any frame
   // defect that slipped past the checksum is still DataLoss, never a wrong
@@ -482,18 +490,12 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
       ++record_index;
       out->cpu_units += 1.0 + input.cpu_per_record;
     }
-    Status st = input.map_fn(*record, &ctx);
-    if (!st.ok()) {
-      out->status = st;
-      return;
-    }
+    out->status = input.map_fn(*record, &ctx);
+    if (!out->status.ok()) return;
   }
   if (input.flush_fn) {
-    Status st = input.flush_fn(&ctx);
-    if (!st.ok()) {
-      out->status = st;
-      return;
-    }
+    out->status = input.flush_fn(&ctx);
+    if (!out->status.ok()) return;
   }
   out->cpu_units += ctx.extra_cpu();
 }
@@ -513,7 +515,7 @@ void ExecuteReduceTask(const JobSpec& spec,
                        std::vector<std::pair<Value, Value>> bucket,
                        uint64_t bucket_bytes, int spill_runs,
                        bool corrupt_spill, TaskOutcome* out) {
-  out->reduce_input_bytes = bucket_bytes;
+  out->input_bytes = bucket_bytes;
   out->reduce_input_records = bucket.size();
   auto key_less = [](const std::pair<Value, Value>& a,
                      const std::pair<Value, Value>& b) {
@@ -578,7 +580,7 @@ void ExecuteReduceTask(const JobSpec& spec,
     std::stable_sort(bucket.begin(), bucket.end(), key_less);
   }
 
-  TaskReduceContext ctx(out);
+  TaskContext ctx(out, /*task_index=*/0);
   out->cpu_units += static_cast<double>(bucket.size());
   size_t i = 0;
   while (i < bucket.size()) {
@@ -590,11 +592,8 @@ void ExecuteReduceTask(const JobSpec& spec,
     std::vector<Value> values;
     values.reserve(j - i);
     for (size_t k = i; k < j; ++k) values.push_back(bucket[k].second);
-    Status st = spec.reduce_fn(bucket[i].first, values, &ctx);
-    if (!st.ok()) {
-      out->status = st;
-      return;
-    }
+    out->status = spec.reduce_fn(bucket[i].first, values, &ctx);
+    if (!out->status.ok()) return;
     i = j;
   }
   out->cpu_units += ctx.extra_cpu();
@@ -675,300 +674,355 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAll(
   return SubmitAllDirect(specs);
 }
 
-Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
-    const std::vector<JobSpec>& specs) {
-  // Wave-pressure bookkeeping (see last_wave_pressure()): compare committed
-  // slot time against the slot capacity available over the wave's duration.
-  const SimMillis wave_start_ms = now_;
-  const SimMillis busy_before_ms = busy_slot_ms_total_;
+/// One SubmitAllDirect batch: the discrete-event simulation of its jobs on
+/// the engine's cluster. Built per call and run once; the engine's clock,
+/// node liveness and slot accounting are updated in place. Map and reduce
+/// tasks share one lifecycle — launch, commit, completion, retry,
+/// speculation, node-crash kill — over per-kind state indexed by TaskKind;
+/// only their data flow and the phase transitions differ.
+class MapReduceEngine::Simulation {
+ public:
+  Simulation(MapReduceEngine* engine, const std::vector<JobSpec>& specs)
+      : engine_(engine),
+        specs_(specs),
+        config_(engine->config_),
+        now_(engine->now_),
+        node_states_(engine->node_states_),
+        dfs_(engine->dfs_),
+        trace_(engine->trace_),
+        metrics_(engine->metrics_),
+        wave_start_ms_(engine->now_),
+        busy_before_ms_(engine->busy_slot_ms_total_),
+        retries_enabled_(config_.faults.enabled()),
+        max_attempts_(std::max(1, config_.faults.max_task_attempts)),
+        num_nodes_(static_cast<int>(node_states_.size())),
+        total_slots_{config_.map_slots, config_.reduce_slots} {}
 
-  // Whether failed task attempts are retried (Hadoop semantics) instead of
-  // failing the whole job at the first error (legacy fail-fast).
-  const bool retries_enabled = config_.faults.enabled();
-  const int max_attempts = std::max(1, config_.faults.max_task_attempts);
-
-  // Effective reduce-memory mode of one job: the per-job override wins,
-  // otherwise the cluster-wide knob applies (DESIGN.md §6.10).
-  auto job_memory_mode = [&](const RunningJob& job) {
-    if (job.spec->reduce_memory_mode >= 0) {
-      return static_cast<ClusterConfig::ReduceMemoryMode>(
-          job.spec->reduce_memory_mode);
+  Result<std::vector<JobResult>> Run() {
+    RegisterMetrics();
+    DYNO_RETURN_IF_ERROR(StartJobs());
+    if (trace_ != nullptr) {
+      for (const RunningJob& job : jobs_) {
+        obs::TraceEvent ev =
+            obs::TraceEvent(now_, -1, obs::TraceLane::kEngine, "mr",
+                            "job_submit")
+                .Arg("job", job.spec->name)
+                .ArgInt("map_tasks", (int64_t)job.map_defs.size())
+                .ArgBool("map_only", job.spec->reduce_fn == nullptr);
+        // The query tag is appended last and only for query-scoped jobs, so
+        // legacy (empty query_id) traces keep their exact historical bytes.
+        if (!job.spec->query_id.empty()) {
+          ev = std::move(ev).Arg("query", job.spec->query_id);
+        }
+        trace_->Record(std::move(ev));
+      }
     }
-    return config_.reduce_memory_mode;
-  };
 
-  // Cache instrument pointers once per submission; the hot paths below then
-  // pay only a relaxed atomic per update.
-  obs::Counter* m_jobs = nullptr;
-  obs::Counter* m_map_attempts = nullptr;
-  obs::Counter* m_reduce_attempts = nullptr;
-  obs::Counter* m_retries = nullptr;
-  obs::Counter* m_injected = nullptr;
-  obs::Counter* m_spec_launches = nullptr;
-  obs::Counter* m_spec_wins = nullptr;
-  obs::Counter* m_node_crashes = nullptr;
-  obs::Counter* m_node_recoveries = nullptr;
-  obs::Counter* m_node_kills = nullptr;
-  obs::Counter* m_maps_invalidated = nullptr;
-  obs::Counter* m_shuffle_retries = nullptr;
-  obs::Counter* m_block_corruptions = nullptr;
-  obs::Counter* m_checksum_refetches = nullptr;
-  obs::Counter* m_quarantined = nullptr;
-  obs::Counter* m_integrity_failures = nullptr;
-  /// Registered lazily on the first committed columnar decode (see below).
-  obs::Counter* m_scan_batches = nullptr;
-  /// Memory-model counters, registered lazily on first use so runs that
-  /// never spill or OOM keep their exact metric registry.
-  obs::Counter* m_spilled_tasks = nullptr;
-  obs::Counter* m_spill_bytes = nullptr;
-  obs::Counter* m_oom_failures = nullptr;
-  obs::Histogram* h_map_ms = nullptr;
-  obs::Histogram* h_reduce_ms = nullptr;
-  obs::Histogram* h_job_ms = nullptr;
-  if (metrics_ != nullptr) {
-    m_jobs = metrics_->GetCounter("mr.jobs");
-    m_map_attempts = metrics_->GetCounter("mr.map_attempts");
-    m_reduce_attempts = metrics_->GetCounter("mr.reduce_attempts");
-    m_retries = metrics_->GetCounter("mr.task_retries");
-    m_injected = metrics_->GetCounter("mr.task_failures_injected");
-    m_spec_launches = metrics_->GetCounter("mr.speculative_launches");
-    m_spec_wins = metrics_->GetCounter("mr.speculative_wins");
-    m_node_crashes = metrics_->GetCounter("mr.node_crashes");
-    m_node_recoveries = metrics_->GetCounter("mr.node_recoveries");
-    m_node_kills = metrics_->GetCounter("mr.node_attempt_kills");
-    m_maps_invalidated = metrics_->GetCounter("mr.maps_invalidated");
-    m_shuffle_retries = metrics_->GetCounter("mr.shuffle_fetch_retries");
-    m_block_corruptions = metrics_->GetCounter("mr.integrity_block_corruptions");
-    m_checksum_refetches =
+    // Size the worker pool to the configured thread count. The pool
+    // persists across submissions and is resized lazily when the config
+    // changes.
+    const int want_threads = config_.execution_threads;
+    std::unique_ptr<WorkerPool>& pool = engine_->pool_;
+    if (want_threads <= 1) {
+      pool.reset();
+    } else if (pool == nullptr || pool->size() != want_threads) {
+      pool = std::make_unique<WorkerPool>(want_threads);
+    }
+
+    for (RunningJob& job : jobs_) {
+      events_.push(
+          {job.ready_time, seq_++, EventKind::kJobReady, job.job_index});
+    }
+    ProvisionNodes();
+
+    while (unfinished_ > 0) {
+      Schedule();
+      if (events_.empty()) {
+        if (unfinished_ > 0) {
+          return Status::Internal(
+              "scheduler deadlock: jobs pending, no events");
+        }
+        break;  // The pass itself finished the last job.
+      }
+      Event ev = events_.top();
+      events_.pop();
+      now_ = std::max(now_, ev.time);
+      HandleEvent(ev);
+      // Drain every event at this same timestamp before rescheduling, so
+      // all slots freed at one simulated instant are refilled as a single
+      // wave — that wave is what the worker pool executes in parallel.
+      while (!events_.empty() && events_.top().time <= now_) {
+        Event next = events_.top();
+        events_.pop();
+        HandleEvent(next);
+      }
+    }
+
+    const SimMillis wave_elapsed_ms = now_ - wave_start_ms_;
+    const int total_slots =
+        std::max(1, config_.map_slots) + std::max(0, config_.reduce_slots);
+    if (wave_elapsed_ms > 0) {
+      double pressure =
+          static_cast<double>(engine_->busy_slot_ms_total_ - busy_before_ms_) /
+          (static_cast<double>(wave_elapsed_ms) *
+           static_cast<double>(total_slots));
+      engine_->last_wave_pressure_ = std::clamp(pressure, 0.0, 1.0);
+    }
+
+    std::vector<JobResult> results;
+    results.reserve(jobs_.size());
+    for (RunningJob& job : jobs_) {
+      job.result.output = job.output;
+      results.push_back(std::move(job.result));
+    }
+    return results;
+  }
+
+ private:
+  // Cache instrument pointers once per submission; the hot paths then pay
+  // only a relaxed atomic per update.
+  void RegisterMetrics() {
+    if (metrics_ == nullptr) return;
+    m_jobs_ = metrics_->GetCounter("mr.jobs");
+    m_attempts_[kMapTask] = metrics_->GetCounter("mr.map_attempts");
+    m_attempts_[kReduceTask] = metrics_->GetCounter("mr.reduce_attempts");
+    m_retries_ = metrics_->GetCounter("mr.task_retries");
+    m_injected_ = metrics_->GetCounter("mr.task_failures_injected");
+    m_spec_launches_ = metrics_->GetCounter("mr.speculative_launches");
+    m_spec_wins_ = metrics_->GetCounter("mr.speculative_wins");
+    m_node_crashes_ = metrics_->GetCounter("mr.node_crashes");
+    m_node_recoveries_ = metrics_->GetCounter("mr.node_recoveries");
+    m_node_kills_ = metrics_->GetCounter("mr.node_attempt_kills");
+    m_maps_invalidated_ = metrics_->GetCounter("mr.maps_invalidated");
+    m_shuffle_retries_ = metrics_->GetCounter("mr.shuffle_fetch_retries");
+    m_block_corruptions_ =
+        metrics_->GetCounter("mr.integrity_block_corruptions");
+    m_checksum_refetches_ =
         metrics_->GetCounter("mr.integrity_shuffle_refetches");
-    m_quarantined = metrics_->GetCounter("mr.integrity_records_quarantined");
-    m_integrity_failures =
+    m_quarantined_ = metrics_->GetCounter("mr.integrity_records_quarantined");
+    m_integrity_failures_ =
         metrics_->GetCounter("mr.integrity_data_loss_failures");
-    h_map_ms = metrics_->GetHistogram("mr.map_attempt_ms");
-    h_reduce_ms = metrics_->GetHistogram("mr.reduce_attempt_ms");
-    h_job_ms = metrics_->GetHistogram("mr.job_ms");
+    h_attempt_ms_[kMapTask] = metrics_->GetHistogram("mr.map_attempt_ms");
+    h_attempt_ms_[kReduceTask] = metrics_->GetHistogram("mr.reduce_attempt_ms");
+    h_job_ms_ = metrics_->GetHistogram("mr.job_ms");
   }
 
-  // --- Validate and initialize job states. ---
-  std::vector<RunningJob> jobs(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const JobSpec& spec = specs[i];
-    if (spec.inputs.empty()) {
-      return Status::InvalidArgument("job has no inputs: " + spec.name);
-    }
-    if (spec.output_path.empty()) {
-      return Status::InvalidArgument("job has no output path: " + spec.name);
-    }
-    if (spec.reduce_memory_mode < -1 || spec.reduce_memory_mode > 2) {
-      return Status::InvalidArgument(
-          StrFormat("bad reduce_memory_mode %d in %s",
-                    spec.reduce_memory_mode, spec.name.c_str()));
-    }
-    RunningJob& job = jobs[i];
-    job.spec = &spec;
-    job.job_index = static_cast<int>(i);
-    job.ready_time =
-        now_ + (spec.reuse_warm_containers ? 0 : config_.job_startup_ms);
-    job.result.submit_time_ms = now_;
-    for (size_t in = 0; in < spec.inputs.size(); ++in) {
-      const MapInput& input = spec.inputs[in];
-      if (input.file == nullptr) {
-        return Status::InvalidArgument("null input file in " + spec.name);
+  /// Validates every spec and initializes its job state, then creates the
+  /// job outputs. Nothing is created until the whole batch has validated,
+  /// and a failed Create removes the outputs made before it, so a rejected
+  /// batch leaves the DFS as it found it.
+  Status StartJobs() {
+    std::set<std::string> output_paths;
+    jobs_.resize(specs_.size());
+    for (size_t i = 0; i < specs_.size(); ++i) {
+      const JobSpec& spec = specs_[i];
+      if (spec.inputs.empty()) {
+        return Status::InvalidArgument("job has no inputs: " + spec.name);
       }
-      if (input.split_indexes.empty()) {
-        // With split_indexes_exact, an empty list is a fully-pruned scan:
-        // this input contributes zero map tasks.
-        if (input.split_indexes_exact) continue;
-        for (size_t s = 0; s < input.file->splits().size(); ++s) {
-          job.map_defs.push_back({static_cast<int>(in), static_cast<int>(s)});
+      if (spec.output_path.empty()) {
+        return Status::InvalidArgument("job has no output path: " +
+                                       spec.name);
+      }
+      if (!output_paths.insert(spec.output_path).second) {
+        return Status::InvalidArgument("two jobs in one batch write " +
+                                       spec.output_path);
+      }
+      if (spec.reduce_memory_mode < -1 || spec.reduce_memory_mode > 2) {
+        return Status::InvalidArgument(
+            StrFormat("bad reduce_memory_mode %d in %s",
+                      spec.reduce_memory_mode, spec.name.c_str()));
+      }
+      RunningJob& job = jobs_[i];
+      job.spec = &spec;
+      job.job_index = static_cast<int>(i);
+      job.ready_time =
+          now_ + (spec.reuse_warm_containers ? 0 : config_.job_startup_ms);
+      job.result.submit_time_ms = now_;
+      for (size_t in = 0; in < spec.inputs.size(); ++in) {
+        const MapInput& input = spec.inputs[in];
+        if (input.file == nullptr) {
+          return Status::InvalidArgument("null input file in " + spec.name);
         }
-      } else {
-        for (int s : input.split_indexes) {
-          if (s < 0 || static_cast<size_t>(s) >= input.file->splits().size()) {
-            return Status::InvalidArgument(
-                StrFormat("split index %d out of range in %s", s,
-                          spec.name.c_str()));
+        if (input.split_indexes.empty()) {
+          // With split_indexes_exact, an empty list is a fully-pruned scan:
+          // this input contributes zero map tasks.
+          if (input.split_indexes_exact) continue;
+          for (size_t s = 0; s < input.file->splits().size(); ++s) {
+            job.map_defs.push_back(
+                {static_cast<int>(in), static_cast<int>(s)});
           }
-          job.map_defs.push_back({static_cast<int>(in), s});
+        } else {
+          for (int s : input.split_indexes) {
+            if (s < 0 ||
+                static_cast<size_t>(s) >= input.file->splits().size()) {
+              return Status::InvalidArgument(
+                  StrFormat("split index %d out of range in %s", s,
+                            spec.name.c_str()));
+            }
+            job.map_defs.push_back({static_cast<int>(in), s});
+          }
+        }
+      }
+      PhaseTasks& maps = job.tasks[kMapTask];
+      maps.Open(job.map_defs.size());
+      for (size_t t = 0; t < job.map_defs.size(); ++t) {
+        maps.pending.push_back({static_cast<int>(t), 0});
+      }
+      if (retries_enabled_) {
+        // Per-job fault stream. Jobs are identified by name for legacy
+        // submissions; when a query id is present it salts the seed so two
+        // concurrent queries submitting identically-named jobs (e.g.
+        // "scan") draw independent faults instead of sharing one stream.
+        uint64_t fault_seed =
+            HashBytes(spec.name, Mix64(config_.faults.seed));
+        if (!spec.query_id.empty()) {
+          fault_seed = HashBytes(spec.query_id, fault_seed);
+        }
+        job.fault_rng.emplace(fault_seed);
+      }
+    }
+    for (RunningJob& job : jobs_) {
+      auto output = dfs_->Create(job.spec->output_path);
+      if (!output.ok()) {
+        for (RunningJob& created : jobs_) {
+          if (created.output == nullptr) break;
+          dfs_->Delete(created.spec->output_path).ok();
+        }
+        return output.status();
+      }
+      job.output = *output;
+    }
+    unfinished_ = static_cast<int>(jobs_.size());
+    return Status::OK();
+  }
+
+  /// Slots of one kind on one node: the cluster total divided evenly across
+  /// nodes, remainder to the low ids. Total capacity is exactly
+  /// map_slots/reduce_slots, so with every node alive scheduling behaves as
+  /// a flat slot pool.
+  int Capacity(TaskKind kind, int node) const {
+    const int total = total_slots_[kind];
+    return total / num_nodes_ + (node < total % num_nodes_ ? 1 : 0);
+  }
+
+  /// Node fault domains: slots live on nodes. Nodes whose recovery time
+  /// passed while the engine was idle rejoin now; still-pending recoveries
+  /// re-enter the event queue (it does not persist across submissions).
+  void ProvisionNodes() {
+    for (std::vector<int>& free : free_) free.assign(num_nodes_, 0);
+    for (int n = 0; n < num_nodes_; ++n) {
+      NodeState& ns = node_states_[n];
+      if (!ns.alive && ns.recover_at >= 0 && ns.recover_at <= now_) {
+        ns.alive = true;
+      }
+      if (!ns.alive && ns.recover_at > now_) {
+        Event ev{ns.recover_at, seq_++, EventKind::kNodeRecover, -1};
+        ev.node = n;
+        events_.push(ev);
+      }
+      if (ns.alive) {
+        ++alive_nodes_;
+        for (TaskKind kind : kTaskKinds) {
+          free_[kind][n] = Capacity(kind, n);
+          free_slots_[kind] += free_[kind][n];
         }
       }
     }
-    job.map_states.assign(job.map_defs.size(), TaskRunState{});
-    job.map_data.assign(job.map_defs.size(), TaskData{});
-    job.map_tasks_remaining = static_cast<int>(job.map_defs.size());
-    for (size_t t = 0; t < job.map_defs.size(); ++t) {
-      job.pending_map.push_back({static_cast<int>(t), 0});
-    }
-    if (retries_enabled) {
-      // Per-job fault stream. Jobs are identified by name for legacy
-      // submissions; when a query id is present it salts the seed so two
-      // concurrent queries submitting identically-named jobs (e.g. "scan")
-      // draw independent faults instead of sharing one RNG stream.
-      uint64_t fault_seed = HashBytes(spec.name, Mix64(config_.faults.seed));
-      if (!spec.query_id.empty()) {
-        fault_seed = HashBytes(spec.query_id, fault_seed);
-      }
-      job.fault_rng.emplace(fault_seed);
-    }
-    auto output = dfs_->Create(spec.output_path);
-    if (!output.ok()) return output.status();
-    job.output = *output;
-  }
-
-  if (trace_ != nullptr) {
-    for (const RunningJob& job : jobs) {
-      obs::TraceEvent ev =
-          obs::TraceEvent(now_, -1, obs::TraceLane::kEngine, "mr",
-                          "job_submit")
-              .Arg("job", job.spec->name)
-              .ArgInt("map_tasks", (int64_t)job.map_defs.size())
-              .ArgBool("map_only", job.spec->reduce_fn == nullptr);
-      // The query tag is appended last and only for query-scoped jobs, so
-      // legacy (empty query_id) traces keep their exact historical bytes.
-      if (!job.spec->query_id.empty()) {
-        ev = std::move(ev).Arg("query", job.spec->query_id);
-      }
-      trace_->Record(std::move(ev));
+    // Scripted crashes that have not fired yet (test/chaos hook); re-pushed
+    // every submission until they fire, consumed exactly once.
+    for (size_t c = engine_->scripted_crashes_consumed_;
+         c < config_.faults.scripted_node_crashes.size(); ++c) {
+      const auto& script = config_.faults.scripted_node_crashes[c];
+      Event ev{std::max(script.at_ms, now_), seq_++, EventKind::kNodeCrash,
+               -1};
+      ev.node = script.node;
+      ev.scripted = true;
+      events_.push(ev);
     }
   }
 
-  // Size the worker pool to the configured thread count. The pool persists
-  // across submissions and is resized lazily when the config changes.
-  int want_threads = config_.execution_threads;
-  if (want_threads <= 1) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->size() != want_threads) {
-    pool_ = std::make_unique<WorkerPool>(want_threads);
-  }
-
-  // --- Discrete-event simulation. ---
-  std::priority_queue<Event, std::vector<Event>, EventLater> events;
-  uint64_t seq = 0;
-  for (RunningJob& job : jobs) {
-    events.push({job.ready_time, seq++, EventKind::kJobReady, job.job_index});
-  }
-
-  // --- Node fault domains: slots live on nodes. ---
-  const int num_nodes = static_cast<int>(node_states_.size());
-  // Slots divided evenly across nodes, remainder to the low ids. Total
-  // capacity is exactly map_slots/reduce_slots, so with every node alive
-  // scheduling behaves as the flat slot pool did.
-  auto node_capacity = [&](int total, int node) {
-    return total / num_nodes + (node < total % num_nodes ? 1 : 0);
-  };
-  std::vector<int> free_map(num_nodes, 0);
-  std::vector<int> free_reduce(num_nodes, 0);
-  int free_map_slots = 0;
-  int free_reduce_slots = 0;
-  int alive_nodes = 0;
-  // Nodes whose recovery time passed while the engine was idle rejoin now;
-  // still-pending recoveries re-enter the event queue (it does not persist
-  // across submissions).
-  for (int n = 0; n < num_nodes; ++n) {
-    NodeState& ns = node_states_[n];
-    if (!ns.alive && ns.recover_at >= 0 && ns.recover_at <= now_) {
-      ns.alive = true;
-    }
-    if (!ns.alive && ns.recover_at > now_) {
-      Event ev{ns.recover_at, seq++, EventKind::kNodeRecover, -1};
-      ev.node = n;
-      events.push(ev);
-    }
-    if (ns.alive) {
-      ++alive_nodes;
-      free_map[n] = node_capacity(config_.map_slots, n);
-      free_reduce[n] = node_capacity(config_.reduce_slots, n);
-      free_map_slots += free_map[n];
-      free_reduce_slots += free_reduce[n];
-    }
-  }
-  // Scripted crashes that have not fired yet (test/chaos hook); re-pushed
-  // every submission until they fire, consumed exactly once.
-  for (size_t c = scripted_crashes_consumed_;
-       c < config_.faults.scripted_node_crashes.size(); ++c) {
-    const auto& script = config_.faults.scripted_node_crashes[c];
-    Event ev{std::max(script.at_ms, now_), seq++, EventKind::kNodeCrash, -1};
-    ev.node = script.node;
-    ev.scripted = true;
-    events.push(ev);
-  }
-
-  // Attempts currently executing, keyed by the seq of their completion
-  // event. Killing an attempt = erasing its entry; its completion event is
-  // then ignored. std::map iterates in seq (launch) order, keeping crash
-  // handling deterministic.
-  std::map<uint64_t, InFlightAttempt> in_flight;
-
-  // Picks the alive node with the most free slots of the phase (lowest id
-  // wins ties); prefers any node other than `exclude` (a backup attempt
-  // should not land next to its primary). Returns -1 if nothing is free.
-  auto pick_node = [&](bool is_map, int exclude) {
-    const std::vector<int>& free = is_map ? free_map : free_reduce;
+  /// Picks the alive node with the most free slots of the kind (lowest id
+  /// wins ties); prefers any node other than `exclude` (a backup attempt
+  /// should not land next to its primary). Returns -1 if nothing is free.
+  int PickNode(TaskKind kind, int exclude) const {
+    const std::vector<int>& free = free_[kind];
     int best = -1;
-    for (int n = 0; n < num_nodes; ++n) {
+    for (int n = 0; n < num_nodes_; ++n) {
       if (!node_states_[n].alive || free[n] <= 0 || n == exclude) continue;
       if (best < 0 || free[n] > free[best]) best = n;
     }
     if (best < 0 && exclude >= 0) {
-      for (int n = 0; n < num_nodes; ++n) {
+      for (int n = 0; n < num_nodes_; ++n) {
         if (!node_states_[n].alive || free[n] <= 0) continue;
         if (best < 0 || free[n] > free[best]) best = n;
       }
     }
     return best;
-  };
+  }
 
-  int unfinished = static_cast<int>(jobs.size());
-
-  // Tears down a failed job once its last in-flight task has drained (or
-  // immediately when none are in flight). The single home for the teardown
-  // sequence formerly duplicated across fail_job and the kMapDone /
-  // kReduceDone handlers.
-  // Closes out a job's observability record (success or failure): the
-  // whole-job span plus job-level counters/latency.
-  auto record_job_end = [&](RunningJob* job) {
-    SimMillis elapsed = now_ - job->result.submit_time_ms;
-    if (h_job_ms != nullptr) h_job_ms->Observe(elapsed);
-    if (m_jobs != nullptr) m_jobs->Add();
-    if (!job->spec->query_id.empty()) {
-      query_slot_ms_[job->spec->query_id] +=
-          job->result.map_slot_ms + job->result.reduce_slot_ms;
+  /// Effective reduce-memory mode of one job: the per-job override wins,
+  /// otherwise the cluster-wide knob applies (DESIGN.md §6.10).
+  ClusterConfig::ReduceMemoryMode MemoryMode(const RunningJob& job) const {
+    if (job.spec->reduce_memory_mode >= 0) {
+      return static_cast<ClusterConfig::ReduceMemoryMode>(
+          job.spec->reduce_memory_mode);
     }
-    busy_slot_ms_total_ += job->result.map_slot_ms + job->result.reduce_slot_ms;
+    return config_.reduce_memory_mode;
+  }
+
+  /// Counts one OutOfMemory job failure. The counter is registered lazily,
+  /// like the other memory-model metrics, so runs that never spill or OOM
+  /// keep their exact metric registry.
+  void CountOom() {
+    if (m_oom_failures_ == nullptr && metrics_ != nullptr) {
+      m_oom_failures_ = metrics_->GetCounter("mr.memory_oom_failures");
+    }
+    if (m_oom_failures_ != nullptr) m_oom_failures_->Add();
+  }
+
+  /// Closes out a job's observability record (success or failure): the
+  /// per-phase totals into its JobResult, the whole-job span, and the
+  /// job-level counters/latency.
+  void RecordJobEnd(RunningJob* job) {
+    job->result.map_tasks_run = job->tasks[kMapTask].run;
+    job->result.reduce_tasks_run = job->tasks[kReduceTask].run;
+    job->result.map_slot_ms = job->tasks[kMapTask].slot_ms;
+    job->result.reduce_slot_ms = job->tasks[kReduceTask].slot_ms;
+    SimMillis elapsed = now_ - job->result.submit_time_ms;
+    if (h_job_ms_ != nullptr) h_job_ms_->Observe(elapsed);
+    if (m_jobs_ != nullptr) m_jobs_->Add();
+    const SimMillis slot_ms =
+        job->result.map_slot_ms + job->result.reduce_slot_ms;
+    if (!job->spec->query_id.empty()) {
+      engine_->query_slot_ms_[job->spec->query_id] += slot_ms;
+    }
+    engine_->busy_slot_ms_total_ += slot_ms;
     if (trace_ == nullptr) return;
     obs::TraceEvent ev =
         obs::TraceEvent(job->result.submit_time_ms, elapsed,
                         obs::TraceLane::kEngine, "mr", "job")
-                       .Arg("job", job->spec->name)
-                       .ArgBool("ok", job->result.status.ok())
-                       .ArgInt("map_tasks_run", job->result.map_tasks_run)
-                       .ArgInt("map_tasks_skipped",
-                               job->result.map_tasks_skipped)
-                       .ArgInt("reduce_tasks_run", job->result.reduce_tasks_run)
-                       .ArgInt("retries", job->result.task_retries)
-                       .ArgInt("failures_injected",
-                               job->result.task_failures_injected)
-                       .ArgInt("speculative_launches",
-                               job->result.speculative_launches)
-                       .ArgInt("speculative_wins",
-                               job->result.speculative_wins)
-                       .ArgInt("node_attempt_kills",
-                               job->result.attempts_killed_by_node)
-                       .ArgInt("maps_invalidated",
-                               job->result.maps_invalidated)
-                       .ArgInt("shuffle_fetch_retries",
-                               job->result.shuffle_fetch_retries)
-                       .ArgInt("block_corruptions",
-                               job->result.block_corruptions)
-                       .ArgInt("checksum_refetches",
-                               job->result.checksum_refetches)
-                       .ArgInt("records_quarantined",
-                               (int64_t)job->result.records_quarantined)
-                       .ArgInt("output_records",
-                               (int64_t)job->result.counters.output_records);
+            .Arg("job", job->spec->name)
+            .ArgBool("ok", job->result.status.ok())
+            .ArgInt("map_tasks_run", job->result.map_tasks_run)
+            .ArgInt("map_tasks_skipped", job->result.map_tasks_skipped)
+            .ArgInt("reduce_tasks_run", job->result.reduce_tasks_run)
+            .ArgInt("retries", job->result.task_retries)
+            .ArgInt("failures_injected", job->result.task_failures_injected)
+            .ArgInt("speculative_launches", job->result.speculative_launches)
+            .ArgInt("speculative_wins", job->result.speculative_wins)
+            .ArgInt("node_attempt_kills", job->result.attempts_killed_by_node)
+            .ArgInt("maps_invalidated", job->result.maps_invalidated)
+            .ArgInt("shuffle_fetch_retries",
+                    job->result.shuffle_fetch_retries)
+            .ArgInt("block_corruptions", job->result.block_corruptions)
+            .ArgInt("checksum_refetches", job->result.checksum_refetches)
+            .ArgInt("records_quarantined",
+                    (int64_t)job->result.records_quarantined)
+            .ArgInt("output_records",
+                    (int64_t)job->result.counters.output_records);
     // Memory args only under an active memory mode, so knob-off traces
     // keep their exact historical bytes (golden traces predate them).
-    if (job_memory_mode(*job) != ClusterConfig::ReduceMemoryMode::kUnbounded) {
+    if (MemoryMode(*job) != ClusterConfig::ReduceMemoryMode::kUnbounded) {
       ev = std::move(ev)
                .ArgInt("reduce_spills", job->result.reduce_spills)
                .ArgInt("spill_runs", job->result.spill_runs)
@@ -981,63 +1035,63 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       ev = std::move(ev).Arg("query", job->spec->query_id);
     }
     trace_->Record(std::move(ev));
-  };
+  }
 
-  // Spill-run files are scratch: they exist between a spilling reduce
-  // task's durable completion and the end of its job, and are removed on
-  // both the success and the failure path.
-  auto cleanup_spill_files = [&](RunningJob* job) {
+  /// Spill-run files are scratch: they exist between a spilling reduce
+  /// task's durable completion and the end of its job, and are removed on
+  /// both the success and the failure path.
+  void CleanupSpillFiles(RunningJob* job) {
     for (const std::string& p : job->spill_paths) dfs_->Delete(p).ok();
     job->spill_paths.clear();
-  };
+  }
 
-  auto drain_failed_job = [&](RunningJob* job) {
+  /// Tears down a failed job once its last in-flight attempt has drained
+  /// (or immediately when none are in flight). The single home for the
+  /// failure teardown: FailJob, the completion handler and the node-crash
+  /// handler all end here.
+  void DrainFailedJob(RunningJob* job) {
     if (!job->failed || job->phase == JobPhase::kDone) return;
-    if (job->active_map_tasks != 0 || job->active_reduce_tasks != 0) return;
+    for (const PhaseTasks& pt : job->tasks) {
+      if (pt.active != 0) return;
+    }
     job->phase = JobPhase::kDone;
     job->result.finish_time_ms = now_;
     dfs_->Delete(job->spec->output_path).ok();
     job->output = nullptr;
-    cleanup_spill_files(job);
-    record_job_end(job);
-    --unfinished;
-  };
+    CleanupSpillFiles(job);
+    RecordJobEnd(job);
+    --unfinished_;
+  }
 
-  auto fail_job = [&](RunningJob* job, Status status) {
+  void FailJob(RunningJob* job, Status status) {
     job->failed = true;
     job->result.status = std::move(status);
-    job->pending_map.clear();
-    job->pending_reduce.clear();
-    drain_failed_job(job);
-  };
+    for (PhaseTasks& pt : job->tasks) pt.pending.clear();
+    DrainFailedJob(job);
+  }
 
-  auto finish_job = [&](RunningJob* job) {
+  void FinishJob(RunningJob* job) {
     // Assemble counters and output splits from the per-task staged data in
     // task-id / partition order — the exact order a fault-free run commits
     // in — so job outputs stay byte-identical even when node crashes forced
-    // out-of-order re-execution of some tasks.
+    // out-of-order re-execution of some tasks. Map outputs of a map-reduce
+    // job went to the shuffle, not to the job output.
+    const bool map_only = job->spec->reduce_fn == nullptr;
     Counters& totals = job->result.counters;
     std::vector<Split> quarantine_splits;
-    for (TaskData& d : job->map_data) {
-      if (!d.valid) continue;
-      totals.MergeFrom(d.counters);
-      if (!job->spec->reduce_fn && d.output.num_records > 0) {
-        totals.output_bytes += d.output.num_bytes();
-        job->output->AppendSplit(std::move(d.output));
+    for (TaskKind kind : kTaskKinds) {
+      for (TaskData& d : job->tasks[kind].data) {
+        if (!d.valid) continue;
+        totals.MergeFrom(d.counters);
+        if (d.output.num_records > 0 && (kind == kReduceTask || map_only)) {
+          totals.output_bytes += d.output.num_bytes();
+          job->output->AppendSplit(std::move(d.output));
+        }
+        if (d.quarantine.num_records > 0) {
+          quarantine_splits.push_back(std::move(d.quarantine));
+        }
+        d = TaskData{};
       }
-      if (d.quarantine.num_records > 0) {
-        quarantine_splits.push_back(std::move(d.quarantine));
-      }
-      d = TaskData{};
-    }
-    for (TaskData& d : job->reduce_data) {
-      if (!d.valid) continue;
-      totals.MergeFrom(d.counters);
-      if (d.output.num_records > 0) {
-        totals.output_bytes += d.output.num_bytes();
-        job->output->AppendSplit(std::move(d.output));
-      }
-      d = TaskData{};
     }
     if (!quarantine_splits.empty()) {
       // The per-job quarantine file: poison records in map-task order, a
@@ -1066,83 +1120,77 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                                      obs::TraceLane::kEngine, "mr",
                                      "reduce_phase")
                          .Arg("job", job->spec->name)
-                         .ArgInt("reduce_tasks", job->num_reduce_tasks));
+                         .ArgInt("reduce_tasks",
+                                 job->result.reduce_tasks_planned));
     }
-    cleanup_spill_files(job);
-    record_job_end(job);
-    --unfinished;
-  };
+    CleanupSpillFiles(job);
+    RecordJobEnd(job);
+    --unfinished_;
+  }
 
-  // Charges for loading broadcast side data, honoring the distributed-cache
-  // mode (first `num_nodes` tasks pay; later waves find it cached locally).
-  auto side_load_ms = [&](RunningJob* job) -> SimMillis {
-    uint64_t bytes = job->spec->side_load_bytes;
+  /// Charges for loading broadcast side data, honoring the distributed-
+  /// cache mode (first `num_nodes` tasks pay; later waves find it cached
+  /// locally).
+  SimMillis SideLoadMs(const RunningJob& job) const {
+    uint64_t bytes = job.spec->side_load_bytes;
     if (bytes == 0) return 0;
-    if (job->spec->side_data_via_distributed_cache &&
-        job->map_seq >= config_.num_nodes) {
+    if (job.spec->side_data_via_distributed_cache &&
+        job.map_seq >= config_.num_nodes) {
       return 0;
     }
     return CeilDiv(static_cast<double>(bytes),
                    config_.side_load_bytes_per_ms);
-  };
+  }
 
-  // Launch-time fault draws, on the scheduler thread, from the job's own
-  // stream — the order of draws depends only on the (deterministic) launch
-  // order, never on worker timing.
-  auto draw_faults = [&](RunningJob* job, TaskLaunch* launch) {
+  /// Launch-time fault draws, on the scheduler thread, from the job's own
+  /// stream — the order of draws depends only on the (deterministic) launch
+  /// order, never on worker timing.
+  void DrawFaults(RunningJob* job, TaskLaunch* launch) {
     if (!job->fault_rng.has_value()) return;
     const FaultConfig& f = config_.faults;
-    if (f.task_failure_rate > 0.0 &&
-        job->fault_rng->Bernoulli(f.task_failure_rate)) {
+    Rng& rng = *job->fault_rng;
+    if (f.task_failure_rate > 0.0 && rng.Bernoulli(f.task_failure_rate)) {
       launch->inject_failure = true;
       // The container dies somewhere in the latter 75% of the attempt.
-      launch->fail_fraction = 0.25 + 0.75 * job->fault_rng->NextDouble();
+      launch->fail_fraction = 0.25 + 0.75 * rng.NextDouble();
     }
-    if (f.straggler_rate > 0.0 &&
-        job->fault_rng->Bernoulli(f.straggler_rate)) {
+    if (f.straggler_rate > 0.0 && rng.Bernoulli(f.straggler_rate)) {
       launch->slowdown = std::max(1.0, f.straggler_slowdown);
     }
-    if (f.node_failure_rate > 0.0 &&
-        job->fault_rng->Bernoulli(f.node_failure_rate)) {
+    if (f.node_failure_rate > 0.0 && rng.Bernoulli(f.node_failure_rate)) {
       // The hosting node dies somewhere during this attempt; the absolute
       // crash time is computed at commit, once the duration is known.
       launch->crash_node = true;
-      launch->crash_fraction = job->fault_rng->NextDouble();
+      launch->crash_fraction = rng.NextDouble();
     }
     // --- Data-integrity draws (consume stream draws only when the
     // corruption knobs are on, so corruption-free runs keep the exact draw
     // sequence of earlier engine versions). ---
-    if (launch->is_map) {
+    TaskRunState& st = job->tasks[launch->kind].states[launch->task_id];
+    const int max_fetches = 1 + std::max(0, f.max_shuffle_fetch_retries);
+    if (launch->is_map()) {
       launch->replicas = std::max(
-          1,
-          job->spec->inputs[launch->map_ref.input_index].file->replicas());
+          1, job->spec->inputs[launch->map_ref.input_index].file->replicas());
       if (f.block_corruption_rate > 0.0) {
         // Sequential replica reads: each independently corrupt with the
         // configured rate; stop at the first clean copy.
         int bad = 0;
         while (bad < launch->replicas &&
-               job->fault_rng->Bernoulli(f.block_corruption_rate)) {
+               rng.Bernoulli(f.block_corruption_rate)) {
           ++bad;
         }
         launch->corrupt_replica_reads = bad;
       }
-      if (f.poison_record_rate > 0.0) {
-        TaskRunState& mst = job->map_states[launch->task_id];
-        if (!mst.poison_drawn) {
-          mst.poison_drawn = true;
-          for (uint64_t r = 0; r < launch->split->num_records; ++r) {
-            if (job->fault_rng->Bernoulli(f.poison_record_rate)) {
-              mst.poison.push_back(r);
-            }
-          }
+      if (f.poison_record_rate > 0.0 && !st.poison_drawn) {
+        st.poison_drawn = true;
+        for (uint64_t r = 0; r < launch->split->num_records; ++r) {
+          if (rng.Bernoulli(f.poison_record_rate)) st.poison.push_back(r);
         }
       }
     } else if (f.shuffle_corruption_rate > 0.0 &&
                !job->partitions[launch->task_id].empty()) {
-      const int tries = 1 + std::max(0, f.max_shuffle_fetch_retries);
       int bad = 0;
-      while (bad < tries &&
-             job->fault_rng->Bernoulli(f.shuffle_corruption_rate)) {
+      while (bad < max_fetches && rng.Bernoulli(f.shuffle_corruption_rate)) {
         ++bad;
       }
       launch->corrupt_fetches = bad;
@@ -1151,56 +1199,48 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // The draw is consumed only when the attempt actually spills (possible
     // only with the memory mode on), so corruption campaigns without the
     // memory model keep their exact historical draw sequence.
-    if (!launch->is_map && launch->spill_runs > 1 &&
-        f.block_corruption_rate > 0.0 &&
-        job->fault_rng->Bernoulli(f.block_corruption_rate)) {
+    if (launch->spill_runs > 1 && f.block_corruption_rate > 0.0 &&
+        rng.Bernoulli(f.block_corruption_rate)) {
       launch->corrupt_spill = true;
     }
     // Scripted corruption (exact placement for tests, no draws consumed).
-    if (!f.scripted_corruptions.empty()) {
-      const TaskRunState& st = launch->is_map
-                                   ? job->map_states[launch->task_id]
-                                   : job->reduce_states[launch->task_id];
-      for (const auto& sc : f.scripted_corruptions) {
-        const bool is_block =
-            sc.target == FaultConfig::ScriptedCorruption::Target::kBlock;
-        if (is_block != launch->is_map || sc.job != job->spec->name ||
-            sc.task_id != launch->task_id || sc.attempt != st.failures + 1) {
-          continue;
-        }
-        // An unscoped script matches any query (single-driver legacy); a
-        // scoped one only hits the query it names.
-        if (!sc.query.empty() && sc.query != job->spec->query_id) continue;
-        if (launch->is_map) {
-          launch->corrupt_replica_reads =
-              std::clamp(sc.count, 0, launch->replicas);
-        } else if (sc.target ==
-                   FaultConfig::ScriptedCorruption::Target::kSpill) {
-          // Fires only when the attempt actually spills: an in-memory
-          // attempt has no run files to corrupt.
-          if (launch->spill_runs > 1) launch->corrupt_spill = sc.count > 0;
-        } else if (!job->partitions[launch->task_id].empty()) {
-          launch->corrupt_fetches = std::clamp(
-              sc.count, 0, 1 + std::max(0, f.max_shuffle_fetch_retries));
-        }
+    for (const auto& sc : f.scripted_corruptions) {
+      const bool is_block =
+          sc.target == FaultConfig::ScriptedCorruption::Target::kBlock;
+      if (is_block != launch->is_map() || sc.job != job->spec->name ||
+          sc.task_id != launch->task_id || sc.attempt != st.failures + 1) {
+        continue;
+      }
+      // An unscoped script matches any query (single-driver legacy); a
+      // scoped one only hits the query it names.
+      if (!sc.query.empty() && sc.query != job->spec->query_id) continue;
+      if (launch->is_map()) {
+        launch->corrupt_replica_reads =
+            std::clamp(sc.count, 0, launch->replicas);
+      } else if (sc.target ==
+                 FaultConfig::ScriptedCorruption::Target::kSpill) {
+        // Fires only when the attempt actually spills: an in-memory
+        // attempt has no run files to corrupt.
+        if (launch->spill_runs > 1) launch->corrupt_spill = sc.count > 0;
+      } else if (!job->partitions[launch->task_id].empty()) {
+        launch->corrupt_fetches = std::clamp(sc.count, 0, max_fetches);
       }
     }
-    if (launch->is_map && launch->corrupt_replica_reads > 0 &&
+    if (launch->is_map() && launch->corrupt_replica_reads > 0 &&
         launch->corrupt_replica_reads >= launch->replicas) {
       launch->block_data_loss = true;
     }
-    if (!launch->is_map &&
-        launch->corrupt_fetches > std::max(0, f.max_shuffle_fetch_retries)) {
+    if (launch->corrupt_fetches > max_fetches - 1) {
       launch->shuffle_data_loss = true;
     }
-  };
+  }
 
-  // Capped + jittered exponential backoff before re-queueing a failed
-  // attempt (the legacy retry_backoff_ms * 2^n grew unbounded). The jitter
-  // is drawn from the job's fault stream on the scheduler thread, so it
-  // de-synchronizes concurrent retries while staying bit-identical across
-  // execution thread counts.
-  auto retry_backoff = [&](RunningJob* job, int failures) -> SimMillis {
+  /// Capped + jittered exponential backoff before re-queueing a failed
+  /// attempt (the legacy retry_backoff_ms * 2^n grew unbounded). The jitter
+  /// is drawn from the job's fault stream on the scheduler thread, so it
+  /// de-synchronizes concurrent retries while staying bit-identical across
+  /// execution thread counts.
+  SimMillis RetryBackoff(RunningJob* job, int failures) {
     const FaultConfig& f = config_.faults;
     SimMillis backoff =
         f.retry_backoff_ms * (SimMillis{1} << std::min(failures - 1, 16));
@@ -1212,29 +1252,31 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                                         job->fault_rng->NextDouble());
     }
     return backoff;
-  };
+  }
 
-  // Transition after the map phase drains.
-  auto on_map_phase_complete = [&](RunningJob* job) {
+  /// Transition after the map phase drains: finish a map-only job, or build
+  /// the reduce partitions and start the shuffle.
+  void OnMapPhaseComplete(RunningJob* job) {
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEvent(job->ready_time, now_ - job->ready_time,
                                      obs::TraceLane::kEngine, "mr",
                                      "map_phase")
                          .Arg("job", job->spec->name)
-                         .ArgInt("tasks_run", job->result.map_tasks_run)
+                         .ArgInt("tasks_run", job->tasks[kMapTask].run)
                          .ArgInt("tasks_skipped",
                                  job->result.map_tasks_skipped));
     }
     if (!job->spec->reduce_fn) {
-      finish_job(job);
+      FinishJob(job);
       return;
     }
     job->phase = JobPhase::kShuffle;
+    PhaseTasks& reduces = job->tasks[kReduceTask];
     uint64_t total_emitted = 0;
-    for (const TaskData& d : job->map_data) {
+    for (const TaskData& d : job->tasks[kMapTask].data) {
       if (d.valid) total_emitted += d.emitted_bytes;
     }
-    if (job->num_reduce_tasks == 0) {
+    if (reduces.states.empty()) {
       // First shuffle: fix the reducer count for the job's lifetime (a
       // re-shuffle after a node crash must not re-deal the keys).
       int reducers = job->spec->num_reduce_tasks;
@@ -1243,13 +1285,10 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
             total_emitted / config_.bytes_per_reduce_task + 1);
         reducers = std::clamp(reducers, 1, config_.reduce_slots);
       }
-      job->num_reduce_tasks = reducers;
       job->result.reduce_tasks_planned = reducers;
-      job->reduce_states.assign(reducers, TaskRunState{});
-      job->reduce_data.assign(reducers, TaskData{});
-      job->reduce_tasks_remaining = reducers;
+      reduces.Open(reducers);
     }
-    const int reducers = job->num_reduce_tasks;
+    const int reducers = static_cast<int>(reduces.states.size());
     // (Re)build the partition buckets of not-yet-completed reducers from
     // the staged emissions in task-id order — the same order a fault-free
     // run's commits feed the shuffle, so reducer input (and thus output)
@@ -1259,12 +1298,12 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     const bool retain_emissions = config_.faults.node_faults();
     job->partitions.assign(reducers, {});
     job->partition_bytes.assign(reducers, 0);
-    for (TaskData& d : job->map_data) {
+    for (TaskData& d : job->tasks[kMapTask].data) {
       if (!d.valid) continue;
       for (size_t i = 0; i < d.emissions.size(); ++i) {
         auto& kv = d.emissions[i];
         size_t p = kv.first.Hash() % static_cast<size_t>(reducers);
-        if (job->reduce_states[p].completed) continue;
+        if (reduces.states[p].completed) continue;
         job->partition_bytes[p] += d.emission_bytes[i];
         if (retain_emissions) {
           job->partitions[p].push_back(kv);
@@ -1287,12 +1326,12 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // reducer would need more runs than max_spill_runs (its merge state no
     // longer fits either) — that residual OOM is what the driver's
     // doubled-reducer retry rung resolves.
-    const auto memory_mode = job_memory_mode(*job);
+    const auto memory_mode = MemoryMode(*job);
     if (memory_mode != ClusterConfig::ReduceMemoryMode::kUnbounded) {
       const double budget =
           std::max(1.0, static_cast<double>(config_.memory_per_task_bytes));
       for (int p = 0; p < reducers; ++p) {
-        if (job->reduce_states[p].completed) continue;
+        if (reduces.states[p].completed) continue;
         const double state =
             std::ceil(static_cast<double>(job->partition_bytes[p]) *
                       config_.reduce_memory_factor);
@@ -1300,22 +1339,20 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         bool over = memory_mode == ClusterConfig::ReduceMemoryMode::kStrict;
         if (!over) {
           const double runs = std::ceil(state / budget);
-          over = runs > static_cast<double>(std::max(1, config_.max_spill_runs));
+          over =
+              runs > static_cast<double>(std::max(1, config_.max_spill_runs));
         }
         if (!over) continue;
-        if (m_oom_failures == nullptr && metrics_ != nullptr) {
-          m_oom_failures = metrics_->GetCounter("mr.memory_oom_failures");
-        }
-        if (m_oom_failures != nullptr) m_oom_failures->Add();
-        fail_job(job,
-                 Status::OutOfMemory(StrFormat(
-                     "reduce task %d of %s needs %.0f bytes of sort state "
-                     "(task memory %llu, %s mode)",
-                     p, job->spec->name.c_str(), state,
-                     (unsigned long long)config_.memory_per_task_bytes,
-                     memory_mode == ClusterConfig::ReduceMemoryMode::kStrict
-                         ? "strict"
-                         : "spill")));
+        CountOom();
+        FailJob(job,
+                Status::OutOfMemory(StrFormat(
+                    "reduce task %d of %s needs %.0f bytes of sort state "
+                    "(task memory %llu, %s mode)",
+                    p, job->spec->name.c_str(), state,
+                    (unsigned long long)config_.memory_per_task_bytes,
+                    memory_mode == ClusterConfig::ReduceMemoryMode::kStrict
+                        ? "strict"
+                        : "spill")));
         return;
       }
     }
@@ -1338,31 +1375,50 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                          .ArgInt("bytes", (int64_t)transfer)
                          .ArgInt("reducers", reducers));
     }
-    Event done{now_ + shuffle_ms, seq++, EventKind::kShuffleDone,
+    Event done{now_ + shuffle_ms, seq_++, EventKind::kShuffleDone,
                job->job_index};
     done.shuffle_epoch = job->shuffle_epoch;
-    events.push(done);
-  };
+    events_.push(done);
+  }
 
-  // Applies a logical task's durable completion: replays its staged output
-  // records through the job's output observer (scheduler thread only, so
-  // observer state is never updated concurrently; observers must be
-  // commutative across tasks, which the stats collectors are) and, for
-  // reduce tasks, releases the partition bucket retained for retries. Runs
-  // at *completion* rather than commit so an attempt killed by a node crash
-  // after committing never double-applies when the task re-runs.
-  auto apply_durable_completion = [&](RunningJob* job, bool is_map,
-                                      int task_id) {
-    TaskData& d = is_map ? job->map_data[task_id] : job->reduce_data[task_id];
-    // Quarantined records become durable with the completing task (even for
-    // map tasks of map-reduce jobs, whose *output* stays volatile until job
-    // end); a node crash that invalidates the task un-accounts them. They
-    // never reach the output or the observer — excluded, not emitted.
-    if (is_map && d.valid && d.quarantine.num_records > 0) {
+  /// Ends a drained phase: the map phase moves on to the shuffle (or
+  /// finishes a map-only job), the reduce phase finishes the job. Returns
+  /// whether the phase ended.
+  bool EndPhaseIfDrained(RunningJob* job, TaskKind kind) {
+    const PhaseTasks& pt = job->tasks[kind];
+    const JobPhase phase =
+        kind == kMapTask ? JobPhase::kMap : JobPhase::kReduce;
+    if (job->failed || !pt.pending.empty() || pt.remaining != 0 ||
+        job->phase != phase) {
+      return false;
+    }
+    if (kind == kMapTask) {
+      OnMapPhaseComplete(job);
+    } else {
+      FinishJob(job);
+    }
+    return true;
+  }
+
+  /// Applies a logical task's durable completion: replays its staged output
+  /// records through the job's output observer (scheduler thread only, so
+  /// observer state is never updated concurrently; observers must be
+  /// commutative across tasks, which the stats collectors are) and, for
+  /// reduce tasks, releases the partition bucket retained for retries. Runs
+  /// at *completion* rather than commit so an attempt killed by a node
+  /// crash after committing never double-applies when the task re-runs.
+  void ApplyDurableCompletion(RunningJob* job, TaskKind kind, int task_id) {
+    TaskData& d = job->tasks[kind].data[task_id];
+    // Quarantined records (map tasks only) become durable with the
+    // completing task (even for map tasks of map-reduce jobs, whose
+    // *output* stays volatile until job end); a node crash that invalidates
+    // the task un-accounts them. They never reach the output or the
+    // observer — excluded, not emitted.
+    if (d.valid && d.quarantine.num_records > 0) {
       job->records_quarantined += d.quarantine.num_records;
       job->result.records_quarantined = job->records_quarantined;
-      if (m_quarantined != nullptr) {
-        m_quarantined->Add(static_cast<int64_t>(d.quarantine.num_records));
+      if (m_quarantined_ != nullptr) {
+        m_quarantined_->Add(static_cast<int64_t>(d.quarantine.num_records));
       }
       if (trace_ != nullptr) {
         for (uint64_t idx : d.quarantine_indexes) {
@@ -1376,17 +1432,19 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       const int budget = config_.faults.max_skipped_records;
       if (budget >= 0 &&
           job->records_quarantined > static_cast<uint64_t>(budget)) {
-        if (m_integrity_failures != nullptr) m_integrity_failures->Add();
-        fail_job(job,
-                 Status::DataLoss(StrFormat(
-                     "job %s quarantined %llu records, over the "
-                     "max_skipped_records budget of %d",
-                     job->spec->name.c_str(),
-                     (unsigned long long)job->records_quarantined, budget)));
+        if (m_integrity_failures_ != nullptr) m_integrity_failures_->Add();
+        FailJob(job,
+                Status::DataLoss(StrFormat(
+                    "job %s quarantined %llu records, over the "
+                    "max_skipped_records budget of %d",
+                    job->spec->name.c_str(),
+                    (unsigned long long)job->records_quarantined, budget)));
         return;
       }
     }
-    if (is_map && job->spec->reduce_fn) return;  // Volatile until job end.
+    if (kind == kMapTask && job->spec->reduce_fn) {
+      return;  // Volatile until job end.
+    }
     if (d.valid && job->spec->output_observer && d.output.num_records > 0) {
       SplitReader reader(&d.output);
       while (!reader.AtEnd()) {
@@ -1396,11 +1454,12 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       }
     }
     if (d.valid) job->observer_cpu_units += d.observer_charge;
-    if (!is_map && d.valid && !d.spill_runs.empty()) {
+    if (kind == kMapTask) return;
+    if (d.valid && !d.spill_runs.empty()) {
       // The winning attempt's spill runs become durable DFS scratch under a
       // sibling path of the job output; the path carries its own write
       // epoch, so spill files never perturb the table versioning of the
-      // output itself. Removed at job end (cleanup_spill_files).
+      // output itself. Removed at job end (CleanupSpillFiles).
       std::string spath =
           StrFormat("%s.spill/t%d", job->spec->output_path.c_str(), task_id);
       dfs_->Delete(spath).ok();
@@ -1412,33 +1471,28 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       d.spill_runs.clear();
       d.spill_runs.shrink_to_fit();
     }
-    if (!is_map) {
-      job->partitions[task_id].clear();
-      job->partitions[task_id].shrink_to_fit();
-    }
-  };
+    job->partitions[task_id].clear();
+    job->partitions[task_id].shrink_to_fit();
+  }
 
-  auto median_ms = [](const std::vector<SimMillis>& v) -> SimMillis {
-    std::vector<SimMillis> copy(v);
-    size_t mid = copy.size() / 2;
-    std::nth_element(copy.begin(), copy.begin() + mid, copy.end());
-    return copy[mid];
-  };
+  static SimMillis Median(std::vector<SimMillis> v) {
+    size_t mid = v.size() / 2;
+    std::nth_element(v.begin(), v.begin() + mid, v.end());
+    return v[mid];
+  }
 
-  // Schedules a no-op wakeup at the earliest time an in-flight attempt of
-  // `job` crosses the speculation cutoff, so stragglers are re-examined
-  // even when no other event falls in between.
-  auto push_speculation_wakeup = [&](RunningJob* job, bool is_map) {
-    if (!retries_enabled || !config_.faults.speculative_execution) return;
-    const auto& durations =
-        is_map ? job->completed_map_ms : job->completed_reduce_ms;
-    if (durations.empty()) return;
-    const auto& states = is_map ? job->map_states : job->reduce_states;
+  /// Schedules a no-op wakeup at the earliest time an in-flight attempt of
+  /// one phase of `job` crosses the speculation cutoff, so stragglers are
+  /// re-examined even when no other event falls in between.
+  void PushSpeculationWakeup(RunningJob* job, TaskKind kind) {
+    if (!retries_enabled_ || !config_.faults.speculative_execution) return;
+    const PhaseTasks& pt = job->tasks[kind];
+    if (pt.completed_ms.empty()) return;
     SimMillis cutoff = static_cast<SimMillis>(
         std::ceil(config_.faults.speculative_slowness_threshold *
-                  static_cast<double>(median_ms(durations))));
+                  static_cast<double>(Median(pt.completed_ms))));
     SimMillis best = -1;
-    for (const TaskRunState& st : states) {
+    for (const TaskRunState& st : pt.states) {
       if (!st.primary_in_flight || st.completed || st.speculated ||
           !st.data_committed) {
         continue;
@@ -1448,198 +1502,130 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       if (best < 0 || fire < best) best = fire;
     }
     if (best >= 0) {
-      Event wake{best, seq++, EventKind::kWakeup, job->job_index};
-      events.push(wake);
+      events_.push({best, seq_++, EventKind::kWakeup, job->job_index});
     }
-  };
+  }
 
-  // Commits one finished task attempt back into its job: simulated
-  // duration, per-task staged data (TaskData), in-flight registration and
-  // completion event. Runs on the scheduler thread in launch order. Nothing
-  // is merged into job-level counters or outputs here — that happens at
-  // completion/finish time — so an attempt later killed by a node crash
-  // leaves no residue in the job.
-  auto commit_task = [&](TaskLaunch& t) {
+  /// Commits one finished task attempt back into its job: simulated
+  /// duration, per-task staged data (TaskData), in-flight registration and
+  /// completion event. Runs on the scheduler thread in launch order.
+  /// Nothing is merged into job-level counters or outputs here — that
+  /// happens at completion/finish time — so an attempt later killed by a
+  /// node crash leaves no residue in the job.
+  void CommitTask(TaskLaunch& t) {
     RunningJob* job = t.job;
     TaskOutcome& o = t.outcome;
-    bool already_failed = job->failed;
-    bool attempt_ok = !t.inject_failure && !t.block_data_loss &&
-                      !t.shuffle_data_loss && o.status.ok();
-    TaskRunState& st =
-        t.is_map ? job->map_states[t.task_id] : job->reduce_states[t.task_id];
+    PhaseTasks& pt = job->tasks[t.kind];
+    TaskRunState& st = pt.states[t.task_id];
+    const bool is_map = t.is_map();
+    const bool already_failed = job->failed;
+    const bool attempt_ok = !t.inject_failure && !t.block_data_loss &&
+                            !t.shuffle_data_loss && o.status.ok();
     double cpu = o.cpu_units;
     // Observer CPU is billed to the attempt now (durations must not depend
     // on when the replay runs), but the replay itself happens at durable
-    // completion (apply_durable_completion), so a killed attempt never
-    // feeds the observer.
+    // completion (ApplyDurableCompletion), so a killed attempt never feeds
+    // the observer.
     double obs_charge = 0.0;
     if (attempt_ok && !already_failed && job->spec->output_observer) {
       obs_charge = static_cast<double>(o.output.num_records) *
                    job->spec->observer_cpu_per_record;
       cpu += obs_charge;
     }
-    SimMillis duration = 0;
-    if (t.is_map) {
-      // Pilot jobs bill block reads at the split's logical size so their
-      // event timeline (and thus the sample the stop condition admits) is
-      // identical whichever physical format the table was written in.
-      const MapInput& map_input = job->spec->inputs[t.map_ref.input_index];
-      const uint64_t block_bytes = map_input.bill_logical_read
-                                       ? t.split->logical_bytes
-                                       : t.split->num_bytes();
-      if (t.inject_failure) {
-        // The attempt dies `fail_fraction` of the way through. Its data
-        // flow never ran, so model the full attempt from the split's size
-        // and record count, then bill the completed fraction.
-        double est_cpu = static_cast<double>(t.split->num_records) *
-                         (1.0 + map_input.cpu_per_record);
-        SimMillis full = t.setup_ms +
-                         CeilDiv(static_cast<double>(block_bytes),
-                                 config_.map_read_bytes_per_ms) +
-                         CeilDiv(est_cpu, config_.cpu_units_per_ms);
-        duration = std::max<SimMillis>(
-            1, static_cast<SimMillis>(
-                   std::ceil(static_cast<double>(full) * t.fail_fraction)));
-        ++job->result.task_failures_injected;
-      } else if (t.block_data_loss) {
-        // Every replica of the input block read back corrupt: the attempt
-        // billed one full block read per replica tried, verified each
-        // against its checksum, and has nothing left to fall back to.
-        duration = std::max<SimMillis>(
-            1, t.setup_ms +
-                   static_cast<SimMillis>(t.replicas) *
-                       CeilDiv(static_cast<double>(block_bytes),
-                               config_.map_read_bytes_per_ms));
-      } else {
-        // An errored attempt scanned only `input_bytes` of its split and
-        // its partial spill is discarded, not written. Corrupt-but-healed
-        // replica reads each bill one extra full block read.
-        uint64_t written_bytes = 0;
-        if (o.status.ok()) {
-          written_bytes =
-              job->spec->reduce_fn ? o.emitted_bytes : o.output.num_bytes();
-        }
-        duration = t.setup_ms +
-                   static_cast<SimMillis>(t.corrupt_replica_reads) *
-                       CeilDiv(static_cast<double>(block_bytes),
-                               config_.map_read_bytes_per_ms) +
-                   CeilDiv(static_cast<double>(o.input_bytes),
-                           config_.map_read_bytes_per_ms) +
-                   CeilDiv(cpu, config_.cpu_units_per_ms) +
-                   CeilDiv(static_cast<double>(written_bytes),
-                           config_.map_write_bytes_per_ms);
-        if (!already_failed && o.status.ok()) {
-          TaskData& d = job->map_data[t.task_id];
-          d.valid = true;
-          d.counters = Counters{};
-          d.counters.map_input_records = o.input_records;
-          d.counters.map_input_bytes = o.input_logical_bytes;
-          if (o.batches_decoded > 0 && metrics_ != nullptr) {
-            // Registered lazily so row-only runs keep their exact metric
-            // registry (golden traces and dumps predate this counter).
-            if (m_scan_batches == nullptr) {
-              m_scan_batches = metrics_->GetCounter("scan.batches");
-            }
-            m_scan_batches->Add(o.batches_decoded);
-          }
-          d.counters.map_output_records = o.emissions.size();
-          d.counters.map_output_bytes = o.emitted_bytes;
-          d.counters.output_records = o.output.num_records;
-          d.emitted_bytes = o.emitted_bytes;
-          d.emissions = std::move(o.emissions);
-          d.emission_bytes = std::move(o.emission_bytes);
-          d.output = std::move(o.output);
-          d.observer_charge = obs_charge;
-          d.quarantine = std::move(o.quarantine);
-          d.quarantine_indexes = std::move(o.quarantine_indexes);
-        }
-      }
-    } else {
-      if (t.inject_failure) {
-        // Same idea for a dying reduce attempt: its bucket was left in
-        // place (nothing ran), so size the full attempt from it and from
-        // the bytes the launch read off the partition total.
-        double n = static_cast<double>(job->partitions[t.task_id].size());
-        double est_cpu = n + n * std::log2(n + 1.0);
-        SimMillis full = CeilDiv(static_cast<double>(t.bucket_bytes),
-                                 config_.reduce_read_bytes_per_ms) +
-                         CeilDiv(est_cpu, config_.cpu_units_per_ms);
-        duration = std::max<SimMillis>(
-            1, static_cast<SimMillis>(
-                   std::ceil(static_cast<double>(full) * t.fail_fraction)));
-        ++job->result.task_failures_injected;
-      } else if (t.shuffle_data_loss) {
-        // Every shuffle fetch of the bucket (the first plus each allowed
-        // re-fetch) came back corrupt; each transfer is billed. The bucket
-        // stayed in place for the retry.
-        duration = std::max<SimMillis>(
-            1, static_cast<SimMillis>(t.corrupt_fetches) *
-                   CeilDiv(static_cast<double>(t.bucket_bytes),
-                           config_.reduce_read_bytes_per_ms));
-      } else {
-        uint64_t written_bytes = o.status.ok() ? o.output.num_bytes() : 0;
-        duration = static_cast<SimMillis>(t.corrupt_fetches) *
-                       CeilDiv(static_cast<double>(o.reduce_input_bytes),
-                               config_.reduce_read_bytes_per_ms) +
-                   CeilDiv(static_cast<double>(o.reduce_input_bytes),
-                           config_.reduce_read_bytes_per_ms) +
-                   CeilDiv(cpu, config_.cpu_units_per_ms) +
-                   CeilDiv(static_cast<double>(written_bytes),
-                           config_.reduce_write_bytes_per_ms);
-        if (t.spill_runs > 1) {
-          // External-sort I/O: run formation writes the bucket once, each
-          // further merge pass re-reads and re-writes it, and the final
-          // pass re-reads it into the reduce stream — pass_bytes of writes
-          // and pass_bytes of reads in total. A corrupt run is discovered
-          // on the first read-back, so a DataLoss attempt bills one pass.
-          const int passes = o.status.ok() ? t.spill_merge_passes : 1;
-          const double pass_bytes = static_cast<double>(t.bucket_bytes) *
-                                    static_cast<double>(passes);
-          duration +=
-              CeilDiv(pass_bytes, config_.reduce_write_bytes_per_ms) +
-              CeilDiv(pass_bytes, config_.reduce_read_bytes_per_ms);
-          job->result.reduce_spills += 1;
-          job->result.spill_runs += t.spill_runs;
-          job->result.spill_merge_passes += passes;
-          job->result.spill_bytes_written += static_cast<uint64_t>(pass_bytes);
-          job->result.spill_bytes_read += static_cast<uint64_t>(pass_bytes);
-          if (metrics_ != nullptr) {
-            // Registered lazily: runs that never spill keep their exact
-            // metric registry (like scan.batches above).
-            if (m_spilled_tasks == nullptr) {
-              m_spilled_tasks =
-                  metrics_->GetCounter("mr.memory_spilled_tasks");
-              m_spill_bytes = metrics_->GetCounter("mr.memory_spill_bytes");
-            }
-            m_spilled_tasks->Add();
-            m_spill_bytes->Add(2 * static_cast<int64_t>(pass_bytes));
-          }
-          if (trace_ != nullptr) {
-            trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks,
-                                           "mr", "task_spill")
-                               .Arg("job", job->spec->name)
-                               .ArgInt("task", t.task_id)
-                               .ArgInt("attempt", st.failures + 1)
-                               .ArgInt("runs", t.spill_runs)
-                               .ArgInt("merge_passes", passes)
-                               .ArgInt("bytes", (int64_t)t.bucket_bytes)
-                               .ArgBool("ok", o.status.ok()));
-          }
-        }
-        if (!already_failed && o.status.ok()) {
-          TaskData& d = job->reduce_data[t.task_id];
-          d.valid = true;
-          d.counters = Counters{};
-          d.counters.reduce_input_records = o.reduce_input_records;
-          d.counters.output_records = o.output.num_records;
-          d.output = std::move(o.output);
-          d.observer_charge = obs_charge;
-          d.spill_runs = std::move(o.spill_runs_written);
-        }
-      }
-      job->result.peak_task_memory_bytes = std::max(
-          job->result.peak_task_memory_bytes, t.task_memory_bytes);
+    // One full read of the attempt's input: the split's block for a map,
+    // the partition bucket for a reduce. Pilot jobs bill block reads at the
+    // split's logical size so their event timeline (and thus the sample the
+    // stop condition admits) is identical whichever physical format the
+    // table was written in.
+    const MapInput* map_input =
+        is_map ? &job->spec->inputs[t.map_ref.input_index] : nullptr;
+    uint64_t input_bytes = t.bucket_bytes;
+    if (is_map) {
+      input_bytes = map_input->bill_logical_read ? t.split->logical_bytes
+                                                 : t.split->num_bytes();
     }
+    const double read_rate = is_map ? config_.map_read_bytes_per_ms
+                                    : config_.reduce_read_bytes_per_ms;
+    const SimMillis full_read =
+        CeilDiv(static_cast<double>(input_bytes), read_rate);
+    SimMillis duration = 0;
+    if (t.inject_failure) {
+      // The attempt dies `fail_fraction` of the way through. Its data flow
+      // never ran (a reduce bucket was left in place), so model the full
+      // attempt from the input's size and record count, then bill the
+      // completed fraction.
+      double est_cpu;
+      if (is_map) {
+        est_cpu = static_cast<double>(t.split->num_records) *
+                  (1.0 + map_input->cpu_per_record);
+      } else {
+        double n = static_cast<double>(job->partitions[t.task_id].size());
+        est_cpu = n + n * std::log2(n + 1.0);
+      }
+      SimMillis full = t.setup_ms + full_read +
+                       CeilDiv(est_cpu, config_.cpu_units_per_ms);
+      duration = std::max<SimMillis>(
+          1, static_cast<SimMillis>(
+                 std::ceil(static_cast<double>(full) * t.fail_fraction)));
+      ++job->result.task_failures_injected;
+    } else if (t.block_data_loss || t.shuffle_data_loss) {
+      // Every copy tried read back corrupt — each replica of the input
+      // block, or the shuffle fetch and each allowed re-fetch — and each
+      // was billed as one full read, verified against its checksum, with
+      // nothing left to fall back to. A reduce bucket stays for the retry.
+      const int reads = t.block_data_loss ? t.replicas : t.corrupt_fetches;
+      duration = std::max<SimMillis>(
+          1, t.setup_ms + static_cast<SimMillis>(reads) * full_read);
+    } else {
+      // An errored map attempt scanned only `input_bytes` of its split and
+      // its partial spill is discarded, not written. Corrupt-but-healed
+      // replica reads and shuffle re-fetches each bill one extra full read.
+      uint64_t written_bytes = 0;
+      if (o.status.ok()) {
+        written_bytes = is_map && job->spec->reduce_fn ? o.emitted_bytes
+                                                       : o.output.num_bytes();
+      }
+      const double write_rate = is_map ? config_.map_write_bytes_per_ms
+                                       : config_.reduce_write_bytes_per_ms;
+      duration =
+          t.setup_ms +
+          static_cast<SimMillis>(t.corrupt_replica_reads + t.corrupt_fetches) *
+              full_read +
+          CeilDiv(static_cast<double>(o.input_bytes), read_rate) +
+          CeilDiv(cpu, config_.cpu_units_per_ms) +
+          CeilDiv(static_cast<double>(written_bytes), write_rate);
+      if (t.spill_runs > 1) duration += BillSpill(t, st.failures + 1);
+      if (!already_failed && o.status.ok()) {
+        // Fields the other kind of task never fills stay zero.
+        TaskData& d = pt.data[t.task_id];
+        d.valid = true;
+        d.counters = Counters{};
+        d.counters.map_input_records = o.input_records;
+        d.counters.map_input_bytes = o.input_logical_bytes;
+        d.counters.map_output_records = o.emissions.size();
+        d.counters.map_output_bytes = o.emitted_bytes;
+        d.counters.reduce_input_records = o.reduce_input_records;
+        d.counters.output_records = o.output.num_records;
+        if (o.batches_decoded > 0 && metrics_ != nullptr) {
+          // Registered lazily so row-only runs keep their exact metric
+          // registry (golden traces and dumps predate this counter).
+          if (m_scan_batches_ == nullptr) {
+            m_scan_batches_ = metrics_->GetCounter("scan.batches");
+          }
+          m_scan_batches_->Add(o.batches_decoded);
+        }
+        d.emitted_bytes = o.emitted_bytes;
+        d.emissions = std::move(o.emissions);
+        d.emission_bytes = std::move(o.emission_bytes);
+        d.output = std::move(o.output);
+        d.observer_charge = obs_charge;
+        d.quarantine = std::move(o.quarantine);
+        d.quarantine_indexes = std::move(o.quarantine_indexes);
+        d.spill_runs = std::move(o.spill_runs_written);
+      }
+    }
+    job->result.peak_task_memory_bytes =
+        std::max(job->result.peak_task_memory_bytes, t.task_memory_bytes);
     SimMillis base = duration;
     if (t.slowdown > 1.0) {
       duration = static_cast<SimMillis>(
@@ -1654,9 +1640,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       st.data_committed = true;
     } else if (t.inject_failure) {
       st.last_error = Status::Internal(StrFormat(
-          "injected failure: %s task %d of %s, attempt %d",
-          t.is_map ? "map" : "reduce", t.task_id, job->spec->name.c_str(),
-          st.failures + 1));
+          "injected failure: %s task %d of %s, attempt %d", KindName(t.kind),
+          t.task_id, job->spec->name.c_str(), st.failures + 1));
     } else if (t.block_data_loss) {
       st.last_error = Status::DataLoss(StrFormat(
           "all %d replicas of the input block for map task %d of %s failed "
@@ -1676,8 +1661,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // re-fetches are counted whether or not the attempt survived them.
     if (t.corrupt_replica_reads > 0) {
       job->result.block_corruptions += t.corrupt_replica_reads;
-      if (m_block_corruptions != nullptr) {
-        m_block_corruptions->Add(t.corrupt_replica_reads);
+      if (m_block_corruptions_ != nullptr) {
+        m_block_corruptions_->Add(t.corrupt_replica_reads);
       }
       if (trace_ != nullptr) {
         trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks, "mr",
@@ -1690,15 +1675,16 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       }
     }
     if (t.corrupt_fetches > 0) {
-      int refetches = std::min(
-          t.corrupt_fetches, std::max(0, config_.faults.max_shuffle_fetch_retries));
+      int refetches =
+          std::min(t.corrupt_fetches,
+                   std::max(0, config_.faults.max_shuffle_fetch_retries));
       job->result.checksum_refetches += refetches;
       job->result.shuffle_fetch_retries += refetches;
-      if (m_checksum_refetches != nullptr && refetches > 0) {
-        m_checksum_refetches->Add(refetches);
+      if (m_checksum_refetches_ != nullptr && refetches > 0) {
+        m_checksum_refetches_->Add(refetches);
       }
-      if (m_shuffle_retries != nullptr && refetches > 0) {
-        m_shuffle_retries->Add(refetches);
+      if (m_shuffle_retries_ != nullptr && refetches > 0) {
+        m_shuffle_retries_->Add(refetches);
       }
       if (trace_ != nullptr) {
         trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks, "mr",
@@ -1710,21 +1696,16 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                            .ArgBool("exhausted", t.shuffle_data_loss));
       }
     }
-    if (t.is_map) {
-      if (m_map_attempts != nullptr) m_map_attempts->Add();
-      if (h_map_ms != nullptr) h_map_ms->Observe(duration);
-      job->result.map_slot_ms += duration;
-    } else {
-      if (m_reduce_attempts != nullptr) m_reduce_attempts->Add();
-      if (h_reduce_ms != nullptr) h_reduce_ms->Observe(duration);
-      job->result.reduce_slot_ms += duration;
+    if (m_attempts_[t.kind] != nullptr) m_attempts_[t.kind]->Add();
+    if (h_attempt_ms_[t.kind] != nullptr) {
+      h_attempt_ms_[t.kind]->Observe(duration);
     }
-    if (t.inject_failure && m_injected != nullptr) m_injected->Add();
+    pt.slot_ms += duration;
+    if (t.inject_failure && m_injected_ != nullptr) m_injected_->Add();
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEvent(now_, duration, obs::TraceLane::kTasks,
                                      "mr",
-                                     t.is_map ? "map_attempt"
-                                              : "reduce_attempt")
+                                     is_map ? "map_attempt" : "reduce_attempt")
                          .Arg("job", job->spec->name)
                          .ArgInt("task", t.task_id)
                          .ArgInt("attempt", st.failures + 1)
@@ -1739,51 +1720,88 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       SimMillis crash_after = std::max<SimMillis>(
           1, static_cast<SimMillis>(std::ceil(static_cast<double>(duration) *
                                               t.crash_fraction)));
-      Event crash{now_ + crash_after, seq++, EventKind::kNodeCrash, -1};
+      Event crash{now_ + crash_after, seq_++, EventKind::kNodeCrash, -1};
       crash.node = t.node;
-      events.push(crash);
+      events_.push(crash);
     }
-    Event done{now_ + duration, seq++,
-               t.is_map ? EventKind::kMapDone : EventKind::kReduceDone,
-               job->job_index};
+    Event done{now_ + duration, seq_++, EventKind::kTaskDone, job->job_index};
     done.task_id = t.task_id;
+    done.task_kind = t.kind;
     done.attempt_failed = !attempt_ok;
     done.poison_failure = o.poison_failure;
     done.attempt_duration = duration;
-    in_flight[done.seq] = InFlightAttempt{job->job_index, t.is_map, t.task_id,
-                                          /*speculative=*/false, t.node};
-    events.push(done);
+    in_flight_[done.seq] = InFlightAttempt{job->job_index, t.kind, t.task_id,
+                                           /*speculative=*/false, t.node};
+    events_.push(done);
     // Legacy fail-fast: with the fault model off, the first real task
     // error kills the whole job at commit time.
-    if (!retries_enabled && !already_failed && !o.status.ok()) {
-      fail_job(job, o.status);
+    if (!retries_enabled_ && !already_failed && !o.status.ok()) {
+      FailJob(job, o.status);
     }
-  };
+  }
 
-  // Launches a backup attempt for the slowest committed in-flight task of
-  // one phase, when the phase has idle slots, nothing launchable pending,
-  // and that task has been running `speculative_slowness_threshold` times
-  // longer than the phase's median completed duration. The backup runs no
-  // data flow — the primary's outcome is already committed — it is a pure
-  // timing race: whichever attempt's completion event fires first wins,
-  // and the loser still occupies its slot until its own finish time.
-  auto maybe_speculate = [&](RunningJob& job, bool is_map) {
-    int& free_slots = is_map ? free_map_slots : free_reduce_slots;
-    if (free_slots <= 0 || !job.fault_rng.has_value()) return;
-    const auto& durations =
-        is_map ? job.completed_map_ms : job.completed_reduce_ms;
-    if (durations.empty()) return;
-    const auto& pending = is_map ? job.pending_map : job.pending_reduce;
-    for (const PendingTask& p : pending) {
+  /// Bills a spilling reduce attempt's external-sort I/O and accounts the
+  /// spill; returns the extra duration. Run formation writes the bucket
+  /// once, each further merge pass re-reads and re-writes it, and the final
+  /// pass re-reads it into the reduce stream — pass_bytes of writes and
+  /// pass_bytes of reads in total. A corrupt run is discovered on the first
+  /// read-back, so a DataLoss attempt bills one pass.
+  SimMillis BillSpill(const TaskLaunch& t, int attempt) {
+    JobResult& r = t.job->result;
+    const bool ok = t.outcome.status.ok();
+    const int passes = ok ? t.spill_merge_passes : 1;
+    const double pass_bytes =
+        static_cast<double>(t.bucket_bytes) * static_cast<double>(passes);
+    r.reduce_spills += 1;
+    r.spill_runs += t.spill_runs;
+    r.spill_merge_passes += passes;
+    r.spill_bytes_written += static_cast<uint64_t>(pass_bytes);
+    r.spill_bytes_read += static_cast<uint64_t>(pass_bytes);
+    if (metrics_ != nullptr) {
+      // Registered lazily: runs that never spill keep their exact metric
+      // registry (like scan.batches).
+      if (m_spilled_tasks_ == nullptr) {
+        m_spilled_tasks_ = metrics_->GetCounter("mr.memory_spilled_tasks");
+        m_spill_bytes_ = metrics_->GetCounter("mr.memory_spill_bytes");
+      }
+      m_spilled_tasks_->Add();
+      m_spill_bytes_->Add(2 * static_cast<int64_t>(pass_bytes));
+    }
+    if (trace_ != nullptr) {
+      trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks, "mr",
+                                     "task_spill")
+                         .Arg("job", t.job->spec->name)
+                         .ArgInt("task", t.task_id)
+                         .ArgInt("attempt", attempt)
+                         .ArgInt("runs", t.spill_runs)
+                         .ArgInt("merge_passes", passes)
+                         .ArgInt("bytes", (int64_t)t.bucket_bytes)
+                         .ArgBool("ok", ok));
+    }
+    return CeilDiv(pass_bytes, config_.reduce_write_bytes_per_ms) +
+           CeilDiv(pass_bytes, config_.reduce_read_bytes_per_ms);
+  }
+
+  /// Launches a backup attempt for the slowest committed in-flight task of
+  /// one phase, when the phase has idle slots, nothing launchable pending,
+  /// and that task has been running `speculative_slowness_threshold` times
+  /// longer than the phase's median completed duration. The backup runs no
+  /// data flow — the primary's outcome is already committed — it is a pure
+  /// timing race: whichever attempt's completion event fires first wins,
+  /// and the loser still occupies its slot until its own finish time.
+  void MaybeSpeculate(RunningJob& job, TaskKind kind) {
+    if (free_slots_[kind] <= 0 || !job.fault_rng.has_value()) return;
+    PhaseTasks& pt = job.tasks[kind];
+    if (pt.completed_ms.empty()) return;
+    for (const PendingTask& p : pt.pending) {
       if (p.not_before <= now_) return;  // Real work should use the slot.
     }
-    auto& states = is_map ? job.map_states : job.reduce_states;
     double threshold = config_.faults.speculative_slowness_threshold *
-                       static_cast<double>(median_ms(durations));
+                       static_cast<double>(Median(pt.completed_ms));
     int slowest = -1;
     SimMillis slowest_elapsed = -1;
-    for (size_t t = 0; t < states.size(); ++t) {
-      const TaskRunState& st = states[t];
+    for (size_t t = 0; t < pt.states.size(); ++t) {
+      const TaskRunState& st = pt.states[t];
       if (!st.primary_in_flight || st.completed || st.speculated ||
           !st.data_committed) {
         continue;
@@ -1796,11 +1814,11 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       }
     }
     if (slowest < 0) return;
-    TaskRunState& st = states[slowest];
+    TaskRunState& st = pt.states[slowest];
     // The backup re-runs the same attempt from scratch on another node
     // (never the primary's, when avoidable — the point of speculation under
     // node faults), with its own straggler draw on the unslowed duration.
-    int bnode = pick_node(is_map, /*exclude=*/st.node);
+    int bnode = PickNode(kind, /*exclude=*/st.node);
     if (bnode < 0) return;
     double slowdown = 1.0;
     if (config_.faults.straggler_rate > 0.0 &&
@@ -1810,299 +1828,275 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     SimMillis duration = std::max<SimMillis>(
         1, static_cast<SimMillis>(
                std::ceil(static_cast<double>(st.base_duration) * slowdown)));
-    --free_slots;
-    std::vector<int>& free = is_map ? free_map : free_reduce;
-    --free[bnode];
-    if (is_map) {
-      ++job.active_map_tasks;
-    } else {
-      ++job.active_reduce_tasks;
-    }
+    --free_slots_[kind];
+    --free_[kind][bnode];
+    ++pt.active;
     st.speculated = true;
     st.backup_in_flight = true;
     ++job.result.speculative_launches;
-    if (m_spec_launches != nullptr) m_spec_launches->Add();
+    if (m_spec_launches_ != nullptr) m_spec_launches_->Add();
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEvent(now_, duration, obs::TraceLane::kTasks,
                                      "mr", "speculative_attempt")
                          .Arg("job", job.spec->name)
                          .ArgInt("task", slowest)
-                         .ArgBool("map", is_map)
+                         .ArgBool("map", kind == kMapTask)
                          .ArgDouble("slowdown", slowdown));
     }
-    Event done{now_ + duration, seq++,
-               is_map ? EventKind::kMapDone : EventKind::kReduceDone,
-               job.job_index};
+    Event done{now_ + duration, seq_++, EventKind::kTaskDone, job.job_index};
     done.task_id = slowest;
+    done.task_kind = kind;
     done.speculative = true;
     done.attempt_duration = duration;
-    in_flight[done.seq] = InFlightAttempt{job.job_index, is_map, slowest,
-                                          /*speculative=*/true, bnode};
-    events.push(done);
-  };
+    in_flight_[done.seq] = InFlightAttempt{job.job_index, kind, slowest,
+                                           /*speculative=*/true, bnode};
+    events_.push(done);
+  }
 
-  // Assigns free slots to pending tasks (FIFO across jobs), executes the
-  // resulting wave of task data flows — in parallel on the worker pool when
-  // one is configured — and commits the outcomes in launch order. All
-  // launch decisions, including stop-condition checks and fault draws,
-  // observe only *committed* state: no task is in flight while they are
-  // made, which is what makes the simulation bit-identical for any thread
-  // count.
-  auto schedule = [&]() {
+  /// Whether one phase of `job` may launch (and speculate) tasks now.
+  bool Launchable(const RunningJob& job, TaskKind kind) const {
+    return kind == kMapTask
+               ? job.phase == JobPhase::kMap && now_ >= job.ready_time
+               : job.phase == JobPhase::kReduce;
+  }
+
+  /// Assigns free slots to pending tasks (FIFO across jobs), executes the
+  /// resulting wave of task data flows — in parallel on the worker pool
+  /// when one is configured — and commits the outcomes in launch order. All
+  /// launch decisions, including stop-condition checks and fault draws,
+  /// observe only *committed* state: no task is in flight while they are
+  /// made, which is what makes the simulation bit-identical for any thread
+  /// count.
+  void Schedule() {
     std::vector<TaskLaunch> wave;
-    for (RunningJob& job : jobs) {
-      if (job.phase == JobPhase::kMap && now_ >= job.ready_time) {
+    for (RunningJob& job : jobs_) {
+      if (Launchable(job, kMapTask)) {
         // The stop condition is evaluated once per scheduling pass, before
         // the wave launches: concurrently launched tasks cannot observe
         // each other's output (they couldn't on a real cluster either);
         // tasks already running always finish their whole split (§4.2).
-        if (!job.pending_map.empty() && job.spec->stop_condition &&
+        PhaseTasks& maps = job.tasks[kMapTask];
+        if (!maps.pending.empty() && job.spec->stop_condition &&
             job.spec->stop_condition()) {
-          job.result.map_tasks_skipped +=
-              static_cast<int>(job.pending_map.size());
-          job.map_tasks_remaining -=
-              static_cast<int>(job.pending_map.size());
-          job.pending_map.clear();
+          const int skipped = static_cast<int>(maps.pending.size());
+          job.result.map_tasks_skipped += skipped;
+          maps.remaining -= skipped;
+          maps.pending.clear();
         }
-        std::deque<PendingTask> deferred;
-        while (free_map_slots > 0 && !job.pending_map.empty()) {
-          PendingTask next = job.pending_map.front();
-          job.pending_map.pop_front();
-          if (next.not_before > now_) {
-            deferred.push_back(next);  // Backoff not elapsed yet.
-            continue;
-          }
-          TaskLaunch launch;
-          launch.job = &job;
-          launch.is_map = true;
-          launch.task_id = next.task_id;
-          launch.map_ref = job.map_defs[next.task_id];
-          launch.split = &job.spec->inputs[launch.map_ref.input_index]
-                              .file->splits()[launch.map_ref.split_index];
-          launch.setup_ms = side_load_ms(&job);
-          launch.task_index = job.map_seq;
-          ++job.map_seq;
-          if (job.map_states[next.task_id].failures > 0) {
-            ++job.result.task_retries;
-            if (m_retries != nullptr) m_retries->Add();
-          }
-          draw_faults(&job, &launch);
-          {
-            // Poison positions are a property of the split's data: every
-            // attempt of this logical task sees the same plan. Skip mode is
-            // per-task state flipped after repeated poison failures.
-            const TaskRunState& mst = job.map_states[next.task_id];
-            if (!mst.poison.empty()) launch.poison = &mst.poison;
-            launch.skip_mode = mst.skip_mode;
-          }
-          // free_map_slots > 0 guarantees some alive node has a free slot.
-          launch.node = pick_node(/*is_map=*/true, /*exclude=*/-1);
-          --free_map[launch.node];
-          --free_map_slots;
-          ++job.active_map_tasks;
-          wave.push_back(std::move(launch));
-        }
-        while (!deferred.empty()) {
-          job.pending_map.push_front(deferred.back());
-          deferred.pop_back();
-        }
-        if (!job.failed && job.pending_map.empty() &&
-            job.map_tasks_remaining == 0 && job.phase == JobPhase::kMap) {
-          on_map_phase_complete(&job);
-        }
+        LaunchPending(job, kMapTask, &wave);
+        EndPhaseIfDrained(&job, kMapTask);
       }
-      if (job.phase == JobPhase::kReduce) {
-        std::deque<PendingTask> deferred;
-        while (free_reduce_slots > 0 && !job.pending_reduce.empty()) {
-          PendingTask next = job.pending_reduce.front();
-          job.pending_reduce.pop_front();
-          if (next.not_before > now_) {
-            deferred.push_back(next);
-            continue;
-          }
-          TaskLaunch launch;
-          launch.job = &job;
-          launch.is_map = false;
-          launch.task_id = next.task_id;
-          launch.partition = next.task_id;
-          if (job.reduce_states[next.task_id].failures > 0) {
-            ++job.result.task_retries;
-            if (m_retries != nullptr) m_retries->Add();
-          }
-          // Reduce-memory plan, decided before the fault draws (which gate
-          // the spill-corruption draw on it). The simulated sort/hash state
-          // is the bucket's bytes scaled by reduce_memory_factor; over
-          // budget in spill mode, the attempt sorts externally in
-          // ceil(state / budget) runs (capped at one run per record) and
-          // merges them fan_in-at-a-time. on_map_phase_complete already
-          // failed the job if the plan would exceed max_spill_runs.
-          {
-            const auto mode = job_memory_mode(job);
-            launch.bucket_bytes = job.partition_bytes[next.task_id];
-            const double state =
-                std::ceil(static_cast<double>(launch.bucket_bytes) *
-                          config_.reduce_memory_factor);
-            launch.task_memory_bytes = static_cast<uint64_t>(state);
-            const double budget = std::max(
-                1.0, static_cast<double>(config_.memory_per_task_bytes));
-            if (mode == ClusterConfig::ReduceMemoryMode::kSpill &&
-                state > budget) {
-              int runs = static_cast<int>(std::ceil(state / budget));
-              runs = std::min<int>(
-                  runs,
-                  static_cast<int>(std::max<size_t>(
-                      1, job.partitions[next.task_id].size())));
-              if (runs > 1) {
-                launch.spill_runs = runs;
-                const int fan = std::max(2, config_.spill_merge_fan_in);
-                int passes = 0;
-                long long width = 1;
-                while (width < runs) {
-                  width *= fan;
-                  ++passes;
-                }
-                launch.spill_merge_passes = std::max(1, passes);
-                // A spilling task holds only the budget; the rest lives in
-                // its run files.
-                launch.task_memory_bytes = config_.memory_per_task_bytes;
-              }
-            }
-          }
-          draw_faults(&job, &launch);
-          if (launch.inject_failure) {
-            // The attempt dies before finishing; its bucket stays in place
-            // for the retry (the commit sizes the attempt from it).
-          } else if (retries_enabled) {
-            // Keep the bucket for a possible retry after a *real* reduce
-            // error; released when an attempt commits successfully.
-            launch.bucket = job.partitions[next.task_id];
-          } else {
-            launch.bucket = std::move(job.partitions[next.task_id]);
-          }
-          launch.node = pick_node(/*is_map=*/false, /*exclude=*/-1);
-          --free_reduce[launch.node];
-          --free_reduce_slots;
-          ++job.active_reduce_tasks;
-          wave.push_back(std::move(launch));
-        }
-        while (!deferred.empty()) {
-          job.pending_reduce.push_front(deferred.back());
-          deferred.pop_back();
-        }
-      }
+      if (Launchable(job, kReduceTask)) LaunchPending(job, kReduceTask, &wave);
     }
     // Backup attempts claim only slots left over after real work, across
     // all jobs (never starving another job's pending tasks).
-    if (retries_enabled && config_.faults.speculative_execution) {
-      for (RunningJob& job : jobs) {
+    if (retries_enabled_ && config_.faults.speculative_execution) {
+      for (RunningJob& job : jobs_) {
         if (job.failed) continue;
-        if (job.phase == JobPhase::kMap && now_ >= job.ready_time) {
-          maybe_speculate(job, /*is_map=*/true);
-        }
-        if (job.phase == JobPhase::kReduce) {
-          maybe_speculate(job, /*is_map=*/false);
+        for (TaskKind kind : kTaskKinds) {
+          if (Launchable(job, kind)) MaybeSpeculate(job, kind);
         }
       }
     }
     if (wave.empty()) return;
 
-    auto execute = [](TaskLaunch& t) {
-      // Attempts with an injected failure never run their data flow: the
-      // simulated container dies. Re-running user code here would repeat
-      // its side effects (Coordinator counters), which real retried tasks
-      // do too, but would break the simulator's exactly-once accounting.
-      if (t.inject_failure) return;
-      // Drawn corruption is exercised against the *real* checksum machinery:
-      // each corrupt copy is modeled by flipping one byte of a scratch copy
-      // of the payload and verifying the stored CRC rejects it. The shared
-      // split / bucket is never mutated, so healed re-reads decode the
-      // intact original bytes.
-      if (t.corrupt_replica_reads > 0 && t.is_map && t.split != nullptr &&
-          !t.split->data.empty()) {
-        Split corrupt = *t.split;
-        corrupt.data[0] ^= 0x01;
-        if (VerifySplit(corrupt).ok()) {
-          t.outcome.status = Status::Internal(
-              "checksum failed to detect a corrupted block replica");
-          return;
-        }
-      }
-      if (t.corrupt_fetches > 0 && !t.is_map && !t.bucket.empty()) {
-        std::string frame;
-        t.bucket.front().first.EncodeTo(&frame);
-        t.bucket.front().second.EncodeTo(&frame);
-        const uint32_t sent = Crc32c(frame);
-        frame[0] ^= 0x01;
-        if (Crc32c(frame) == sent) {
-          t.outcome.status = Status::Internal(
-              "checksum failed to detect a corrupted shuffle frame");
-          return;
-        }
-      }
-      // Data-loss attempts never get a clean copy: no data flow runs.
-      if (t.block_data_loss || t.shuffle_data_loss) return;
-      if (t.is_map) {
-        ExecuteMapTask(t.job->spec->inputs[t.map_ref.input_index], *t.split,
-                       t.task_index, t.poison, t.skip_mode, &t.outcome);
-      } else {
-        ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.bucket_bytes,
-                          t.spill_runs, t.corrupt_spill, &t.outcome);
-      }
-    };
-    if (pool_ != nullptr && wave.size() > 1) {
+    WorkerPool* pool = engine_->pool_.get();
+    if (pool != nullptr && wave.size() > 1) {
       std::vector<std::function<void()>> closures;
       closures.reserve(wave.size());
-      for (TaskLaunch& t : wave) {
-        closures.push_back([&t, &execute] { execute(t); });
-      }
-      pool_->RunBatch(std::move(closures));
+      for (TaskLaunch& t : wave) closures.push_back([&t] { Execute(t); });
+      pool->RunBatch(std::move(closures));
     } else {
-      for (TaskLaunch& t : wave) execute(t);
+      for (TaskLaunch& t : wave) Execute(t);
     }
-    for (TaskLaunch& t : wave) commit_task(t);
+    for (TaskLaunch& t : wave) CommitTask(t);
     // New launches can only cross the speculation cutoff later; make sure
     // a pass happens when the earliest one does.
-    for (RunningJob& job : jobs) {
+    for (RunningJob& job : jobs_) {
       if (job.failed) continue;
       if (job.phase == JobPhase::kMap || job.phase == JobPhase::kShuffle) {
-        push_speculation_wakeup(&job, /*is_map=*/true);
+        PushSpeculationWakeup(&job, kMapTask);
       }
       if (job.phase == JobPhase::kReduce) {
-        push_speculation_wakeup(&job, /*is_map=*/false);
+        PushSpeculationWakeup(&job, kReduceTask);
       }
     }
-  };
+  }
 
-  // True when the nodes that could ever host this job's tasks are all down
-  // for good (no recovery scheduled): the job can never finish.
-  auto cluster_doomed_for = [&](const RunningJob& job) {
-    int pot_map = 0;
-    int pot_reduce = 0;
-    for (int n = 0; n < num_nodes; ++n) {
+  /// Moves the launchable head of one phase's pending queue into the wave,
+  /// one task per free slot. Tasks whose retry backoff has not elapsed are
+  /// skipped over and keep their queue position.
+  void LaunchPending(RunningJob& job, TaskKind kind,
+                     std::vector<TaskLaunch>* wave) {
+    PhaseTasks& pt = job.tasks[kind];
+    std::deque<PendingTask> deferred;
+    while (free_slots_[kind] > 0 && !pt.pending.empty()) {
+      PendingTask next = pt.pending.front();
+      pt.pending.pop_front();
+      if (next.not_before > now_) {
+        deferred.push_back(next);  // Backoff not elapsed yet.
+        continue;
+      }
+      TaskLaunch launch;
+      launch.job = &job;
+      launch.kind = kind;
+      launch.task_id = next.task_id;
+      const TaskRunState& st = pt.states[next.task_id];
+      if (st.failures > 0) {
+        ++job.result.task_retries;
+        if (m_retries_ != nullptr) m_retries_->Add();
+      }
+      if (kind == kMapTask) {
+        launch.map_ref = job.map_defs[next.task_id];
+        launch.split = &job.spec->inputs[launch.map_ref.input_index]
+                            .file->splits()[launch.map_ref.split_index];
+        launch.setup_ms = SideLoadMs(job);
+        launch.task_index = job.map_seq++;
+        // Poison positions are a property of the split's data: every
+        // attempt of this logical task sees the same plan (drawn by the
+        // first launch's DrawFaults). Skip mode is per-task state flipped
+        // after repeated poison failures.
+        launch.poison = &st.poison;
+        launch.skip_mode = st.skip_mode;
+      } else {
+        PlanReduceMemory(job, &launch);
+      }
+      DrawFaults(&job, &launch);
+      // A dying reduce attempt leaves its bucket in place for the retry
+      // (the commit sizes the attempt from it). With retries on, the bucket
+      // is copied so a *real* reduce error can retry too; it is released
+      // when an attempt completes successfully.
+      if (kind == kReduceTask && !launch.inject_failure) {
+        if (retries_enabled_) {
+          launch.bucket = job.partitions[next.task_id];
+        } else {
+          launch.bucket = std::move(job.partitions[next.task_id]);
+        }
+      }
+      // free_slots_[kind] > 0 guarantees some alive node has a free slot.
+      launch.node = PickNode(kind, /*exclude=*/-1);
+      --free_[kind][launch.node];
+      --free_slots_[kind];
+      ++pt.active;
+      wave->push_back(std::move(launch));
+    }
+    while (!deferred.empty()) {
+      pt.pending.push_front(deferred.back());
+      deferred.pop_back();
+    }
+  }
+
+  /// Reduce-memory plan, decided before the fault draws (which gate the
+  /// spill-corruption draw on it). The simulated sort/hash state is the
+  /// bucket's bytes scaled by reduce_memory_factor; over budget in spill
+  /// mode, the attempt sorts externally in ceil(state / budget) runs
+  /// (capped at one run per record) and merges them fan_in-at-a-time.
+  /// OnMapPhaseComplete already failed the job if the plan would exceed
+  /// max_spill_runs.
+  void PlanReduceMemory(const RunningJob& job, TaskLaunch* launch) const {
+    launch->bucket_bytes = job.partition_bytes[launch->task_id];
+    const double state = std::ceil(static_cast<double>(launch->bucket_bytes) *
+                                   config_.reduce_memory_factor);
+    launch->task_memory_bytes = static_cast<uint64_t>(state);
+    const double budget =
+        std::max(1.0, static_cast<double>(config_.memory_per_task_bytes));
+    if (MemoryMode(job) != ClusterConfig::ReduceMemoryMode::kSpill ||
+        state <= budget) {
+      return;
+    }
+    int runs = static_cast<int>(std::ceil(state / budget));
+    runs = std::min<int>(
+        runs, static_cast<int>(std::max<size_t>(
+                  1, job.partitions[launch->task_id].size())));
+    if (runs <= 1) return;
+    launch->spill_runs = runs;
+    const int fan = std::max(2, config_.spill_merge_fan_in);
+    int passes = 0;
+    long long width = 1;
+    while (width < runs) {
+      width *= fan;
+      ++passes;
+    }
+    launch->spill_merge_passes = std::max(1, passes);
+    // A spilling task holds only the budget; the rest lives in its run
+    // files.
+    launch->task_memory_bytes = config_.memory_per_task_bytes;
+  }
+
+  /// Runs one launched task's data flow. Worker-thread safe: touches only
+  /// the launch itself and immutable job inputs.
+  static void Execute(TaskLaunch& t) {
+    // Attempts with an injected failure never run their data flow: the
+    // simulated container dies. Re-running user code here would repeat its
+    // side effects (Coordinator counters), which real retried tasks do
+    // too, but would break the simulator's exactly-once accounting.
+    if (t.inject_failure) return;
+    // Drawn corruption is exercised against the *real* checksum machinery:
+    // each corrupt copy is modeled by flipping one byte of a scratch copy
+    // of the payload and verifying the stored CRC rejects it. The shared
+    // split / bucket is never mutated, so healed re-reads decode the intact
+    // original bytes.
+    if (t.corrupt_replica_reads > 0 && t.split != nullptr &&
+        !t.split->data.empty()) {
+      Split corrupt = *t.split;
+      corrupt.data[0] ^= 0x01;
+      if (VerifySplit(corrupt).ok()) {
+        t.outcome.status = Status::Internal(
+            "checksum failed to detect a corrupted block replica");
+        return;
+      }
+    }
+    if (t.corrupt_fetches > 0 && !t.bucket.empty()) {
+      std::string frame;
+      t.bucket.front().first.EncodeTo(&frame);
+      t.bucket.front().second.EncodeTo(&frame);
+      const uint32_t sent = Crc32c(frame);
+      frame[0] ^= 0x01;
+      if (Crc32c(frame) == sent) {
+        t.outcome.status = Status::Internal(
+            "checksum failed to detect a corrupted shuffle frame");
+        return;
+      }
+    }
+    // Data-loss attempts never get a clean copy: no data flow runs.
+    if (t.block_data_loss || t.shuffle_data_loss) return;
+    if (t.is_map()) {
+      ExecuteMapTask(t.job->spec->inputs[t.map_ref.input_index], *t.split,
+                     t.task_index, t.poison, t.skip_mode, &t.outcome);
+    } else {
+      ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.bucket_bytes,
+                        t.spill_runs, t.corrupt_spill, &t.outcome);
+    }
+  }
+
+  /// True when the nodes that could ever host this job's tasks are all
+  /// down for good (no recovery scheduled): the job can never finish.
+  bool ClusterDoomedFor(const RunningJob& job) const {
+    int potential[2] = {0, 0};
+    for (int n = 0; n < num_nodes_; ++n) {
       if (node_states_[n].alive || node_states_[n].recover_at >= 0) {
-        pot_map += node_capacity(config_.map_slots, n);
-        pot_reduce += node_capacity(config_.reduce_slots, n);
+        for (TaskKind kind : kTaskKinds) potential[kind] += Capacity(kind, n);
       }
     }
-    return pot_map == 0 ||
-           (job.spec->reduce_fn != nullptr && pot_reduce == 0);
-  };
+    return potential[kMapTask] == 0 ||
+           (job.spec->reduce_fn != nullptr && potential[kReduceTask] == 0);
+  }
 
-  auto fail_doomed = [&](RunningJob* job) {
-    fail_job(job, Status::Unavailable(StrFormat(
-                      "no node that could run %s will ever come back "
-                      "(cluster permanently degraded)",
-                      job->spec->name.c_str())));
-  };
+  void FailDoomed(RunningJob* job) {
+    FailJob(job, Status::Unavailable(StrFormat(
+                     "no node that could run %s will ever come back "
+                     "(cluster permanently degraded)",
+                     job->spec->name.c_str())));
+  }
 
-  // A node dies: its slots leave the pool, every attempt running on it is
-  // killed (a kill, not a failure — the task re-queues without charging an
-  // attempt, Hadoop's KILLED vs FAILED), and the completed map outputs
-  // resident on it are invalidated for any map-reduce job that still needs
-  // them, regressing those jobs to the map phase for re-execution.
-  auto handle_node_crash = [&](int node, bool scripted) {
-    if (scripted) ++scripted_crashes_consumed_;
-    if (node < 0 || node >= num_nodes) return;
+  /// A node dies: its slots leave the pool, every attempt running on it is
+  /// killed (a kill, not a failure — the task re-queues without charging an
+  /// attempt, Hadoop's KILLED vs FAILED), and the completed map outputs
+  /// resident on it are invalidated for any map-reduce job that still needs
+  /// them, regressing those jobs to the map phase for re-execution.
+  void HandleNodeCrash(int node, bool scripted) {
+    if (scripted) ++engine_->scripted_crashes_consumed_;
+    if (node < 0 || node >= num_nodes_) return;
     NodeState& ns = node_states_[node];
     if (!ns.alive) return;  // Already down; nothing new to lose.
     ns.alive = false;
@@ -2110,37 +2104,33 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                         ? now_ + config_.faults.node_recovery_ms
                         : -1;
     if (ns.recover_at >= 0) {
-      Event rec{ns.recover_at, seq++, EventKind::kNodeRecover, -1};
+      Event rec{ns.recover_at, seq_++, EventKind::kNodeRecover, -1};
       rec.node = node;
-      events.push(rec);
+      events_.push(rec);
     }
-    --alive_nodes;
-    free_map_slots -= free_map[node];
-    free_reduce_slots -= free_reduce[node];
-    free_map[node] = 0;
-    free_reduce[node] = 0;
-    if (m_node_crashes != nullptr) m_node_crashes->Add();
+    --alive_nodes_;
+    for (TaskKind kind : kTaskKinds) {
+      free_slots_[kind] -= free_[kind][node];
+      free_[kind][node] = 0;
+    }
+    if (m_node_crashes_ != nullptr) m_node_crashes_->Add();
 
     // Kill the node's in-flight attempts, in launch (seq) order. Their
     // slots went down with the node, so nothing is refunded; their pending
     // completion events will find no registry entry and be ignored.
     int killed = 0;
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
+    for (auto it = in_flight_.begin(); it != in_flight_.end();) {
       if (it->second.node != node) {
         ++it;
         continue;
       }
       const InFlightAttempt a = it->second;
-      it = in_flight.erase(it);
+      it = in_flight_.erase(it);
       ++killed;
-      RunningJob& job = jobs[a.job_index];
-      if (a.is_map) {
-        --job.active_map_tasks;
-      } else {
-        --job.active_reduce_tasks;
-      }
-      auto& states = a.is_map ? job.map_states : job.reduce_states;
-      TaskRunState& st = states[a.task_id];
+      RunningJob& job = jobs_[a.job_index];
+      PhaseTasks& pt = job.tasks[a.kind];
+      --pt.active;
+      TaskRunState& st = pt.states[a.task_id];
       if (a.speculative) {
         st.backup_in_flight = false;
         st.speculated = false;  // Eligible for a fresh backup later.
@@ -2148,11 +2138,10 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         st.primary_in_flight = false;
       }
       ++job.result.attempts_killed_by_node;
-      if (m_node_kills != nullptr) m_node_kills->Add();
+      if (m_node_kills_ != nullptr) m_node_kills_->Add();
       if (!job.failed && !st.completed && !st.primary_in_flight &&
           !st.backup_in_flight) {
-        auto& pending = a.is_map ? job.pending_map : job.pending_reduce;
-        pending.push_back({a.task_id, now_});
+        pt.pending.push_back({a.task_id, now_});
       }
     }
 
@@ -2160,72 +2149,65 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // every map-reduce job that still needs them. (Map-only outputs and
     // reduce outputs model durable DFS writes and survive; a reduce phase
     // with no reducer left to launch has already fetched everything.)
-    for (RunningJob& job : jobs) {
+    for (RunningJob& job : jobs_) {
       if (job.failed || job.Finished() || job.spec->reduce_fn == nullptr) {
         continue;
       }
+      PhaseTasks& maps = job.tasks[kMapTask];
+      const std::deque<PendingTask>& pending_reduce =
+          job.tasks[kReduceTask].pending;
       bool needs_map_outputs =
           job.phase == JobPhase::kMap || job.phase == JobPhase::kShuffle ||
-          (job.phase == JobPhase::kReduce && !job.pending_reduce.empty());
+          (job.phase == JobPhase::kReduce && !pending_reduce.empty());
       if (!needs_map_outputs) continue;
       int invalidated = 0;
-      for (size_t t = 0; t < job.map_states.size(); ++t) {
-        TaskRunState& st = job.map_states[t];
+      for (size_t t = 0; t < maps.states.size(); ++t) {
+        TaskRunState& st = maps.states[t];
         if (!st.completed || st.node != node) continue;
         // Any attempt of this task still racing elsewhere is killed too:
         // the logical task is being reset, and a late completion would
         // otherwise re-complete it against cleared data. These kills DO
         // refund their (live-node) slots.
-        for (auto it = in_flight.begin(); it != in_flight.end();) {
+        for (auto it = in_flight_.begin(); it != in_flight_.end();) {
           const InFlightAttempt& a = it->second;
-          if (a.job_index != job.job_index || !a.is_map ||
+          if (a.job_index != job.job_index || a.kind != kMapTask ||
               a.task_id != static_cast<int>(t)) {
             ++it;
             continue;
           }
-          ++free_map[a.node];
-          ++free_map_slots;
-          --job.active_map_tasks;
+          ++free_[kMapTask][a.node];
+          ++free_slots_[kMapTask];
+          --maps.active;
           ++job.result.attempts_killed_by_node;
-          if (m_node_kills != nullptr) m_node_kills->Add();
-          it = in_flight.erase(it);
+          if (m_node_kills_ != nullptr) m_node_kills_->Add();
+          it = in_flight_.erase(it);
         }
-        TaskData& d = job.map_data[t];
+        TaskData& d = maps.data[t];
         job.shuffled_bytes -= std::min(job.shuffled_bytes, d.emitted_bytes);
-        // Quarantined records accounted by the lost attempt are un-counted;
-        // the re-run re-quarantines (and re-accounts) the same positions.
+        // Quarantined records accounted by the lost attempt are
+        // un-counted; the re-run re-quarantines (and re-accounts) the same
+        // positions.
         uint64_t unquarantined = d.quarantine_indexes.size();
         job.records_quarantined -=
             std::min(job.records_quarantined, unquarantined);
         job.result.records_quarantined = job.records_quarantined;
         d = TaskData{};
-        // Real failures outlive the kill, and so does the poison plan: the
-        // positions are a property of the split's data, and skip mode is a
-        // decision already made for this logical task.
-        int failures = st.failures;
-        bool poison_drawn = st.poison_drawn;
-        std::vector<uint64_t> poison = std::move(st.poison);
-        int poison_failures = st.poison_failures;
-        bool skip_mode = st.skip_mode;
-        st = TaskRunState{};
-        st.failures = failures;
-        st.poison_drawn = poison_drawn;
-        st.poison = std::move(poison);
-        st.poison_failures = poison_failures;
-        st.skip_mode = skip_mode;
-        ++job.map_tasks_remaining;
-        job.pending_map.push_back({static_cast<int>(t), now_});
+        static_cast<AttemptState&>(st) = AttemptState{};
+        ++maps.remaining;
+        maps.pending.push_back({static_cast<int>(t), now_});
         ++invalidated;
       }
       if (invalidated == 0) continue;
       job.result.maps_invalidated += invalidated;
-      if (m_maps_invalidated != nullptr) m_maps_invalidated->Add(invalidated);
+      if (m_maps_invalidated_ != nullptr) {
+        m_maps_invalidated_->Add(invalidated);
+      }
       if (job.phase == JobPhase::kReduce) {
         // The reducers still waiting to launch hit shuffle-fetch failures:
         // they stay queued behind the re-shuffle of the re-executed maps.
-        int blocked = static_cast<int>(job.pending_reduce.size());
+        int blocked = static_cast<int>(pending_reduce.size());
         job.result.shuffle_fetch_retries += blocked;
-        if (m_shuffle_retries != nullptr) m_shuffle_retries->Add(blocked);
+        if (m_shuffle_retries_ != nullptr) m_shuffle_retries_->Add(blocked);
         if (trace_ != nullptr) {
           trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kEngine,
                                          "mr", "shuffle_fetch_retry")
@@ -2238,7 +2220,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       job.phase = JobPhase::kMap;
     }
 
-    for (RunningJob& job : jobs) {
+    for (RunningJob& job : jobs_) {
       if (!job.Finished() && !job.failed) {
         ++job.result.node_crashes_observed;
       }
@@ -2249,324 +2231,265 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                          .ArgInt("node", node)
                          .ArgBool("scripted", scripted)
                          .ArgInt("attempts_killed", killed)
-                         .ArgInt("alive_nodes", alive_nodes));
+                         .ArgInt("alive_nodes", alive_nodes_));
     }
-    // Permanent-failure classification: with no capacity left and none ever
-    // coming back, unfinished jobs can never run.
-    for (RunningJob& job : jobs) {
-      if (!job.failed && !job.Finished() && cluster_doomed_for(job)) {
-        fail_doomed(&job);
+    // Permanent-failure classification: with no capacity left and none
+    // ever coming back, unfinished jobs can never run.
+    for (RunningJob& job : jobs_) {
+      if (!job.failed && !job.Finished() && ClusterDoomedFor(job)) {
+        FailDoomed(&job);
       }
     }
     // Failed jobs whose last in-flight attempts were just killed have no
     // completion event left to drain them.
-    for (RunningJob& job : jobs) {
-      if (job.failed) drain_failed_job(&job);
+    for (RunningJob& job : jobs_) {
+      if (job.failed) DrainFailedJob(&job);
     }
-  };
+  }
 
-  auto handle_node_recover = [&](const Event& ev) {
-    if (ev.node < 0 || ev.node >= num_nodes) return;
+  void HandleNodeRecover(const Event& ev) {
+    if (ev.node < 0 || ev.node >= num_nodes_) return;
     NodeState& ns = node_states_[ev.node];
     if (ns.alive || ns.recover_at != ev.time) return;  // Stale event.
     ns.alive = true;
     ns.recover_at = 0;
-    ++alive_nodes;
+    ++alive_nodes_;
     // The node rejoins with empty disks: full slot capacity, no resident
     // map outputs (those were invalidated at crash time).
-    free_map[ev.node] = node_capacity(config_.map_slots, ev.node);
-    free_reduce[ev.node] = node_capacity(config_.reduce_slots, ev.node);
-    free_map_slots += free_map[ev.node];
-    free_reduce_slots += free_reduce[ev.node];
-    if (m_node_recoveries != nullptr) m_node_recoveries->Add();
+    for (TaskKind kind : kTaskKinds) {
+      free_[kind][ev.node] = Capacity(kind, ev.node);
+      free_slots_[kind] += free_[kind][ev.node];
+    }
+    if (m_node_recoveries_ != nullptr) m_node_recoveries_->Add();
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kEngine, "mr",
                                      "node_recover")
                          .ArgInt("node", ev.node)
-                         .ArgInt("alive_nodes", alive_nodes));
+                         .ArgInt("alive_nodes", alive_nodes_));
     }
-  };
+  }
 
-  auto handle_event = [&](const Event& ev) {
-    // Node events carry no job index; dispatch them before binding one.
-    if (ev.kind == EventKind::kNodeCrash) {
-      handle_node_crash(ev.node, ev.scripted);
-      return;
-    }
-    if (ev.kind == EventKind::kNodeRecover) {
-      handle_node_recover(ev);
-      return;
-    }
-    RunningJob& job = jobs[ev.job_index];
+  void HandleEvent(const Event& ev) {
     switch (ev.kind) {
+      case EventKind::kNodeCrash:
+        HandleNodeCrash(ev.node, ev.scripted);
+        return;
+      case EventKind::kNodeRecover:
+        HandleNodeRecover(ev);
+        return;
       case EventKind::kJobReady:
-        if (!job.failed && job.phase == JobPhase::kStartingUp &&
-            cluster_doomed_for(job)) {
-          // Submitted against a permanently dead cluster (every crash
-          // already classified the jobs it doomed; this catches jobs
-          // submitted afterwards).
-          fail_doomed(&job);
-          break;
-        }
-        if (!job.failed && job.phase == JobPhase::kStartingUp) {
-          // Check the broadcast memory budget at task-launch time: the build
-          // side is loaded by the first task wave, which is when Jaql's
-          // broadcast join discovers it does not fit and dies.
-          double need = static_cast<double>(job.spec->side_memory_bytes) *
-                        config_.broadcast_memory_factor;
-          if (job.spec->side_memory_bytes > 0) {
-            job.result.peak_task_memory_bytes =
-                std::max(job.result.peak_task_memory_bytes,
-                         static_cast<uint64_t>(need));
-          }
-          if (need > static_cast<double>(config_.memory_per_task_bytes)) {
-            if (m_oom_failures == nullptr && metrics_ != nullptr) {
-              m_oom_failures = metrics_->GetCounter("mr.memory_oom_failures");
-            }
-            if (m_oom_failures != nullptr) m_oom_failures->Add();
-            fail_job(&job,
-                     Status::OutOfMemory(StrFormat(
-                         "broadcast build side of %s needs %.0f bytes "
-                         "(task memory %llu)",
-                         job.spec->name.c_str(), need,
-                         static_cast<unsigned long long>(
-                             config_.memory_per_task_bytes))));
-          } else {
-            job.phase = JobPhase::kMap;
-          }
-        }
-        break;
-      case EventKind::kMapDone: {
-        auto flight = in_flight.find(ev.seq);
-        if (flight == in_flight.end()) break;  // Killed by a node crash.
-        const int node = flight->second.node;
-        in_flight.erase(flight);
-        ++free_map[node];
-        ++free_map_slots;
-        --job.active_map_tasks;
-        if (job.failed) {
-          drain_failed_job(&job);
-          break;
-        }
-        TaskRunState& st = job.map_states[ev.task_id];
-        if (ev.speculative) {
-          st.backup_in_flight = false;
-          if (!st.completed) {
-            // The backup beat its primary; the primary's own completion
-            // event will only give back its slot.
-            st.completed = true;
-            st.node = node;
-            --job.map_tasks_remaining;
-            ++job.result.map_tasks_run;
-            ++job.result.speculative_wins;
-            if (m_spec_wins != nullptr) m_spec_wins->Add();
-            if (trace_ != nullptr) {
-              trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks,
-                                             "mr", "speculative_win")
-                                 .Arg("job", job.spec->name)
-                                 .ArgInt("task", ev.task_id)
-                                 .ArgBool("map", true));
-            }
-            job.completed_map_ms.push_back(ev.attempt_duration);
-            apply_durable_completion(&job, /*is_map=*/true, ev.task_id);
-          }
-        } else if (ev.attempt_failed) {
-          st.primary_in_flight = false;
-          ++st.failures;
-          if (ev.poison_failure) {
-            // A map function "threw" on a poison record. After two such
-            // attempt deaths the task re-runs in skip mode, quarantining
-            // the poison records instead of failing (Hadoop skip mode).
-            ++st.poison_failures;
-            if (st.poison_failures >= 2) st.skip_mode = true;
-          }
-          if (st.failures >= max_attempts) {
-            // A DataLoss last error keeps its code through the job failure:
-            // it is the signal that lets the driver's retry ladder classify
-            // the failure as data corruption, not engine logic.
-            std::string detail = StrFormat(
-                "map task %d of %s failed %d attempts; last: %s", ev.task_id,
-                job.spec->name.c_str(), st.failures,
-                st.last_error.ToString().c_str());
-            if (st.last_error.code() == StatusCode::kDataLoss) {
-              if (m_integrity_failures != nullptr) m_integrity_failures->Add();
-              fail_job(&job, Status::DataLoss(std::move(detail)));
-            } else {
-              fail_job(&job, Status::Internal(std::move(detail)));
-            }
-            break;
-          }
-          SimMillis backoff = retry_backoff(&job, st.failures);
-          job.pending_map.push_back({ev.task_id, now_ + backoff});
-          if (backoff > 0) {
-            events.push(
-                {now_ + backoff, seq++, EventKind::kWakeup, job.job_index});
-          }
-        } else {
-          st.primary_in_flight = false;
-          if (!st.completed) {
-            st.completed = true;
-            st.node = node;
-            --job.map_tasks_remaining;
-            ++job.result.map_tasks_run;
-            job.completed_map_ms.push_back(ev.attempt_duration);
-            apply_durable_completion(&job, /*is_map=*/true, ev.task_id);
-          }
-          // else: the primary lost its race against a faster backup; it
-          // only held a slot until now.
-        }
-        // fail_job can fire inside apply_durable_completion (quarantine
-        // budget); a failed job must not advance phases.
-        if (!job.failed && job.pending_map.empty() &&
-            job.map_tasks_remaining == 0 && job.phase == JobPhase::kMap) {
-          on_map_phase_complete(&job);
-        } else if (!job.failed) {
-          push_speculation_wakeup(&job, /*is_map=*/true);
-        }
-        break;
-      }
+        OnJobReady(&jobs_[ev.job_index]);
+        return;
+      case EventKind::kTaskDone:
+        OnTaskDone(&jobs_[ev.job_index], ev);
+        return;
       case EventKind::kShuffleDone:
-        // A stale epoch means a node crash invalidated map outputs while
-        // this shuffle was in flight; the job re-entered the map phase and
-        // will re-shuffle when the re-executed maps drain.
-        if (!job.failed && ev.shuffle_epoch == job.shuffle_epoch &&
-            job.phase == JobPhase::kShuffle) {
-          job.phase = JobPhase::kReduce;
-          if (!job.reduce_opened) {
-            job.reduce_opened = true;
-            job.reduce_start = now_;
-            for (int r = 0; r < job.num_reduce_tasks; ++r) {
-              job.pending_reduce.push_back({r, 0});
-            }
-          }
-          // else: re-shuffle after invalidation — the reducers that were
-          // blocked on the fetch failure are already queued in
-          // pending_reduce (and freshly re-bucketed); just resume them.
-        }
-        break;
-      case EventKind::kReduceDone: {
-        auto flight = in_flight.find(ev.seq);
-        if (flight == in_flight.end()) break;  // Killed by a node crash.
-        const int node = flight->second.node;
-        in_flight.erase(flight);
-        ++free_reduce[node];
-        ++free_reduce_slots;
-        --job.active_reduce_tasks;
-        if (job.failed) {
-          drain_failed_job(&job);
-          break;
-        }
-        TaskRunState& st = job.reduce_states[ev.task_id];
-        if (ev.speculative) {
-          st.backup_in_flight = false;
-          if (!st.completed) {
-            st.completed = true;
-            st.node = node;
-            --job.reduce_tasks_remaining;
-            ++job.result.reduce_tasks_run;
-            ++job.result.speculative_wins;
-            if (m_spec_wins != nullptr) m_spec_wins->Add();
-            if (trace_ != nullptr) {
-              trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks,
-                                             "mr", "speculative_win")
-                                 .Arg("job", job.spec->name)
-                                 .ArgInt("task", ev.task_id)
-                                 .ArgBool("map", false));
-            }
-            job.completed_reduce_ms.push_back(ev.attempt_duration);
-            apply_durable_completion(&job, /*is_map=*/false, ev.task_id);
-          }
-        } else if (ev.attempt_failed) {
-          st.primary_in_flight = false;
-          ++st.failures;
-          if (st.failures >= max_attempts) {
-            std::string detail = StrFormat(
-                "reduce task %d of %s failed %d attempts; last: %s",
-                ev.task_id, job.spec->name.c_str(), st.failures,
-                st.last_error.ToString().c_str());
-            if (st.last_error.code() == StatusCode::kDataLoss) {
-              if (m_integrity_failures != nullptr) m_integrity_failures->Add();
-              fail_job(&job, Status::DataLoss(std::move(detail)));
-            } else {
-              fail_job(&job, Status::Internal(std::move(detail)));
-            }
-            break;
-          }
-          SimMillis backoff = retry_backoff(&job, st.failures);
-          job.pending_reduce.push_back({ev.task_id, now_ + backoff});
-          if (backoff > 0) {
-            events.push(
-                {now_ + backoff, seq++, EventKind::kWakeup, job.job_index});
-          }
-        } else {
-          st.primary_in_flight = false;
-          if (!st.completed) {
-            st.completed = true;
-            st.node = node;
-            --job.reduce_tasks_remaining;
-            ++job.result.reduce_tasks_run;
-            job.completed_reduce_ms.push_back(ev.attempt_duration);
-            apply_durable_completion(&job, /*is_map=*/false, ev.task_id);
-          }
-        }
-        if (job.pending_reduce.empty() && job.reduce_tasks_remaining == 0 &&
-            job.phase == JobPhase::kReduce) {
-          finish_job(&job);
-        } else {
-          push_speculation_wakeup(&job, /*is_map=*/false);
-        }
-        break;
-      }
+        OnShuffleDone(&jobs_[ev.job_index], ev);
+        return;
       case EventKind::kWakeup:
         // Nothing to do: the point was to trigger the scheduling pass that
         // follows event handling at this timestamp.
-        break;
-      case EventKind::kNodeCrash:
-      case EventKind::kNodeRecover:
-        break;  // Dispatched before the switch; unreachable here.
+        return;
     }
-  };
+  }
 
-  while (unfinished > 0) {
-    schedule();
-    if (events.empty()) {
-      if (unfinished > 0) {
-        return Status::Internal("scheduler deadlock: jobs pending, no events");
+  void OnJobReady(RunningJob* job) {
+    if (job->failed || job->phase != JobPhase::kStartingUp) return;
+    if (ClusterDoomedFor(*job)) {
+      // Submitted against a permanently dead cluster (every crash already
+      // classified the jobs it doomed; this catches jobs submitted
+      // afterwards).
+      FailDoomed(job);
+      return;
+    }
+    // Check the broadcast memory budget at task-launch time: the build side
+    // is loaded by the first task wave, which is when Jaql's broadcast join
+    // discovers it does not fit and dies.
+    double need = static_cast<double>(job->spec->side_memory_bytes) *
+                  config_.broadcast_memory_factor;
+    if (job->spec->side_memory_bytes > 0) {
+      job->result.peak_task_memory_bytes = std::max(
+          job->result.peak_task_memory_bytes, static_cast<uint64_t>(need));
+    }
+    if (need > static_cast<double>(config_.memory_per_task_bytes)) {
+      CountOom();
+      FailJob(job, Status::OutOfMemory(StrFormat(
+                       "broadcast build side of %s needs %.0f bytes "
+                       "(task memory %llu)",
+                       job->spec->name.c_str(), need,
+                       static_cast<unsigned long long>(
+                           config_.memory_per_task_bytes))));
+    } else {
+      job->phase = JobPhase::kMap;
+    }
+  }
+
+  /// One attempt of a map or reduce task finished (or died): give back its
+  /// slot, then record the completion, the failure and its retry, or — for
+  /// a backup that beat its primary — the speculative win.
+  void OnTaskDone(RunningJob* job, const Event& ev) {
+    auto flight = in_flight_.find(ev.seq);
+    if (flight == in_flight_.end()) return;  // Killed by a node crash.
+    const TaskKind kind = ev.task_kind;
+    const int node = flight->second.node;
+    in_flight_.erase(flight);
+    ++free_[kind][node];
+    ++free_slots_[kind];
+    PhaseTasks& pt = job->tasks[kind];
+    --pt.active;
+    if (job->failed) {
+      DrainFailedJob(job);
+      return;
+    }
+    TaskRunState& st = pt.states[ev.task_id];
+    if (ev.speculative) {
+      st.backup_in_flight = false;
+    } else {
+      st.primary_in_flight = false;
+    }
+    if (ev.attempt_failed) {
+      ++st.failures;
+      if (ev.poison_failure) {
+        // A map function "threw" on a poison record. After two such
+        // attempt deaths the task re-runs in skip mode, quarantining the
+        // poison records instead of failing (Hadoop skip mode).
+        ++st.poison_failures;
+        if (st.poison_failures >= 2) st.skip_mode = true;
       }
-      break;
+      if (st.failures >= max_attempts_) {
+        // A DataLoss last error keeps its code through the job failure: it
+        // is the signal that lets the driver's retry ladder classify the
+        // failure as data corruption, not engine logic.
+        std::string detail = StrFormat(
+            "%s task %d of %s failed %d attempts; last: %s", KindName(kind),
+            ev.task_id, job->spec->name.c_str(), st.failures,
+            st.last_error.ToString().c_str());
+        if (st.last_error.code() == StatusCode::kDataLoss) {
+          if (m_integrity_failures_ != nullptr) m_integrity_failures_->Add();
+          FailJob(job, Status::DataLoss(std::move(detail)));
+        } else {
+          FailJob(job, Status::Internal(std::move(detail)));
+        }
+        return;
+      }
+      SimMillis backoff = RetryBackoff(job, st.failures);
+      pt.pending.push_back({ev.task_id, now_ + backoff});
+      if (backoff > 0) {
+        events_.push(
+            {now_ + backoff, seq_++, EventKind::kWakeup, job->job_index});
+      }
+    } else if (!st.completed) {
+      // The first attempt to finish completes the task; a losing primary
+      // or backup only held a slot until now.
+      st.completed = true;
+      st.node = node;
+      --pt.remaining;
+      ++pt.run;
+      if (ev.speculative) {
+        ++job->result.speculative_wins;
+        if (m_spec_wins_ != nullptr) m_spec_wins_->Add();
+        if (trace_ != nullptr) {
+          trace_->Record(obs::TraceEvent(now_, -1, obs::TraceLane::kTasks,
+                                         "mr", "speculative_win")
+                             .Arg("job", job->spec->name)
+                             .ArgInt("task", ev.task_id)
+                             .ArgBool("map", kind == kMapTask));
+        }
+      }
+      pt.completed_ms.push_back(ev.attempt_duration);
+      ApplyDurableCompletion(job, kind, ev.task_id);
     }
-    Event ev = events.top();
-    events.pop();
-    now_ = std::max(now_, ev.time);
-    handle_event(ev);
-    // Drain every event at this same timestamp before rescheduling, so all
-    // slots freed at one simulated instant are refilled as a single wave —
-    // that wave is what the worker pool executes in parallel.
-    while (!events.empty() && events.top().time <= now_) {
-      Event next = events.top();
-      events.pop();
-      handle_event(next);
+    // ApplyDurableCompletion can fail the job (quarantine budget); a failed
+    // job must not advance phases.
+    if (job->failed) return;
+    if (!EndPhaseIfDrained(job, kind)) PushSpeculationWakeup(job, kind);
+  }
+
+  void OnShuffleDone(RunningJob* job, const Event& ev) {
+    // A stale epoch means a node crash invalidated map outputs while this
+    // shuffle was in flight; the job re-entered the map phase and will
+    // re-shuffle when the re-executed maps drain.
+    if (job->failed || ev.shuffle_epoch != job->shuffle_epoch ||
+        job->phase != JobPhase::kShuffle) {
+      return;
+    }
+    job->phase = JobPhase::kReduce;
+    if (job->reduce_opened) {
+      // Re-shuffle after invalidation: the reducers that were blocked on
+      // the fetch failure are already queued (and freshly re-bucketed);
+      // just resume them.
+      return;
+    }
+    job->reduce_opened = true;
+    job->reduce_start = now_;
+    PhaseTasks& reduces = job->tasks[kReduceTask];
+    for (size_t r = 0; r < reduces.states.size(); ++r) {
+      reduces.pending.push_back({static_cast<int>(r), 0});
     }
   }
 
-  const SimMillis wave_elapsed_ms = now_ - wave_start_ms;
-  const int total_slots =
-      std::max(1, config_.map_slots) + std::max(0, config_.reduce_slots);
-  if (wave_elapsed_ms > 0) {
-    double pressure =
-        static_cast<double>(busy_slot_ms_total_ - busy_before_ms) /
-        (static_cast<double>(wave_elapsed_ms) *
-         static_cast<double>(total_slots));
-    last_wave_pressure_ = std::clamp(pressure, 0.0, 1.0);
-  }
+  MapReduceEngine* const engine_;
+  const std::vector<JobSpec>& specs_;
+  const ClusterConfig& config_;
+  SimMillis& now_;
+  std::vector<NodeState>& node_states_;
+  Dfs* const dfs_;
+  obs::TraceSink* const trace_;
+  obs::MetricsRegistry* const metrics_;
+  /// Wave-pressure bookkeeping (see last_wave_pressure()): committed slot
+  /// time against the slot capacity available over the wave's duration.
+  const SimMillis wave_start_ms_;
+  const SimMillis busy_before_ms_;
+  /// Whether failed task attempts are retried (Hadoop semantics) instead
+  /// of failing the whole job at the first error (legacy fail-fast).
+  const bool retries_enabled_;
+  const int max_attempts_;
+  const int num_nodes_;
+  const int total_slots_[2];  ///< Cluster-wide slots per TaskKind.
 
-  std::vector<JobResult> results;
-  results.reserve(jobs.size());
-  for (RunningJob& job : jobs) {
-    job.result.output = job.output;
-    results.push_back(std::move(job.result));
-  }
-  return results;
+  obs::Counter* m_jobs_ = nullptr;
+  obs::Counter* m_attempts_[2] = {nullptr, nullptr};
+  obs::Counter* m_retries_ = nullptr;
+  obs::Counter* m_injected_ = nullptr;
+  obs::Counter* m_spec_launches_ = nullptr;
+  obs::Counter* m_spec_wins_ = nullptr;
+  obs::Counter* m_node_crashes_ = nullptr;
+  obs::Counter* m_node_recoveries_ = nullptr;
+  obs::Counter* m_node_kills_ = nullptr;
+  obs::Counter* m_maps_invalidated_ = nullptr;
+  obs::Counter* m_shuffle_retries_ = nullptr;
+  obs::Counter* m_block_corruptions_ = nullptr;
+  obs::Counter* m_checksum_refetches_ = nullptr;
+  obs::Counter* m_quarantined_ = nullptr;
+  obs::Counter* m_integrity_failures_ = nullptr;
+  /// Registered lazily on the first committed columnar decode.
+  obs::Counter* m_scan_batches_ = nullptr;
+  /// Memory-model counters, registered lazily on first use so runs that
+  /// never spill or OOM keep their exact metric registry.
+  obs::Counter* m_spilled_tasks_ = nullptr;
+  obs::Counter* m_spill_bytes_ = nullptr;
+  obs::Counter* m_oom_failures_ = nullptr;
+  obs::Histogram* h_attempt_ms_[2] = {nullptr, nullptr};
+  obs::Histogram* h_job_ms_ = nullptr;
+
+  std::vector<RunningJob> jobs_;
+  int unfinished_ = 0;
+  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  uint64_t seq_ = 0;
+  /// Free slots per TaskKind, per node and in total.
+  std::vector<int> free_[2];
+  int free_slots_[2] = {0, 0};
+  int alive_nodes_ = 0;
+  /// Attempts currently executing, keyed by the seq of their completion
+  /// event. Killing an attempt = erasing its entry; its completion event is
+  /// then ignored. std::map iterates in seq (launch) order, keeping crash
+  /// handling deterministic.
+  std::map<uint64_t, InFlightAttempt> in_flight_;
+};
+
+Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
+    const std::vector<JobSpec>& specs) {
+  return Simulation(this, specs).Run();
 }
 
 }  // namespace dyno

@@ -84,13 +84,17 @@ class MapReduceEngine {
 
   /// Runs one job to completion. The returned JobResult carries a non-OK
   /// status if the job failed (e.g. a broadcast build side exceeded task
-  /// memory); a Status return means the spec itself was invalid.
+  /// memory); a Status return means the spec itself was invalid, and then
+  /// nothing ran and no output path was created.
   Result<JobResult> Submit(const JobSpec& spec);
 
   /// Runs several jobs concurrently, sharing cluster slots (the paper's
   /// PILR_MT and the MO/two-at-a-time execution strategies). Results are in
   /// spec order. When a submit gate is installed (see set_submit_gate) the
-  /// call is routed through it instead of executing directly.
+  /// call is routed through it instead of executing directly. The batch is
+  /// validated as a whole before any job starts: one invalid spec, or two
+  /// specs writing the same output path, makes the call return a Status
+  /// having created no output for any job of the batch.
   Result<std::vector<JobResult>> SubmitAll(const std::vector<JobSpec>& specs);
 
   /// Executes a batch immediately, bypassing any installed submit gate.
@@ -169,6 +173,9 @@ class MapReduceEngine {
   double last_wave_pressure() const { return last_wave_pressure_; }
 
  private:
+  /// One SubmitAllDirect batch's discrete-event simulation (engine.cc).
+  class Simulation;
+
   /// Fills config.faults from DYNO_* env vars when the caller did not
   /// configure injection explicitly (FaultConfig::use_env_defaults).
   static ClusterConfig ResolveFaultEnv(ClusterConfig config);

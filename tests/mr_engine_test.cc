@@ -273,6 +273,73 @@ TEST_F(MrEngineTest, InvalidSpecsRejected) {
   EXPECT_FALSE(engine_.Submit(bad_split).ok());
 }
 
+// A batch is validated whole before any output exists: a rejected batch
+// leaves no output behind, so a corrected resubmission does not collide
+// with files of the jobs that preceded the bad spec.
+class MrEngineBatchRejectionTest : public MrEngineTest {
+ protected:
+  JobSpec CopyJob(const std::string& out_path) {
+    JobSpec spec;
+    spec.name = "copy:" + out_path;
+    spec.output_path = out_path;
+    MapInput mi;
+    mi.file = input_;
+    mi.map_fn = [](const Value& record, MapContext* ctx) -> Status {
+      ctx->Output(record);
+      return Status::OK();
+    };
+    spec.inputs = {mi};
+    return spec;
+  }
+
+  std::shared_ptr<DfsFile> input_ = MakeInput(20, "/in");
+};
+
+TEST_F(MrEngineBatchRejectionTest, InvalidSpecCreatesNoEarlierOutput) {
+  JobSpec good = CopyJob("/out_good");
+  JobSpec bad = CopyJob("/out_bad");
+  bad.inputs[0].split_indexes = {999};
+
+  auto rejected = engine_.SubmitAll({good, bad});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_FALSE(dfs_.Exists("/out_good"));
+  EXPECT_FALSE(dfs_.Exists("/out_bad"));
+
+  auto again = engine_.Submit(good);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again->status.ok()) << again->status.ToString();
+  EXPECT_EQ(again->output->num_records(), 20u);
+}
+
+TEST_F(MrEngineBatchRejectionTest, DuplicateOutputPathCreatesNothing) {
+  JobSpec first = CopyJob("/out_dup");
+  JobSpec second = CopyJob("/out_dup");
+  second.name = "copy-again";
+
+  auto rejected = engine_.SubmitAll({first, second});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_FALSE(dfs_.Exists("/out_dup"));
+
+  auto again = engine_.Submit(first);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again->status.ok()) << again->status.ToString();
+  EXPECT_EQ(again->output->num_records(), 20u);
+}
+
+TEST_F(MrEngineBatchRejectionTest, ExistingOutputRollsBackEarlierOutputs) {
+  ASSERT_TRUE(dfs_.Create("/out_taken").ok());
+  auto rejected =
+      engine_.SubmitAll({CopyJob("/out_first"), CopyJob("/out_taken")});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_FALSE(dfs_.Exists("/out_first"));
+  EXPECT_TRUE(dfs_.Exists("/out_taken"));
+}
+
 TEST_F(MrEngineTest, CoordinatorCountersAndChannels) {
   Coordinator* coord = engine_.coordinator();
   EXPECT_EQ(coord->GetCounter("c"), 0);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mr/engine.h"
+#include "obs/trace.h"
 #include "storage/dfs.h"
 
 namespace dyno {
@@ -199,6 +202,52 @@ TEST(MrFaultTest, SpeculativeBackupBeatsStragglerAndIsAccounted) {
 
   // And it pays off: cutting the straggler tail cannot make the job slower.
   EXPECT_LT(with_spec.Elapsed(), without_spec.Elapsed());
+}
+
+TEST(MrFaultTest, ReduceBackupBeatsStragglingReducer) {
+  // The reduce-side twin of the test above: a straggling reducer is backed
+  // up once its elapsed time passes the threshold, the backup wins, and the
+  // job's rows are exactly those of a run with speculation off. Seeds are
+  // scanned so the test does not hinge on one seed's straggler draws.
+  auto run = [](uint64_t seed, bool speculation, obs::TraceSink* trace) {
+    Dfs dfs;
+    ClusterConfig c = BaseConfig();
+    c.map_slots = 8;
+    c.reduce_slots = 6;
+    c.faults.seed = seed;
+    c.faults.straggler_rate = 0.3;
+    c.faults.straggler_slowdown = 10.0;
+    c.faults.speculative_slowness_threshold = 1.5;
+    c.faults.speculative_execution = speculation;
+    MapReduceEngine engine(&dfs, c);
+    engine.set_trace(trace);
+    JobSpec spec = CountByGroup(MakeInput(&dfs, 600, "/in"), "/out");
+    spec.num_reduce_tasks = 6;
+    auto result = engine.Submit(spec);
+    EXPECT_TRUE(result.ok());
+    EXPECT_TRUE(result->status.ok()) << result->status.ToString();
+    auto rows = ReadAllRows(*result->output);
+    EXPECT_TRUE(rows.ok());
+    std::vector<std::string> out;
+    for (const Value& row : *rows) out.push_back(row.ToString());
+    return out;
+  };
+
+  bool reduce_win = false;
+  for (uint64_t seed = 1; seed <= 20 && !reduce_win; ++seed) {
+    obs::TraceSink trace;
+    std::vector<std::string> with_spec = run(seed, true, &trace);
+    EXPECT_EQ(with_spec, run(seed, false, nullptr)) << "seed " << seed;
+    EXPECT_EQ(with_spec.size(), 7u);
+    std::istringstream lines(trace.SerializeJsonl());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"speculative_win\"") != std::string::npos &&
+          line.find("\"map\":false") != std::string::npos) {
+        reduce_win = true;
+      }
+    }
+  }
+  EXPECT_TRUE(reduce_win) << "no seed produced a winning reduce backup";
 }
 
 TEST(MrFaultTest, FailedJobDrainsWhileConcurrentJobCompletes) {
