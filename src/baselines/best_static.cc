@@ -276,17 +276,7 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
   SimMillis best = -1;
   for (size_t i = 0; i < top_k; ++i) {
     PlanExecutor executor(engine_, options_.exec);
-    for (const LeafExpr& leaf : leaves) {
-      auto file = catalog_->OpenTable(leaf.table);
-      if (!file.ok()) return file.status();
-      RelationBinding binding;
-      binding.file = *file;
-      binding.scan_filter = leaf.filter;
-      binding.scan_cpu_per_record =
-          leaf.filter ? leaf.filter->CpuCost() : 0.0;
-      binding.signature = LeafSignature(leaf);
-      executor.Bind(leaf.alias, std::move(binding));
-    }
+    DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
     SimMillis start = engine_->now();
     auto run = RunStaticPlan(&executor, *candidates[i].plan,
                              /*parallel_waves=*/true, block.output_columns);

@@ -204,16 +204,7 @@ Result<RelOptBaseline::RunResult> RelOptBaseline::PlanAndExecute(
   std::vector<Predicate> non_local;
   std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
   PlanExecutor executor(engine_, exec_options);
-  for (const LeafExpr& leaf : leaves) {
-    auto file = catalog_->OpenTable(leaf.table);
-    if (!file.ok()) return file.status();
-    RelationBinding binding;
-    binding.file = *file;
-    binding.scan_filter = leaf.filter;
-    binding.scan_cpu_per_record = leaf.filter ? leaf.filter->CpuCost() : 0.0;
-    binding.signature = LeafSignature(leaf);
-    executor.Bind(leaf.alias, std::move(binding));
-  }
+  DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
   SimMillis start = engine_->now();
   auto run = RunStaticPlan(&executor, *plan, /*parallel_waves=*/true,
                            block.output_columns);

@@ -7,74 +7,31 @@
 #include <set>
 #include <utility>
 
-#include "columnar/knobs.h"
 #include "common/string_util.h"
 #include "exec/aggregates.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pilot/predicate_order.h"
-#include "exec/row_ops.h"
 
 namespace dyno {
 
 namespace {
 
-/// Map-only materialization of one leaf (single-table join "blocks").
-/// DYNO_COLUMNAR pushes the filter into the engine's scan (batch evaluation
-/// on columnar splits); DYNO_ZONE_MAPS skips splits the filter provably
-/// cannot match before the job is submitted.
-Result<JobResult> RunScanFilterJob(MapReduceEngine* engine,
-                                   std::shared_ptr<DfsFile> file,
-                                   const ExprPtr& filter,
-                                   const std::vector<std::string>& projection,
-                                   const std::string& output_path,
-                                   const std::string& query_id) {
-  JobSpec spec;
-  spec.name = "scan";
-  spec.query_id = query_id;
-  spec.output_path = output_path;
-  MapInput input;
-  input.file = file;
-  ExprPtr closure_filter = filter;
-  if (columnar::ColumnarEnabled() && filter != nullptr) {
-    input.scan_filter = filter;
-    input.scan_filter_cpu = filter->CpuCost();
-    input.cpu_per_record = 1.0;
-    closure_filter = nullptr;
-  } else {
-    input.cpu_per_record = 1.0 + (filter ? filter->CpuCost() : 0.0);
-  }
-  if (columnar::ZoneMapsEnabled() && filter != nullptr) {
-    PruneResult pruned = PruneSplitIndexes(*file, filter);
-    if (pruned.pruned > 0) {
-      input.split_indexes.assign(pruned.kept.begin(), pruned.kept.end());
-      input.split_indexes_exact = true;
-      if (engine->metrics() != nullptr) {
-        engine->metrics()->GetCounter("scan.splits_pruned")->Add(pruned.pruned);
-      }
-      if (engine->trace() != nullptr) {
-        engine->trace()->Record(
-            obs::TraceEvent(engine->now(), -1, obs::TraceLane::kEngine,
-                            "scan", "split_pruned")
-                .Arg("file", file->path())
-                .ArgInt("pruned", static_cast<int64_t>(pruned.pruned))
-                .ArgInt("total",
-                        static_cast<int64_t>(file->splits().size())));
-      }
+/// Units of a decomposition that can run now, in decomposition order: not
+/// yet executed, and every input a bound leaf or an executed unit's output.
+std::vector<const JobUnit*> ReadyUnits(const std::vector<JobUnit>& units,
+                                       const std::set<int64_t>& executed) {
+  std::vector<const JobUnit*> ready;
+  for (const JobUnit& unit : units) {
+    if (executed.count(unit.uid)) continue;
+    if (std::all_of(unit.inputs.begin(), unit.inputs.end(),
+                    [&](const JobInput& input) {
+                      return input.IsLeaf() || executed.count(input.unit_uid);
+                    })) {
+      ready.push_back(&unit);
     }
   }
-  std::vector<std::string> proj = projection;
-  ExprPtr f = std::move(closure_filter);
-  input.map_fn = [f, proj](const Value& record, MapContext* ctx) -> Status {
-    DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(f, record));
-    if (!keep) return Status::OK();
-    ctx->Output(proj.empty() ? record : ProjectRow(record, proj));
-    return Status::OK();
-  };
-  spec.inputs = {std::move(input)};
-  DYNO_ASSIGN_OR_RETURN(JobResult job, engine->Submit(spec));
-  if (!job.status.ok()) return job.status;
-  return job;
+  return ready;
 }
 
 /// The paper's §8 "dynamic join operator": when a broadcast join's build
@@ -82,7 +39,9 @@ Result<JobResult> RunScanFilterJob(MapReduceEngine* engine,
 /// hash tables, before wasting the probe scan), re-run the unit's joins as
 /// repartition jobs instead of failing the query, threading the original
 /// request's statistics/projection onto the last job. Returns the final
-/// step; `extra_jobs` counts the repartition jobs run.
+/// step, whose relation is registered as the unit's output so dependants
+/// resolving through the unit uid find it; `extra_jobs` counts the
+/// repartition jobs run.
 Result<StepResult> RunRepartitionFallback(
     PlanExecutor* executor, const JobUnit& unit,
     const PlanExecutor::UnitRequest& original, int* extra_jobs) {
@@ -118,6 +77,7 @@ Result<StepResult> RunRepartitionFallback(
   // signatures no later query will ever compute, and publishing under them
   // would pollute the stats store.
   last.subtree_signature = executor->CanonicalSignature(*unit.nodes.back());
+  executor->RegisterUnitOutput(unit.uid, last.relation_id);
   return last;
 }
 
@@ -465,17 +425,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
 
   PlanExecutor executor(engine_, options_.exec);
 
-  // --- Bind base leaves. ---
-  for (const LeafExpr& leaf : leaves) {
-    DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
-                          catalog_->OpenTable(leaf.table));
-    RelationBinding binding;
-    binding.file = std::move(file);
-    binding.scan_filter = leaf.filter;
-    binding.scan_cpu_per_record = leaf.filter ? leaf.filter->CpuCost() : 0.0;
-    binding.signature = LeafSignature(leaf);
-    executor.Bind(leaf.alias, std::move(binding));
-  }
+  DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
 
   // --- Acquire leaf statistics: pilot runs, or base statistics when the
   // pilot is ablated away. ---
@@ -496,8 +446,9 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
         return Status::Internal("pilot run missing leaf " + leaf.alias);
       }
       state.relations[leaf.alias] = result->stats;
-      if (options_.reuse_pilot_full_outputs && result->full_output != nullptr) {
-        // The pilot consumed the whole relation: its output *is* the leaf.
+      if (result->full_output != nullptr) {
+        // The pilot consumed the whole relation: its output *is* the leaf
+        // (paper §4.1).
         RelationBinding binding;
         binding.file = result->full_output;
         binding.signature = result->signature;
@@ -522,16 +473,13 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
 
   // --- Single-table block: a bare scan job. ---
   if (leaves.size() == 1) {
-    DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
-                          executor.GetBinding(leaves[0].alias));
     std::string path =
         StrFormat("%s/scan_%lld", options_.exec.ScopedTempPrefix().c_str(),
                   static_cast<long long>(engine_->now()));
-    DYNO_ASSIGN_OR_RETURN(
-        JobResult job,
-        RunScanFilterJob(engine_, binding.file, binding.scan_filter,
-                         block.output_columns, path,
-                         options_.exec.query_id));
+    DYNO_ASSIGN_OR_RETURN(JobResult job,
+                          executor.ScanRelation(leaves[0].alias,
+                                                block.output_columns, "scan",
+                                                path));
     ++report->jobs_run;
     ++report->map_only_jobs;
     report->Add(job);
@@ -550,7 +498,6 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
   }
 
   JoinOptimizer optimizer(options_.cost);
-  bool reoptimize = options_.reoptimize && !IsSimpleStrategy(options_.strategy);
   std::string previous_plan;
   obs::TraceSink* trace = engine_->trace();
   obs::MetricsRegistry* metrics = engine_->metrics();
@@ -938,7 +885,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
     }
   };
 
-  if (!reoptimize) {
+  if (IsSimpleStrategy(options_.strategy)) {
     // --- DYNOPT-SIMPLE: one optimizer call, then run the plan as-is. ---
     DYNO_ASSIGN_OR_RETURN(OptimizeResult opt,
                           optimizer.Optimize(state.BuildGraph()));
@@ -982,128 +929,16 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
       }
     }
 
-    // A unit is ready when all its inputs are materialized: bound base
-    // leaves or outputs of already-executed units of this decomposition.
-    auto is_ready = [&](const JobUnit& unit) {
-      if (executed_units.count(unit.uid)) return false;
-      for (const JobInput& input : unit.inputs) {
-        if (!input.IsLeaf() && !executed_units.count(input.unit_uid)) {
-          return false;
-        }
-      }
-      return true;
-    };
-
-    // The root unit completing means the block is done: run it with the
-    // final projection (Algorithm 2, line 6).
-    const JobUnit& root = units.back();
-    bool root_is_last = executed_units.size() + 1 == units.size();
-    if (root_is_last && is_ready(root)) {
-      std::set<std::string> root_covered;
-      for (const JobInput& input : root.inputs) {
-        DYNO_ASSIGN_OR_RETURN(std::string id, executor.ResolveInput(input));
-        root_covered.insert(std::move(id));
-      }
-      PlanExecutor::UnitRequest request;
-      request.unit = &root;
-      request.projection = block.output_columns;
-      std::string root_key = cache_key_for(root, request);
-      if (options_.subtree_cache != nullptr) {
-        auto hit = options_.subtree_cache->Lookup(root_key, engine_->now());
-        if (hit.has_value()) {
-          StepResult step;
-          step.subtree_signature =
-              executor.CanonicalSignature(*root.nodes.back());
-          step.stats = hit->stats;
-          RelationBinding cached;
-          cached.file = hit->file;
-          cached.signature = step.subtree_signature;
-          step.relation_id = executor.BindCachedRelation(std::move(cached));
-          executor.RegisterUnitOutput(root.uid, step.relation_id);
-          account_step(root, step, root_covered, root_key,
-                       /*from_cache=*/true);
-          if (trace != nullptr) {
-            trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                          obs::TraceLane::kDriver, "driver",
-                                          "final_step_cached")
-                              .Arg("relation", step.relation_id)
-                              .Arg("plan", previous_plan));
-          }
-          return hit->file;
-        }
-      }
-      auto attempt = executor.ExecuteOne(request);
-      if (!attempt.ok() &&
-          attempt.status().code() == StatusCode::kOutOfMemory &&
-          !root.map_only && options_.oom_retry_ladder > 0) {
-        // Reduce-side OOM: climb the ladder before giving up. On success
-        // the ladder's Execute already bound the unit's output.
-        attempt = oom_ladder(request, 0, attempt.status());
-      }
-      StepResult step;
-      if (attempt.ok()) {
-        step = std::move(*attempt);
-      } else if (attempt.status().code() == StatusCode::kOutOfMemory &&
-                 options_.adaptive_join_fallback && root.map_only) {
-        int extra_jobs = 0;
-        DYNO_ASSIGN_OR_RETURN(
-            step, RunRepartitionFallback(&executor, root, request,
-                                         &extra_jobs));
-        report->jobs_run += extra_jobs - 1;  // account_step adds one more
-        ++report->broadcast_fallbacks;
-        if (trace != nullptr) {
-          trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                        obs::TraceLane::kDriver, "driver",
-                                        "broadcast_fallback")
-                            .ArgInt("unit", root.uid)
-                            .ArgInt("extra_jobs", extra_jobs));
-        }
-      } else {
-        auto retried = execute_with_retry(request, attempt.status());
-        if (retried.ok()) {
-          step = std::move(*retried);
-        } else if (retried.status().code() == StatusCode::kUnavailable ||
-                   retried.status().code() == StatusCode::kCancelled ||
-                   retried.status().code() == StatusCode::kDeadlineExceeded ||
-                   permanent_failures + 1 > kMaxPermanentJobFailures) {
-          return retried.status();
-        } else {
-          abandon_job(root, retried.status());
-          replan = true;
-          continue;  // Re-plan around the materialized subtrees.
-        }
-      }
-      account_step(root, step, root_covered, root_key, /*from_cache=*/false);
-      if (abort_requested()) {
-        return Status::Cancelled(
-            StrFormat("query aborted after %d jobs (test kill switch)",
-                      report->jobs_run));
-      }
-      if (trace != nullptr) {
-        trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                      obs::TraceLane::kDriver, "driver",
-                                      "final_step")
-                          .Arg("relation", step.relation_id)
-                          .ArgDouble("est_rows",
-                                     std::max(root.est_rows, 1.0))
-                          .ArgDouble("observed_rows",
-                                     std::max(step.stats.cardinality, 1.0))
-                          .Arg("plan", previous_plan));
-      }
-      DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
-                            executor.GetBinding(step.relation_id));
-      return binding.file;
-    }
-
-    std::vector<const JobUnit*> ready_jobs;
-    for (const JobUnit& unit : units) {
-      if (&unit != &root && is_ready(unit)) ready_jobs.push_back(&unit);
-    }
-    if (ready_jobs.empty()) {
+    std::vector<const JobUnit*> ready = ReadyUnits(units, executed_units);
+    if (ready.empty()) {
       return Status::Internal("plan decomposition produced no ready jobs");
     }
     std::vector<const JobUnit*> chosen =
-        PickLeafJobs(options_.strategy, ready_jobs);
+        PickLeafJobs(options_.strategy, ready);
+    // The root is ready only once every other unit has run. It is then the
+    // final wave, of one unit: it carries the block's output projection
+    // (Algorithm 2, line 6), and its output ends the loop.
+    const bool final_wave = chosen[0] == &units.back();
 
     std::vector<PlanExecutor::UnitRequest> requests;
     std::vector<std::set<std::string>> covered_sets;
@@ -1116,7 +951,11 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
       }
       PlanExecutor::UnitRequest request;
       request.unit = unit;
-      request.stats_columns = state.StatsColumnsFor(covered);
+      if (final_wave) {
+        request.projection = block.output_columns;
+      } else {
+        request.stats_columns = state.StatsColumnsFor(covered);
+      }
       requests.push_back(std::move(request));
       covered_sets.push_back(std::move(covered));
     }
@@ -1146,6 +985,16 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
         executor.RegisterUnitOutput(chosen[i]->uid, step.relation_id);
         account_step(*chosen[i], step, covered_sets[i], cache_keys[i],
                      /*from_cache=*/true);
+        if (final_wave) {
+          if (trace != nullptr) {
+            trace->Record(obs::TraceEvent(engine_->now(), -1,
+                                          obs::TraceLane::kDriver, "driver",
+                                          "final_step_cached")
+                              .Arg("relation", step.relation_id)
+                              .Arg("plan", previous_plan));
+          }
+          return hit->file;
+        }
         state.Substitute(covered_sets[i], step.relation_id, step.stats);
         executed_units.insert(chosen[i]->uid);
         // The entry's stats are the ones executing would have observed, so
@@ -1206,9 +1055,8 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
           DYNO_ASSIGN_OR_RETURN(
               steps[i], RunRepartitionFallback(&executor, *chosen[i],
                                                requests[i], &extra_jobs));
-          report->jobs_run += extra_jobs - 1;
+          report->jobs_run += extra_jobs - 1;  // account_step adds one more
           ++report->broadcast_fallbacks;
-          executor.RegisterUnitOutput(chosen[i]->uid, steps[i].relation_id);
           replan = true;  // the plan was provably wrong here
           if (trace != nullptr) {
             trace->Record(obs::TraceEvent(engine_->now(), -1,
@@ -1241,12 +1089,26 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
             StrFormat("query aborted after %d jobs (test kill switch)",
                       report->jobs_run));
       }
+      double estimated = std::max(chosen[i]->est_rows, 1.0);
+      double observed = std::max(steps[i].stats.cardinality, 1.0);
+      if (final_wave) {
+        if (trace != nullptr) {
+          trace->Record(obs::TraceEvent(engine_->now(), -1,
+                                        obs::TraceLane::kDriver, "driver",
+                                        "final_step")
+                            .Arg("relation", steps[i].relation_id)
+                            .ArgDouble("est_rows", estimated)
+                            .ArgDouble("observed_rows", observed)
+                            .Arg("plan", previous_plan));
+        }
+        DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
+                              executor.GetBinding(steps[i].relation_id));
+        return binding.file;
+      }
       state.Substitute(covered_sets[i], steps[i].relation_id,
                        steps[i].stats);
       executed_units.insert(chosen[i]->uid);
       // Estimation error check for conditional re-optimization.
-      double estimated = std::max(chosen[i]->est_rows, 1.0);
-      double observed = std::max(steps[i].stats.cardinality, 1.0);
       double error = std::abs(observed - estimated) / estimated;
       bool step_triggers_replan = error > options_.reopt_row_error_threshold;
       if (step_triggers_replan) replan = true;
@@ -1296,19 +1158,7 @@ Result<StaticRunResult> RunStaticPlan(
   int64_t final_uid = units.empty() ? -1 : units.back().uid;
 
   while (executed.size() < units.size()) {
-    // Ready = all unit inputs already executed.
-    std::vector<const JobUnit*> ready;
-    for (const JobUnit& unit : units) {
-      if (executed.count(unit.uid)) continue;
-      bool ok = true;
-      for (const JobInput& input : unit.inputs) {
-        if (!input.IsLeaf() && !executed.count(input.unit_uid)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) ready.push_back(&unit);
-    }
+    std::vector<const JobUnit*> ready = ReadyUnits(units, executed);
     if (ready.empty()) {
       return Status::Internal("static plan has unexecutable units");
     }
@@ -1332,9 +1182,6 @@ Result<StaticRunResult> RunStaticPlan(
                                                requests[i], &extra_jobs));
           result.jobs_run += extra_jobs - 1;
           ++result.broadcast_fallbacks;
-          // The fallback's final output stands in for this unit's output,
-          // so dependants resolving through the unit uid find it.
-          executor->RegisterUnitOutput(ready[i]->uid, steps[i].relation_id);
         } else {
           return steps[i].status;
         }

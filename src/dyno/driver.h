@@ -31,13 +31,6 @@ struct DynoOptions {
   /// Master switch for pilot runs (off = the "no pilot" ablation: the
   /// optimizer plans from base-table statistics, blind to predicates).
   bool use_pilot_runs = true;
-  /// When a very selective pilot run consumed its whole relation, reuse its
-  /// output as the leaf's materialization (paper §4.1).
-  bool reuse_pilot_full_outputs = true;
-
-  /// Re-optimize after each execution step (DYNOPT). The SIMPLE strategies
-  /// force this off.
-  bool reoptimize = true;
 
   /// The paper's §8 extension: when a broadcast build side turns out not
   /// to fit in memory, switch that join to a repartition join instead of

@@ -247,27 +247,55 @@ Result<std::string> PlanExecutor::OutputOf(int64_t unit_uid) const {
   return it->second;
 }
 
-Status PlanExecutor::MaterializeFilteredLeaf(const std::string& id) {
-  DYNO_ASSIGN_OR_RETURN(RelationBinding binding, GetBinding(id));
-  if (binding.scan_filter == nullptr) return Status::OK();
+Status PlanExecutor::BindLeaves(const Catalog& catalog,
+                                const std::vector<LeafExpr>& leaves) {
+  for (const LeafExpr& leaf : leaves) {
+    DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
+                          catalog.OpenTable(leaf.table));
+    RelationBinding binding;
+    binding.file = std::move(file);
+    binding.scan_filter = leaf.filter;
+    binding.scan_cpu_per_record = leaf.filter ? leaf.filter->CpuCost() : 0.0;
+    binding.signature = LeafSignature(leaf);
+    Bind(leaf.alias, std::move(binding));
+  }
+  return Status::OK();
+}
 
+Result<JobResult> PlanExecutor::ScanRelation(
+    const std::string& id, const std::vector<std::string>& projection,
+    const std::string& job_name, const std::string& output_path) {
+  DYNO_ASSIGN_OR_RETURN(RelationBinding binding, GetBinding(id));
   JobSpec spec;
-  ++temp_counter_;
-  spec.name = StrFormat("filter:%s", id.c_str());
+  spec.name = job_name;
   spec.query_id = options_.query_id;
-  spec.output_path = options_.ScopedTempPrefix() +
-                     StrFormat("/e%d_f%d_%s", instance_id_, temp_counter_,
-                               id.c_str());
+  spec.output_path = output_path;
   MapInput input;
   ExprPtr filter = ConfigureLeafScan(engine_, binding, &input);
-  input.map_fn = [filter](const Value& record, MapContext* ctx) -> Status {
+  input.map_fn = [filter, projection](const Value& record,
+                                      MapContext* ctx) -> Status {
     DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
-    if (keep) ctx->Output(record);
+    if (!keep) return Status::OK();
+    ctx->Output(projection.empty() ? record : ProjectRow(record, projection));
     return Status::OK();
   };
   spec.inputs = {std::move(input)};
   DYNO_ASSIGN_OR_RETURN(JobResult job, engine_->Submit(spec));
   if (!job.status.ok()) return job.status;
+  return job;
+}
+
+Status PlanExecutor::MaterializeFilteredLeaf(const std::string& id) {
+  DYNO_ASSIGN_OR_RETURN(RelationBinding binding, GetBinding(id));
+  if (binding.scan_filter == nullptr) return Status::OK();
+
+  ++temp_counter_;
+  DYNO_ASSIGN_OR_RETURN(
+      JobResult job,
+      ScanRelation(id, /*projection=*/{}, StrFormat("filter:%s", id.c_str()),
+                   options_.ScopedTempPrefix() +
+                       StrFormat("/e%d_f%d_%s", instance_id_, temp_counter_,
+                                 id.c_str())));
 
   RelationBinding rebound;
   rebound.file = job.output;
@@ -284,267 +312,268 @@ Result<StepResult> PlanExecutor::ExecuteOne(const UnitRequest& request) {
   return std::move(results[0]);
 }
 
-Result<std::vector<StepResult>> PlanExecutor::Execute(
-    const std::vector<UnitRequest>& requests) {
-  struct Prepared {
-    JobSpec spec;
-    std::shared_ptr<StatsCollector> collector;
-    std::string output_id;
-    std::string signature;
-  };
-  std::vector<Prepared> prepared;
-  prepared.reserve(requests.size());
+struct PlanExecutor::PreparedJob {
+  JobSpec spec;
+  std::shared_ptr<StatsCollector> collector;
+  std::string output_id;
+  std::string signature;
+};
 
-  for (const UnitRequest& request : requests) {
-    if (request.unit == nullptr || request.unit->nodes.empty()) {
-      return Status::InvalidArgument("empty unit request");
+Result<PlanExecutor::PreparedJob> PlanExecutor::Prepare(
+    const UnitRequest& request) {
+  if (request.unit == nullptr || request.unit->nodes.empty()) {
+    return Status::InvalidArgument("empty unit request");
+  }
+  const JobUnit& unit = *request.unit;
+  const PlanNode& root = *unit.nodes.back();
+
+  PreparedJob p;
+  ++temp_counter_;
+  p.output_id = StrFormat("t%d", temp_counter_);
+  p.signature = CanonicalSignature(root);
+  p.spec.name = p.output_id;
+  p.spec.query_id = options_.query_id;
+  p.spec.output_path = options_.ScopedTempPrefix() +
+                       StrFormat("/e%d_%s", instance_id_,
+                                 p.output_id.c_str());
+
+  if (request.collect_stats()) {
+    p.collector = std::make_shared<StatsCollector>(request.stats_columns,
+                                                   options_.kmv_k);
+    std::shared_ptr<StatsCollector> collector = p.collector;
+    p.spec.output_observer = [collector](const Value& record) {
+      collector->Observe(record);
+    };
+    p.spec.observer_cpu_per_record = p.collector->CpuCostPerRecord();
+  }
+
+  std::vector<std::string> projection = request.projection;
+
+  if (!unit.map_only) {
+    // --- Repartition join: one full map-reduce job. ---
+    // The driver's OOM retry ladder re-runs a unit with spill mode forced
+    // and/or a pinned (doubled) reducer count; both default to "inherit".
+    p.spec.reduce_memory_mode = request.reduce_memory_mode;
+    if (request.num_reduce_tasks > 0) {
+      p.spec.num_reduce_tasks = request.num_reduce_tasks;
     }
-    const JobUnit& unit = *request.unit;
-    const PlanNode& root = *unit.nodes.back();
+    const PlanNode& node = root;
+    DYNO_ASSIGN_OR_RETURN(std::string left_id, ResolveInput(unit.inputs[0]));
+    DYNO_ASSIGN_OR_RETURN(std::string right_id,
+                          ResolveInput(unit.inputs[1]));
+    DYNO_ASSIGN_OR_RETURN(RelationBinding left, GetBinding(left_id));
+    DYNO_ASSIGN_OR_RETURN(RelationBinding right, GetBinding(right_id));
 
-    Prepared p;
-    ++temp_counter_;
-    p.output_id = StrFormat("t%d", temp_counter_);
-    p.signature = CanonicalSignature(root);
-    p.spec.name = p.output_id;
-    p.spec.query_id = options_.query_id;
-    p.spec.output_path = options_.ScopedTempPrefix() +
-                         StrFormat("/e%d_%s", instance_id_,
-                                   p.output_id.c_str());
-
-    if (request.collect_stats()) {
-      p.collector = std::make_shared<StatsCollector>(request.stats_columns,
-                                                     options_.kmv_k);
-      std::shared_ptr<StatsCollector> collector = p.collector;
-      p.spec.output_observer = [collector](const Value& record) {
-        collector->Observe(record);
+    auto make_tagged_map = [](ExprPtr filter,
+                              std::vector<std::string> key_cols,
+                              int64_t tag) -> MapFn {
+      return [filter = std::move(filter), key_cols = std::move(key_cols),
+              tag](const Value& record, MapContext* ctx) -> Status {
+        DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
+        if (!keep) return Status::OK();
+        Value key = JoinKeyValue(record, key_cols);
+        Value tagged = Value::Struct(
+            {{"__t", Value::Int(tag)}, {"__r", record}});
+        ctx->Emit(std::move(key), std::move(tagged));
+        return Status::OK();
       };
-      p.spec.observer_cpu_per_record = p.collector->CpuCostPerRecord();
-    }
+    };
 
-    std::vector<std::string> projection = request.projection;
+    MapInput left_input;
+    ExprPtr left_closure = ConfigureLeafScan(engine_, left, &left_input);
+    left_input.map_fn =
+        make_tagged_map(std::move(left_closure), LeftKeyColumns(node), 0);
+    MapInput right_input;
+    ExprPtr right_closure = ConfigureLeafScan(engine_, right, &right_input);
+    right_input.map_fn =
+        make_tagged_map(std::move(right_closure), RightKeyColumns(node), 1);
+    p.spec.inputs = {std::move(left_input), std::move(right_input)};
 
-    if (!unit.map_only) {
-      // --- Repartition join: one full map-reduce job. ---
-      // The driver's OOM retry ladder re-runs a unit with spill mode forced
-      // and/or a pinned (doubled) reducer count; both default to "inherit".
-      p.spec.reduce_memory_mode = request.reduce_memory_mode;
-      if (request.num_reduce_tasks > 0) {
-        p.spec.num_reduce_tasks = request.num_reduce_tasks;
-      }
-      const PlanNode& node = root;
-      DYNO_ASSIGN_OR_RETURN(std::string left_id, ResolveInput(unit.inputs[0]));
-      DYNO_ASSIGN_OR_RETURN(std::string right_id,
-                            ResolveInput(unit.inputs[1]));
-      DYNO_ASSIGN_OR_RETURN(RelationBinding left, GetBinding(left_id));
-      DYNO_ASSIGN_OR_RETURN(RelationBinding right, GetBinding(right_id));
-
-      auto make_tagged_map = [](ExprPtr filter,
-                                std::vector<std::string> key_cols,
-                                int64_t tag) -> MapFn {
-        return [filter = std::move(filter), key_cols = std::move(key_cols),
-                tag](const Value& record, MapContext* ctx) -> Status {
-          DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
-          if (!keep) return Status::OK();
-          Value key = JoinKeyValue(record, key_cols);
-          Value tagged = Value::Struct(
-              {{"__t", Value::Int(tag)}, {"__r", record}});
-          ctx->Emit(std::move(key), std::move(tagged));
-          return Status::OK();
-        };
-      };
-
-      MapInput left_input;
-      ExprPtr left_closure = ConfigureLeafScan(engine_, left, &left_input);
-      left_input.map_fn =
-          make_tagged_map(std::move(left_closure), LeftKeyColumns(node), 0);
-      MapInput right_input;
-      ExprPtr right_closure = ConfigureLeafScan(engine_, right, &right_input);
-      right_input.map_fn =
-          make_tagged_map(std::move(right_closure), RightKeyColumns(node), 1);
-      p.spec.inputs = {std::move(left_input), std::move(right_input)};
-
-      ExprPtr post_filter = node.post_filter;
-      double post_cpu = post_filter ? post_filter->CpuCost() : 0.0;
-      p.spec.reduce_fn = [post_filter, post_cpu, projection](
-                             const Value& key, const std::vector<Value>& values,
-                             ReduceContext* ctx) -> Status {
-        (void)key;
-        // Separate the two sides, then join them pairwise.
-        std::vector<const Value*> lefts;
-        std::vector<const Value*> rights;
-        for (const Value& v : values) {
-          const Value* tag = v.FindField("__t");
-          const Value* row = v.FindField("__r");
-          if (tag == nullptr || row == nullptr) {
-            return Status::Internal("untagged shuffle record");
-          }
-          (tag->int_value() == 0 ? lefts : rights).push_back(row);
+    ExprPtr post_filter = node.post_filter;
+    double post_cpu = post_filter ? post_filter->CpuCost() : 0.0;
+    p.spec.reduce_fn = [post_filter, post_cpu, projection](
+                           const Value& key, const std::vector<Value>& values,
+                           ReduceContext* ctx) -> Status {
+      (void)key;
+      // Separate the two sides, then join them pairwise.
+      std::vector<const Value*> lefts;
+      std::vector<const Value*> rights;
+      for (const Value& v : values) {
+        const Value* tag = v.FindField("__t");
+        const Value* row = v.FindField("__r");
+        if (tag == nullptr || row == nullptr) {
+          return Status::Internal("untagged shuffle record");
         }
-        for (const Value* l : lefts) {
-          for (const Value* r : rights) {
-            Value merged = MergeRows(*l, *r);
-            ctx->ChargeCpu(2.0);
-            if (post_filter != nullptr) {
-              ctx->ChargeCpu(post_cpu);
-              DYNO_ASSIGN_OR_RETURN(bool keep,
-                                    EvalFilter(post_filter, merged));
-              if (!keep) continue;
-            }
-            ctx->Output(projection.empty() ? std::move(merged)
-                                           : ProjectRow(merged, projection));
+        (tag->int_value() == 0 ? lefts : rights).push_back(row);
+      }
+      for (const Value* l : lefts) {
+        for (const Value* r : rights) {
+          Value merged = MergeRows(*l, *r);
+          ctx->ChargeCpu(2.0);
+          if (post_filter != nullptr) {
+            ctx->ChargeCpu(post_cpu);
+            DYNO_ASSIGN_OR_RETURN(bool keep,
+                                  EvalFilter(post_filter, merged));
+            if (!keep) continue;
           }
+          ctx->Output(projection.empty() ? std::move(merged)
+                                         : ProjectRow(merged, projection));
+        }
+      }
+      return Status::OK();
+    };
+  } else {
+    // --- Broadcast chain: a single map-only job probing one stream
+    // through the hash tables of every chained build side. ---
+    DYNO_ASSIGN_OR_RETURN(std::string probe_id,
+                          ResolveInput(unit.inputs[0]));
+    DYNO_ASSIGN_OR_RETURN(RelationBinding probe, GetBinding(probe_id));
+
+    struct Stage {
+      std::shared_ptr<BroadcastTable> table;
+      std::vector<std::string> probe_key_cols;
+      ExprPtr post_filter;
+      double post_cpu = 0.0;
+    };
+    auto stages = std::make_shared<std::vector<Stage>>();
+    uint64_t side_load = 0;
+    uint64_t side_memory = 0;
+    // Waves the probe scan will run: in Jaql mode every task of every
+    // wave re-loads the side data, so a filtered build side whose *raw*
+    // file is large gets expensive fast.
+    const double probe_waves = std::max(
+        1.0, std::ceil(static_cast<double>(probe.file->splits().size()) /
+                       std::max(1, engine_->config().map_slots)));
+    for (size_t i = 0; i < unit.nodes.size(); ++i) {
+      const PlanNode& n = *unit.nodes[i];
+      DYNO_ASSIGN_OR_RETURN(std::string build_id,
+                            ResolveInput(unit.inputs[i + 1]));
+      DYNO_ASSIGN_OR_RETURN(RelationBinding build, GetBinding(build_id));
+      uint64_t build_pruned = 0;
+      uint64_t* build_pruned_out =
+          columnar::ZoneMapsEnabled() ? &build_pruned : nullptr;
+      DYNO_ASSIGN_OR_RETURN(
+          std::shared_ptr<BroadcastTable> table,
+          BuildBroadcastTable(*build.file, build.scan_filter,
+                              RightKeyColumns(n), build_pruned_out));
+      RecordSplitsPruned(engine_, build.file->path(), build_pruned,
+                         build.file->splits().size());
+      // A filtered build side makes every map task re-read the raw file.
+      // When the filter is selective and the probe runs for many waves,
+      // materialize the filtered relation once as a map-only job and
+      // ship the small result instead — what a production compiler does
+      // under a broadcast join. Decided by comparing the side-load time
+      // saved against the cost of the extra filter job.
+      if (build.scan_filter != nullptr &&
+          table->load_bytes > 2 * table->built_bytes) {
+        const ClusterConfig& config = engine_->config();
+        double saved_bytes = static_cast<double>(table->load_bytes) -
+                             static_cast<double>(table->built_bytes);
+        double repeat = options_.hive_broadcast ? 1.0 : probe_waves;
+        double benefit_ms =
+            repeat * saved_bytes / config.side_load_bytes_per_ms;
+        double filter_job_ms =
+            static_cast<double>(config.job_startup_ms) +
+            static_cast<double>(table->load_bytes) /
+                (config.map_read_bytes_per_ms *
+                 std::max(1, config.map_slots)) +
+            static_cast<double>(table->built_bytes) /
+                config.map_write_bytes_per_ms;
+        if (benefit_ms > 2.0 * filter_job_ms) {
+          DYNO_RETURN_IF_ERROR(MaterializeFilteredLeaf(build_id));
+          DYNO_ASSIGN_OR_RETURN(build, GetBinding(build_id));
+          table->load_bytes = build.file->num_bytes();
+        }
+      }
+      side_load += table->load_bytes;
+      side_memory += table->built_bytes;
+      Stage stage;
+      stage.table = std::move(table);
+      stage.probe_key_cols = LeftKeyColumns(n);
+      stage.post_filter = n.post_filter;
+      stage.post_cpu = n.post_filter ? n.post_filter->CpuCost() : 0.0;
+      stages->push_back(std::move(stage));
+    }
+    p.spec.side_load_bytes = side_load;
+    p.spec.side_memory_bytes = side_memory;
+    p.spec.side_data_via_distributed_cache = options_.hive_broadcast;
+
+    MapInput probe_input;
+    ExprPtr scan_filter = ConfigureLeafScan(engine_, probe, &probe_input);
+    probe_input.cpu_per_record += 2.0 * static_cast<double>(stages->size());
+    probe_input.map_fn = [scan_filter, stages, projection](
+                             const Value& record,
+                             MapContext* ctx) -> Status {
+      DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(scan_filter, record));
+      if (!keep) return Status::OK();
+      // Depth-first probe through the chain.
+      std::function<Status(const Value&, size_t)> probe_stage =
+          [&](const Value& row, size_t stage_idx) -> Status {
+        if (stage_idx == stages->size()) {
+          ctx->Output(projection.empty() ? row
+                                         : ProjectRow(row, projection));
+          return Status::OK();
+        }
+        const Stage& stage = (*stages)[stage_idx];
+        auto it = stage.table->rows_by_key.find(
+            EncodeJoinKey(row, stage.probe_key_cols));
+        if (it == stage.table->rows_by_key.end()) return Status::OK();
+        for (const Value& build_row : it->second) {
+          Value merged = MergeRows(row, build_row);
+          ctx->ChargeCpu(2.0);
+          if (stage.post_filter != nullptr) {
+            ctx->ChargeCpu(stage.post_cpu);
+            DYNO_ASSIGN_OR_RETURN(bool pass,
+                                  EvalFilter(stage.post_filter, merged));
+            if (!pass) continue;
+          }
+          DYNO_RETURN_IF_ERROR(probe_stage(merged, stage_idx + 1));
         }
         return Status::OK();
       };
-    } else {
-      // --- Broadcast chain: a single map-only job probing one stream
-      // through the hash tables of every chained build side. ---
-      DYNO_ASSIGN_OR_RETURN(std::string probe_id,
-                            ResolveInput(unit.inputs[0]));
-      DYNO_ASSIGN_OR_RETURN(RelationBinding probe, GetBinding(probe_id));
+      return probe_stage(record, 0);
+    };
+    p.spec.inputs = {std::move(probe_input)};
+  }
+  return p;
+}
 
-      struct Stage {
-        std::shared_ptr<BroadcastTable> table;
-        std::vector<std::string> probe_key_cols;
-        ExprPtr post_filter;
-        double post_cpu = 0.0;
-      };
-      auto stages = std::make_shared<std::vector<Stage>>();
-      uint64_t side_load = 0;
-      uint64_t side_memory = 0;
-      // Waves the probe scan will run: in Jaql mode every task of every
-      // wave re-loads the side data, so a filtered build side whose *raw*
-      // file is large gets expensive fast.
-      double probe_waves = 1.0;
-      {
-        DYNO_ASSIGN_OR_RETURN(std::string probe_id,
-                              ResolveInput(unit.inputs[0]));
-        DYNO_ASSIGN_OR_RETURN(RelationBinding probe, GetBinding(probe_id));
-        probe_waves = std::max(
-            1.0, std::ceil(static_cast<double>(probe.file->splits().size()) /
-                           std::max(1, engine_->config().map_slots)));
-      }
-      for (size_t i = 0; i < unit.nodes.size(); ++i) {
-        const PlanNode& n = *unit.nodes[i];
-        DYNO_ASSIGN_OR_RETURN(std::string build_id,
-                              ResolveInput(unit.inputs[i + 1]));
-        DYNO_ASSIGN_OR_RETURN(RelationBinding build, GetBinding(build_id));
-        uint64_t build_pruned = 0;
-        uint64_t* build_pruned_out =
-            columnar::ZoneMapsEnabled() ? &build_pruned : nullptr;
-        DYNO_ASSIGN_OR_RETURN(
-            std::shared_ptr<BroadcastTable> table,
-            BuildBroadcastTable(*build.file, build.scan_filter,
-                                RightKeyColumns(n), build_pruned_out));
-        RecordSplitsPruned(engine_, build.file->path(), build_pruned,
-                           build.file->splits().size());
-        // A filtered build side makes every map task re-read the raw file.
-        // When the filter is selective and the probe runs for many waves,
-        // materialize the filtered relation once as a map-only job and
-        // ship the small result instead — what a production compiler does
-        // under a broadcast join. Decided by comparing the side-load time
-        // saved against the cost of the extra filter job.
-        if (build.scan_filter != nullptr &&
-            table->load_bytes > 2 * table->built_bytes) {
-          const ClusterConfig& config = engine_->config();
-          double saved_bytes = static_cast<double>(table->load_bytes) -
-                               static_cast<double>(table->built_bytes);
-          double repeat = options_.hive_broadcast ? 1.0 : probe_waves;
-          double benefit_ms =
-              repeat * saved_bytes / config.side_load_bytes_per_ms;
-          double filter_job_ms =
-              static_cast<double>(config.job_startup_ms) +
-              static_cast<double>(table->load_bytes) /
-                  (config.map_read_bytes_per_ms *
-                   std::max(1, config.map_slots)) +
-              static_cast<double>(table->built_bytes) /
-                  config.map_write_bytes_per_ms;
-          if (benefit_ms > 2.0 * filter_job_ms) {
-            DYNO_RETURN_IF_ERROR(MaterializeFilteredLeaf(build_id));
-            DYNO_ASSIGN_OR_RETURN(build, GetBinding(build_id));
-            table->load_bytes = build.file->num_bytes();
-          }
-        }
-        side_load += table->load_bytes;
-        side_memory += table->built_bytes;
-        Stage stage;
-        stage.table = std::move(table);
-        stage.probe_key_cols = LeftKeyColumns(n);
-        stage.post_filter = n.post_filter;
-        stage.post_cpu = n.post_filter ? n.post_filter->CpuCost() : 0.0;
-        stages->push_back(std::move(stage));
-      }
-      p.spec.side_load_bytes = side_load;
-      p.spec.side_memory_bytes = side_memory;
-      p.spec.side_data_via_distributed_cache = options_.hive_broadcast;
-
-      MapInput probe_input;
-      ExprPtr scan_filter = ConfigureLeafScan(engine_, probe, &probe_input);
-      probe_input.cpu_per_record += 2.0 * static_cast<double>(stages->size());
-      probe_input.map_fn = [scan_filter, stages, projection](
-                               const Value& record,
-                               MapContext* ctx) -> Status {
-        DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(scan_filter, record));
-        if (!keep) return Status::OK();
-        // Depth-first probe through the chain.
-        std::function<Status(const Value&, size_t)> probe_stage =
-            [&](const Value& row, size_t stage_idx) -> Status {
-          if (stage_idx == stages->size()) {
-            ctx->Output(projection.empty() ? row
-                                           : ProjectRow(row, projection));
-            return Status::OK();
-          }
-          const Stage& stage = (*stages)[stage_idx];
-          auto it = stage.table->rows_by_key.find(
-              EncodeJoinKey(row, stage.probe_key_cols));
-          if (it == stage.table->rows_by_key.end()) return Status::OK();
-          for (const Value& build_row : it->second) {
-            Value merged = MergeRows(row, build_row);
-            ctx->ChargeCpu(2.0);
-            if (stage.post_filter != nullptr) {
-              ctx->ChargeCpu(stage.post_cpu);
-              DYNO_ASSIGN_OR_RETURN(bool pass,
-                                    EvalFilter(stage.post_filter, merged));
-              if (!pass) continue;
-            }
-            DYNO_RETURN_IF_ERROR(probe_stage(merged, stage_idx + 1));
-          }
-          return Status::OK();
-        };
-        return probe_stage(record, 0);
-      };
-      p.spec.inputs = {std::move(probe_input)};
-    }
-    prepared.push_back(std::move(p));
+Result<std::vector<StepResult>> PlanExecutor::Execute(
+    const std::vector<UnitRequest>& requests) {
+  // A request that cannot be prepared fails alone; the rest still run.
+  std::vector<Result<PreparedJob>> prepared;
+  prepared.reserve(requests.size());
+  std::vector<JobSpec> specs;
+  for (const UnitRequest& request : requests) {
+    prepared.push_back(Prepare(request));
+    if (prepared.back().ok()) specs.push_back(prepared.back()->spec);
+  }
+  std::vector<JobResult> job_results;
+  if (!specs.empty()) {
+    DYNO_ASSIGN_OR_RETURN(job_results, engine_->SubmitAll(specs));
   }
 
-  // Submit all jobs concurrently.
-  std::vector<JobSpec> specs;
-  specs.reserve(prepared.size());
-  for (const Prepared& p : prepared) specs.push_back(p.spec);
-  DYNO_ASSIGN_OR_RETURN(std::vector<JobResult> job_results,
-                        engine_->SubmitAll(specs));
-
-  std::vector<StepResult> results;
-  results.reserve(prepared.size());
-  for (size_t i = 0; i < prepared.size(); ++i) {
-    const JobResult& job = job_results[i];
-    if (!job.status.ok()) {
-      StepResult failed;
-      failed.status = Status(job.status.code(),
-                             "job " + prepared[i].output_id + " failed: " +
-                                 job.status.message());
-      failed.job = job;
-      results.push_back(std::move(failed));
+  std::vector<StepResult> results(requests.size());
+  size_t next_job = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    StepResult& step = results[i];
+    if (!prepared[i].ok()) {
+      step.status = prepared[i].status();
       continue;
     }
-    StepResult step;
-    step.relation_id = prepared[i].output_id;
+    const PreparedJob& p = *prepared[i];
+    const JobResult& job = job_results[next_job++];
     step.job = job;
-    step.subtree_signature = prepared[i].signature;
-    if (prepared[i].collector != nullptr) {
-      step.stats = prepared[i].collector->Finalize(1.0);
+    if (!job.status.ok()) {
+      step.status = Status(job.status.code(), "job " + p.output_id +
+                                                  " failed: " +
+                                                  job.status.message());
+      continue;
+    }
+    step.relation_id = p.output_id;
+    step.subtree_signature = p.signature;
+    if (p.collector != nullptr) {
+      step.stats = p.collector->Finalize(1.0);
     } else {
       step.stats.cardinality = static_cast<double>(job.counters.output_records);
       step.stats.avg_record_size =
@@ -566,10 +595,9 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
     binding.file = job.output;
     binding.scan_filter = nullptr;
     binding.scan_cpu_per_record = 0.0;
-    binding.signature = prepared[i].signature;
+    binding.signature = p.signature;
     Bind(step.relation_id, std::move(binding));
     unit_outputs_[requests[i].unit->uid] = step.relation_id;
-    results.push_back(std::move(step));
   }
   return results;
 }

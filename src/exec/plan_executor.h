@@ -10,8 +10,10 @@
 #include "common/status.h"
 #include "expr/expr.h"
 #include "lang/plan.h"
+#include "lang/query.h"
 #include "mr/engine.h"
 #include "stats/table_stats.h"
+#include "storage/catalog.h"
 #include "storage/dfs.h"
 
 namespace dyno {
@@ -120,6 +122,10 @@ class PlanExecutor {
 
   /// Registers a relation id (base leaf or externally materialized).
   void Bind(const std::string& id, RelationBinding binding);
+  /// Binds each leaf's alias to its catalog table, scanned with the leaf's
+  /// local predicates and keyed by its LeafSignature.
+  Status BindLeaves(const Catalog& catalog,
+                    const std::vector<LeafExpr>& leaves);
   bool IsBound(const std::string& id) const;
   Result<RelationBinding> GetBinding(const std::string& id) const;
 
@@ -165,13 +171,18 @@ class PlanExecutor {
 
   /// Runs the requested units concurrently (they must be mutually
   /// independent and all of their inputs resolvable: bound relations or
-  /// outputs of previously executed units). Results are in request order;
-  /// per-unit job failures (e.g. a broadcast build side exceeding task
-  /// memory) are reported in StepResult::status, not as a call failure.
+  /// outputs of previously executed units). Results are in request order.
+  /// Every per-unit failure is reported in that unit's StepResult::status
+  /// while the other units still run: a failed job (e.g. a broadcast build
+  /// side exceeding task memory), and a failure while preparing the job (an
+  /// unresolvable input, a build side that fails to decode, a failed
+  /// build-side filter job). Only batch-level errors fail the call: the
+  /// engine rejecting the batch, or a submit gate's Cancelled /
+  /// DeadlineExceeded.
   Result<std::vector<StepResult>> Execute(
       const std::vector<UnitRequest>& requests);
 
-  /// Convenience: run one unit; its job failure becomes the call's error.
+  /// Convenience: run one unit; its failure becomes the call's error.
   Result<StepResult> ExecuteOne(const UnitRequest& request);
 
   /// Id assigned to the output of the unit with `uid`, if it already ran.
@@ -187,6 +198,16 @@ class PlanExecutor {
   void RegisterUnitOutput(int64_t uid, const std::string& relation_id) {
     unit_outputs_[uid] = relation_id;
   }
+
+  /// Runs one map-only scan job named `job_name` over `id`'s bound
+  /// relation: applies its scan filter (pushed into the engine and
+  /// zone-map pruned when DYNO_COLUMNAR / DYNO_ZONE_MAPS are on), keeps
+  /// `projection` (empty = all columns) and writes `output_path`. A failed
+  /// job is the call's error.
+  Result<JobResult> ScanRelation(const std::string& id,
+                                 const std::vector<std::string>& projection,
+                                 const std::string& job_name,
+                                 const std::string& output_path);
 
   /// Runs a map-only filter job over `id`'s bound relation and rebinds the
   /// id to the materialized (already filtered) output. Used when shipping
@@ -214,6 +235,12 @@ class PlanExecutor {
   }
 
  private:
+  struct PreparedJob;
+
+  /// Builds the job of one request. Broadcast build sides are decoded here,
+  /// and a selective one may first be materialized by a filter job.
+  Result<PreparedJob> Prepare(const UnitRequest& request);
+
   MapReduceEngine* engine_;
   ExecOptions options_;
   int instance_id_ = 0;

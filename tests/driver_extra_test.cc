@@ -1,11 +1,12 @@
 // Additional driver-level coverage: Hive-backend correctness, static-plan
 // serial/parallel equivalence, the no-pilot ablation, left-deep-only mode,
-// and single-table blocks.
+// single-table blocks, and each branch of a block's root job.
 
 #include <gtest/gtest.h>
 
 #include "baselines/best_static.h"
 #include "dyno/driver.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -199,6 +200,121 @@ TEST_F(DriverExtraTest, CyclicJoinGraphQ5MatchesOracle) {
   auto report = driver.Execute(q5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectOracleMatch(q5, *report);
+}
+
+// --- The root unit. A two-table block decomposes into one job, the root,
+// so these pin each branch the root can take: a subtree-cache hit, the
+// broadcast fallback and the OOM ladder. Env defaults and retry knobs are
+// pinned so every ctest preset sees the same runs. ---
+
+class DriverRootTest : public DriverExtraTest {
+ protected:
+  static ClusterConfig PinnedConfig() {
+    ClusterConfig config = MakeConfig();
+    config.faults.use_env_defaults = false;
+    return config;
+  }
+
+  DynoOptions PinnedOptions() {
+    DynoOptions options = MakeOptions();
+    options.max_job_attempts = 1;
+    options.retry_budget_ms = 0;
+    options.oom_retry_ladder = 0;
+    return options;
+  }
+
+  static Query TwoTableQuery() {
+    Query query;
+    query.join_block.tables = {{"orders", "o"}, {"customer", "c"}};
+    query.join_block.edges = {{"o", "o_custkey", "c", "c_custkey"}};
+    query.join_block.output_columns = {"o_orderkey", "c_name"};
+    return query;
+  }
+
+  static int CountEvents(const obs::TraceSink& trace,
+                         const std::string& name) {
+    const std::string jsonl = trace.SerializeJsonl();
+    const std::string needle = "\"name\":\"" + name + "\"";
+    int count = 0;
+    for (size_t pos = jsonl.find(needle); pos != std::string::npos;
+         pos = jsonl.find(needle, pos + 1)) {
+      ++count;
+    }
+    return count;
+  }
+};
+
+TEST_F(DriverRootTest, CachedRootEndsTheBlockWithoutAJob) {
+  MapReduceEngine engine(&dfs_, PinnedConfig());
+  obs::TraceSink trace;
+  engine.set_trace(&trace);
+  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions());
+  DynoOptions options = PinnedOptions();
+  options.subtree_cache = &cache;
+  Query query = TwoTableQuery();
+
+  DynoDriver cold(&engine, &catalog_, &store_, options);
+  auto first = cold.Execute(query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->jobs_run, 1);
+  EXPECT_EQ(CountEvents(trace, "final_step"), 1);
+  EXPECT_EQ(CountEvents(trace, "final_step_cached"), 0);
+
+  trace.Clear();
+  DynoDriver warm(&engine, &catalog_, &store_, options);
+  auto second = warm.Execute(query);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->jobs_run, 0);
+  EXPECT_EQ(CountEvents(trace, "final_step"), 0);
+  EXPECT_EQ(CountEvents(trace, "final_step_cached"), 1);
+  ExpectOracleMatch(query, *second);
+}
+
+TEST_F(DriverRootTest, RootBroadcastOomFallsBackToRepartition) {
+  // The optimizer is told tasks have 64 KiB while they have 2 KiB, so the
+  // broadcast it picks for the root dies at run time.
+  ClusterConfig config = PinnedConfig();
+  config.memory_per_task_bytes = 2 * 1024;
+  MapReduceEngine engine(&dfs_, config);
+  obs::TraceSink trace;
+  engine.set_trace(&trace);
+  DynoOptions options = PinnedOptions();
+  options.cost.max_memory_bytes = 64 * 1024;
+  options.cost.estimated_build_margin = 1.0;
+  options.sync_cost_memory = false;
+  options.adaptive_join_fallback = true;
+  DynoDriver driver(&engine, &catalog_, &store_, options);
+  Query query = TwoTableQuery();
+  auto report = driver.Execute(query);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->broadcast_fallbacks, 1);
+  EXPECT_EQ(CountEvents(trace, "broadcast_fallback"), 1);
+  EXPECT_EQ(CountEvents(trace, "final_step"), 1);
+  ExpectOracleMatch(query, *report);
+}
+
+TEST_F(DriverRootTest, RootReduceOomClimbsTheLadder) {
+  // Strict reduce memory kills the root's repartition job; rung 1 re-runs
+  // it in spill mode.
+  ClusterConfig config = PinnedConfig();
+  config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kStrict;
+  config.memory_per_task_bytes = 8 * 1024;
+  MapReduceEngine engine(&dfs_, config);
+  obs::TraceSink trace;
+  engine.set_trace(&trace);
+  DynoOptions options = PinnedOptions();
+  options.cost.enable_broadcast = false;
+  options.cost.enable_broadcast_chains = false;
+  options.oom_retry_ladder = 1;
+  DynoDriver driver(&engine, &catalog_, &store_, options);
+  Query query = TwoTableQuery();
+  auto report = driver.Execute(query);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->oom_retries, 1);
+  EXPECT_EQ(CountEvents(trace, "oom_retry"), 1);
+  EXPECT_EQ(CountEvents(trace, "final_step"), 1);
+  EXPECT_GT(report->reduce_spills, 0);
+  ExpectOracleMatch(query, *report);
 }
 
 TEST(DriverKnobDeathTest, MalformedMaxJobAttemptsAbortsLoudly) {

@@ -310,6 +310,37 @@ TEST_F(ExecutorTest, UnboundRelationFails) {
   EXPECT_FALSE(executor.ExecuteOne(request).ok());
 }
 
+TEST_F(ExecutorTest, BuildSideFailureFailsOnlyItsOwnRequest) {
+  PlanExecutor executor(&engine_, ExecOptions());
+  BindTable(&executor, "a", 40, 4);
+  BindTable(&executor, "b", 8, 4);
+  BindTable(&executor, "c", 8, 4);
+  auto rotten = dfs_.Open("/tables/c");
+  ASSERT_TRUE(rotten.ok());
+  ASSERT_TRUE((*rotten)->CorruptByteForTesting(0, 0, 0x01).ok());
+  auto ac = PlanNode::Join(JoinMethod::kBroadcast, PlanNode::Leaf("a"),
+                           PlanNode::Leaf("c"), {{"a_k", "c_k"}});
+  auto ab = PlanNode::Join(JoinMethod::kBroadcast, PlanNode::Leaf("a"),
+                           PlanNode::Leaf("b"), {{"a_k", "b_k"}});
+  auto ac_units = PlanExecutor::Decompose(*ac);
+  auto ab_units = PlanExecutor::Decompose(*ab);
+  ASSERT_TRUE(ac_units.ok());
+  ASSERT_TRUE(ab_units.ok());
+  PlanExecutor::UnitRequest bad;
+  bad.unit = &(*ac_units)[0];
+  PlanExecutor::UnitRequest good;
+  good.unit = &(*ab_units)[0];
+  auto steps = executor.Execute({bad, good});
+  ASSERT_TRUE(steps.ok()) << steps.status().ToString();
+  ASSERT_EQ(steps->size(), 2u);
+  EXPECT_EQ((*steps)[0].status.code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(executor.OutputOf(bad.unit->uid).ok());
+  ASSERT_TRUE((*steps)[1].status.ok()) << (*steps)[1].status.ToString();
+  // Each of the 40 a-rows matches 2 b-rows (8 rows over 4 key values).
+  EXPECT_EQ((*steps)[1].job.counters.output_records, 80u);
+  EXPECT_TRUE(executor.OutputOf(good.unit->uid).ok());
+}
+
 TEST_F(ExecutorTest, MultiUnitPipelineThroughOutputs) {
   PlanExecutor executor(&engine_, ExecOptions());
   BindTable(&executor, "a", 40, 4);
