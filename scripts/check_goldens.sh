@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Fails when the checked-in golden traces and the trace schema version in
-# src/obs/trace.h drift apart — the no-build counterpart of
+# Fails when the checked-in golden traces (and the traces embedded in the
+# service fingerprints) and the trace schema version in src/obs/trace.h
+# drift apart — the no-build counterpart of
 # TraceGoldenTest.GoldenHeadersCarryCurrentSchemaVersion, so CI (or a
 # pre-commit hook) can catch a schema bump whose goldens were not
 # regenerated before anything compiles.
@@ -39,6 +40,26 @@ for golden in "${goldens[@]}"; do
   fi
 done
 
+# The service fingerprints (engine_determinism_test) embed a serialized
+# trace after their "trace:" line; its header must carry the schema too.
+fingerprints=("$golden_dir"/*.fp)
+if [ ! -e "${fingerprints[0]}" ]; then
+  echo "check_goldens: no service fingerprints under $golden_dir" >&2
+  echo "  regenerate with: DYNO_UPDATE_GOLDEN=1 build/tests/engine_determinism_test" >&2
+  status=1
+  fingerprints=()
+fi
+for golden in "${fingerprints[@]}"; do
+  header="$(sed -n '/^trace:$/{n;p;q;}' "$golden")"
+  if [ "$header" != "$expected_header" ]; then
+    echo "check_goldens: $golden is stale" >&2
+    echo "  embedded trace header: $header" >&2
+    echo "  expected: $expected_header (kTraceSchemaVersion = $schema)" >&2
+    echo "  regenerate with: DYNO_UPDATE_GOLDEN=1 build/tests/engine_determinism_test" >&2
+    status=1
+  fi
+done
+
 # The corruption golden exists so the data-integrity event types stay
 # pinned in a checked-in trace: if a refactor stops emitting any of them,
 # this catches it without a build.
@@ -57,6 +78,7 @@ else
 fi
 
 if [ "$status" -eq 0 ]; then
-  echo "check_goldens: ${#goldens[@]} golden(s) match trace schema v$schema"
+  echo "check_goldens: ${#goldens[@]} trace golden(s) and" \
+    "${#fingerprints[@]} service fingerprint(s) match trace schema v$schema"
 fi
 exit $status

@@ -25,6 +25,9 @@ std::string StrJoin(const std::vector<std::string>& parts,
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// True if `s` ends with `suffix`.
+bool EndsWith(std::string_view s, std::string_view suffix);
+
 /// Strict numeric parsing: the entire string must be exactly one number —
 /// no leading/trailing whitespace, no trailing junk, no empty input, and
 /// for doubles no inf/nan. Returns InvalidArgument otherwise.

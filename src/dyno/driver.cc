@@ -244,31 +244,9 @@ Result<QueryRunReport> DynoDriver::ExecuteInternal(
   SimMillis start = engine_->now();
   DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> joined,
                         RunJoinBlock(query.join_block, &report, resume));
-  std::shared_ptr<DfsFile> current = std::move(joined);
-  if (query.group_by.has_value()) {
-    std::string path =
-        StrFormat("%s/gb_%lld", options_.exec.ScopedTempPrefix().c_str(),
-                  static_cast<long long>(engine_->now()));
-    DYNO_ASSIGN_OR_RETURN(
-        JobResult job,
-        RunGroupBy(engine_, current, *query.group_by, path,
-                   /*use_combiner=*/true, options_.exec.query_id));
-    current = job.output;
-    ++report.jobs_run;
-    report.Add(job);
-  }
-  if (query.order_by.has_value()) {
-    std::string path =
-        StrFormat("%s/ob_%lld", options_.exec.ScopedTempPrefix().c_str(),
-                  static_cast<long long>(engine_->now()));
-    DYNO_ASSIGN_OR_RETURN(
-        JobResult job,
-        RunOrderBy(engine_, current, *query.order_by, path,
-                   options_.exec.query_id));
-    current = job.output;
-    ++report.jobs_run;
-    report.Add(job);
-  }
+  DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> current,
+                        RunPostJoin(std::move(joined), query.group_by,
+                                    query.order_by, "", &report));
   report.result = current;
   report.result_records = current ? current->num_records() : 0;
   report.total_ms = engine_->now() - start;
@@ -355,19 +333,9 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
       JoinBlock scoped_join_block = scope_block_refs(block.join_block);
       DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> joined,
                             RunJoinBlock(scoped_join_block, &report, nullptr));
-      std::shared_ptr<DfsFile> output = std::move(joined);
-      if (block.group_by.has_value()) {
-        std::string path =
-            StrFormat("%s/mb_gb_%lld", options_.exec.ScopedTempPrefix().c_str(),
-                      static_cast<long long>(engine_->now()));
-        DYNO_ASSIGN_OR_RETURN(
-            JobResult job,
-            RunGroupBy(engine_, output, *block.group_by, path,
-                       /*use_combiner=*/true, options_.exec.query_id));
-        output = job.output;
-        ++report.jobs_run;
-        report.Add(job);
-      }
+      DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> output,
+                            RunPostJoin(std::move(joined), block.group_by,
+                                        std::nullopt, "mb_", &report));
       // Expose the block's output to downstream blocks through the catalog.
       // ReplaceTable (not RegisterTable) so re-running a query under the
       // same scope — e.g. Resume after a kill — re-points the name instead
@@ -384,22 +352,41 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
     }
   }
 
-  if (query.final_order_by.has_value()) {
-    std::string path =
-        StrFormat("%s/mb_ob_%lld", options_.exec.ScopedTempPrefix().c_str(),
-                  static_cast<long long>(engine_->now()));
-    DYNO_ASSIGN_OR_RETURN(
-        JobResult job,
-        RunOrderBy(engine_, last_output, *query.final_order_by, path,
-                   options_.exec.query_id));
-    last_output = job.output;
-    ++report.jobs_run;
-    report.Add(job);
-  }
+  DYNO_ASSIGN_OR_RETURN(last_output,
+                        RunPostJoin(std::move(last_output), std::nullopt,
+                                    query.final_order_by, "mb_", &report));
   report.result = last_output;
   report.result_records = last_output ? last_output->num_records() : 0;
   report.total_ms = engine_->now() - start;
   return report;
+}
+
+Result<std::shared_ptr<DfsFile>> DynoDriver::RunPostJoin(
+    std::shared_ptr<DfsFile> input, const std::optional<GroupBySpec>& group_by,
+    const std::optional<OrderBySpec>& order_by, const std::string& path_prefix,
+    QueryRunReport* report) {
+  auto path = [&](const char* kind) {
+    return StrFormat("%s/%s%s_%lld", options_.exec.ScopedTempPrefix().c_str(),
+                     path_prefix.c_str(), kind,
+                     static_cast<long long>(engine_->now()));
+  };
+  auto fold = [&](Result<JobResult> job) -> Status {
+    DYNO_RETURN_IF_ERROR(job.status());
+    input = job->output;
+    ++report->jobs_run;
+    report->Add(*job);
+    return Status::OK();
+  };
+  if (group_by.has_value()) {
+    DYNO_RETURN_IF_ERROR(fold(RunGroupBy(engine_, input, *group_by,
+                                         path("gb"), /*use_combiner=*/true,
+                                         options_.exec.query_id)));
+  }
+  if (order_by.has_value()) {
+    DYNO_RETURN_IF_ERROR(fold(RunOrderBy(engine_, input, *order_by,
+                                         path("ob"), options_.exec.query_id)));
+  }
+  return input;
 }
 
 Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
@@ -942,6 +929,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
 
     std::vector<PlanExecutor::UnitRequest> requests;
     std::vector<std::set<std::string>> covered_sets;
+    std::vector<std::string> cache_keys;
     for (const JobUnit* unit : chosen) {
       std::set<std::string> covered;
       for (const JobInput& input : unit->inputs) {
@@ -956,105 +944,141 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
       } else {
         request.stats_columns = state.StatsColumnsFor(covered);
       }
+      cache_keys.push_back(options_.subtree_cache != nullptr
+                               ? cache_key_for(*unit, request)
+                               : std::string());
       requests.push_back(std::move(request));
       covered_sets.push_back(std::move(covered));
     }
 
+    // Folds one finished step — executed, or served from the cross-query
+    // cache — into the loop: account it; for the root, return the block's
+    // output; otherwise substitute the new relation, test whether its
+    // observed size calls for a re-plan, and checkpoint it. A cache entry's
+    // stats are the ones executing would have observed, so the re-plan
+    // decision matches a cold run exactly.
+    auto commit = [&](size_t i, const StepResult& step,
+                      bool from_cache) -> Result<std::shared_ptr<DfsFile>> {
+      account_step(*chosen[i], step, covered_sets[i], cache_keys[i],
+                   from_cache);
+      if (!from_cache && abort_requested()) {
+        return Status::Cancelled(
+            StrFormat("query aborted after %d jobs (test kill switch)",
+                      report->jobs_run));
+      }
+      double estimated = std::max(chosen[i]->est_rows, 1.0);
+      double observed = std::max(step.stats.cardinality, 1.0);
+      auto step_event = [&](const char* name) {
+        return obs::TraceEvent(engine_->now(), -1, obs::TraceLane::kDriver,
+                               "driver", name)
+            .Arg("relation", step.relation_id);
+      };
+      if (final_wave) {
+        if (trace != nullptr) {
+          trace->Record(
+              from_cache
+                  ? step_event("final_step_cached").Arg("plan", previous_plan)
+                  : step_event("final_step")
+                        .ArgDouble("est_rows", estimated)
+                        .ArgDouble("observed_rows", observed)
+                        .Arg("plan", previous_plan));
+        }
+        DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
+                              executor.GetBinding(step.relation_id));
+        return binding.file;
+      }
+      state.Substitute(covered_sets[i], step.relation_id, step.stats);
+      executed_units.insert(chosen[i]->uid);
+      // Estimation error check for conditional re-optimization.
+      double error = std::abs(observed - estimated) / estimated;
+      bool step_triggers_replan = error > options_.reopt_row_error_threshold;
+      if (step_triggers_replan) replan = true;
+      // Observed spilling re-plans even when the cardinality landed: the
+      // cost model charges spill I/O (SpillCost), so the re-optimizer can
+      // trade the next joins toward broadcasts or cheaper shapes.
+      if (step.job.reduce_spills > 0) replan = true;
+      if (trace != nullptr) {
+        trace->Record(
+            from_cache
+                ? step_event("checkpoint_cached")
+                      .ArgDouble("est_rows", estimated)
+                      .ArgDouble("observed_rows", observed)
+                      .Arg("plan", previous_plan)
+                : step_event("checkpoint")
+                      .ArgDouble("est_rows", estimated)
+                      .ArgDouble("observed_rows", observed)
+                      .ArgDouble("row_error", error)
+                      .ArgDouble("threshold",
+                                 options_.reopt_row_error_threshold)
+                      .ArgBool("replan", step_triggers_replan)
+                      .Arg("plan", previous_plan));
+      }
+      if (!from_cache && metrics != nullptr) {
+        metrics->GetCounter("driver.checkpoints")->Add();
+        if (step_triggers_replan) {
+          metrics->GetCounter("driver.replans_triggered")->Add();
+        }
+      }
+      return std::shared_ptr<DfsFile>();
+    };
+
     // Consult the cross-query cache: a unit whose decorated subtree key is
     // pinned (and still valid against current table versions) is satisfied
-    // without running a job; only the remainder executes as a wave. All
+    // without running a job; only the misses execute, as one wave. All
     // decisions happen on this (baton-serialized) driver thread, so hit
     // patterns depend only on admission order — never on engine threading.
     replan = options_.reopt_row_error_threshold <= 0.0;
-    std::vector<std::string> cache_keys(chosen.size());
-    if (options_.subtree_cache != nullptr) {
-      std::vector<bool> satisfied(chosen.size(), false);
-      for (size_t i = 0; i < chosen.size(); ++i) {
-        cache_keys[i] = cache_key_for(*chosen[i], requests[i]);
-        auto hit =
-            options_.subtree_cache->Lookup(cache_keys[i], engine_->now());
-        if (!hit.has_value()) continue;
-        StepResult step;
-        step.subtree_signature =
-            executor.CanonicalSignature(*chosen[i]->nodes.back());
-        step.stats = hit->stats;
-        RelationBinding cached;
-        cached.file = hit->file;
-        cached.signature = step.subtree_signature;
-        step.relation_id = executor.BindCachedRelation(std::move(cached));
-        executor.RegisterUnitOutput(chosen[i]->uid, step.relation_id);
-        account_step(*chosen[i], step, covered_sets[i], cache_keys[i],
-                     /*from_cache=*/true);
-        if (final_wave) {
-          if (trace != nullptr) {
-            trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                          obs::TraceLane::kDriver, "driver",
-                                          "final_step_cached")
-                              .Arg("relation", step.relation_id)
-                              .Arg("plan", previous_plan));
-          }
-          return hit->file;
-        }
-        state.Substitute(covered_sets[i], step.relation_id, step.stats);
-        executed_units.insert(chosen[i]->uid);
-        // The entry's stats are the ones executing would have observed, so
-        // the re-optimization decision matches a cold run exactly.
-        double estimated = std::max(chosen[i]->est_rows, 1.0);
-        double observed = std::max(step.stats.cardinality, 1.0);
-        double error = std::abs(observed - estimated) / estimated;
-        if (error > options_.reopt_row_error_threshold) replan = true;
-        if (trace != nullptr) {
-          trace->Record(
-              obs::TraceEvent(engine_->now(), -1, obs::TraceLane::kDriver,
-                              "driver", "checkpoint_cached")
-                  .Arg("relation", step.relation_id)
-                  .ArgDouble("est_rows", estimated)
-                  .ArgDouble("observed_rows", observed)
-                  .Arg("plan", previous_plan));
-        }
-        satisfied[i] = true;
+    std::vector<size_t> to_run;
+    for (size_t i = 0; i < chosen.size(); ++i) {
+      std::optional<SubtreeCache::Hit> hit;
+      if (options_.subtree_cache != nullptr) {
+        hit = options_.subtree_cache->Lookup(cache_keys[i], engine_->now());
       }
-      size_t kept = 0;
-      for (size_t i = 0; i < chosen.size(); ++i) {
-        if (satisfied[i]) continue;
-        if (kept != i) {  // A self-move would empty the slot.
-          chosen[kept] = chosen[i];
-          requests[kept] = std::move(requests[i]);
-          covered_sets[kept] = std::move(covered_sets[i]);
-          cache_keys[kept] = std::move(cache_keys[i]);
-        }
-        ++kept;
+      if (!hit.has_value()) {
+        to_run.push_back(i);
+        continue;
       }
-      chosen.resize(kept);
-      requests.resize(kept);
-      covered_sets.resize(kept);
-      cache_keys.resize(kept);
-      if (requests.empty()) continue;  // Whole wave served from cache.
+      StepResult step;
+      step.subtree_signature =
+          executor.CanonicalSignature(*chosen[i]->nodes.back());
+      step.stats = hit->stats;
+      RelationBinding cached;
+      cached.file = hit->file;
+      cached.signature = step.subtree_signature;
+      step.relation_id = executor.BindCachedRelation(std::move(cached));
+      executor.RegisterUnitOutput(chosen[i]->uid, step.relation_id);
+      DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> output,
+                            commit(i, step, /*from_cache=*/true));
+      if (final_wave) return output;
     }
+    if (to_run.empty()) continue;  // Whole wave served from cache.
 
+    std::vector<PlanExecutor::UnitRequest> wave;
+    for (size_t i : to_run) wave.push_back(std::move(requests[i]));
     DYNO_ASSIGN_OR_RETURN(std::vector<StepResult> steps,
-                          executor.Execute(requests));
-    for (size_t i = 0; i < steps.size(); ++i) {
-      if (!steps[i].status.ok() &&
-          steps[i].status.code() == StatusCode::kOutOfMemory &&
+                          executor.Execute(wave));
+    for (size_t k = 0; k < steps.size(); ++k) {
+      const size_t i = to_run[k];
+      StepResult& step = steps[k];
+      if (!step.status.ok() &&
+          step.status.code() == StatusCode::kOutOfMemory &&
           !chosen[i]->map_only && options_.oom_retry_ladder > 0) {
-        auto climbed = oom_ladder(requests[i],
-                                  steps[i].job.reduce_tasks_planned,
-                                  steps[i].status);
+        auto climbed = oom_ladder(wave[k], step.job.reduce_tasks_planned,
+                                  step.status);
         if (climbed.ok()) {
-          steps[i] = std::move(*climbed);
+          step = std::move(*climbed);
           replan = true;  // the plan's memory footprint was provably wrong
         } else {
-          steps[i].status = climbed.status();
+          step.status = climbed.status();
         }
       }
-      if (!steps[i].status.ok()) {
-        if (steps[i].status.code() == StatusCode::kOutOfMemory &&
+      if (!step.status.ok()) {
+        if (step.status.code() == StatusCode::kOutOfMemory &&
             options_.adaptive_join_fallback && chosen[i]->map_only) {
           int extra_jobs = 0;
           DYNO_ASSIGN_OR_RETURN(
-              steps[i], RunRepartitionFallback(&executor, *chosen[i],
-                                               requests[i], &extra_jobs));
+              step, RunRepartitionFallback(&executor, *chosen[i], wave[k],
+                                           &extra_jobs));
           report->jobs_run += extra_jobs - 1;  // account_step adds one more
           ++report->broadcast_fallbacks;
           replan = true;  // the plan was provably wrong here
@@ -1066,9 +1090,9 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
                               .ArgInt("extra_jobs", extra_jobs));
           }
         } else {
-          auto retried = execute_with_retry(requests[i], steps[i].status);
+          auto retried = execute_with_retry(wave[k], step.status);
           if (retried.ok()) {
-            steps[i] = std::move(*retried);
+            step = std::move(*retried);
           } else if (retried.status().code() == StatusCode::kUnavailable ||
                      retried.status().code() == StatusCode::kCancelled ||
                      retried.status().code() ==
@@ -1078,62 +1102,13 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
           } else {
             abandon_job(*chosen[i], retried.status());
             replan = true;
-            continue;  // Skip accounting; re-plan around what succeeded.
+            continue;  // Skip the commit; re-plan around what succeeded.
           }
         }
       }
-      account_step(*chosen[i], steps[i], covered_sets[i], cache_keys[i],
-                   /*from_cache=*/false);
-      if (abort_requested()) {
-        return Status::Cancelled(
-            StrFormat("query aborted after %d jobs (test kill switch)",
-                      report->jobs_run));
-      }
-      double estimated = std::max(chosen[i]->est_rows, 1.0);
-      double observed = std::max(steps[i].stats.cardinality, 1.0);
-      if (final_wave) {
-        if (trace != nullptr) {
-          trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                        obs::TraceLane::kDriver, "driver",
-                                        "final_step")
-                            .Arg("relation", steps[i].relation_id)
-                            .ArgDouble("est_rows", estimated)
-                            .ArgDouble("observed_rows", observed)
-                            .Arg("plan", previous_plan));
-        }
-        DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
-                              executor.GetBinding(steps[i].relation_id));
-        return binding.file;
-      }
-      state.Substitute(covered_sets[i], steps[i].relation_id,
-                       steps[i].stats);
-      executed_units.insert(chosen[i]->uid);
-      // Estimation error check for conditional re-optimization.
-      double error = std::abs(observed - estimated) / estimated;
-      bool step_triggers_replan = error > options_.reopt_row_error_threshold;
-      if (step_triggers_replan) replan = true;
-      // Observed spilling re-plans even when the cardinality landed: the
-      // cost model charges spill I/O (SpillCost), so the re-optimizer can
-      // trade the next joins toward broadcasts or cheaper shapes.
-      if (steps[i].job.reduce_spills > 0) replan = true;
-      if (trace != nullptr) {
-        trace->Record(
-            obs::TraceEvent(engine_->now(), -1, obs::TraceLane::kDriver,
-                            "driver", "checkpoint")
-                .Arg("relation", steps[i].relation_id)
-                .ArgDouble("est_rows", estimated)
-                .ArgDouble("observed_rows", observed)
-                .ArgDouble("row_error", error)
-                .ArgDouble("threshold", options_.reopt_row_error_threshold)
-                .ArgBool("replan", step_triggers_replan)
-                .Arg("plan", previous_plan));
-      }
-      if (metrics != nullptr) {
-        metrics->GetCounter("driver.checkpoints")->Add();
-        if (step_triggers_replan) {
-          metrics->GetCounter("driver.replans_triggered")->Add();
-        }
-      }
+      DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> output,
+                            commit(i, step, /*from_cache=*/false));
+      if (final_wave) return output;
     }
   }
 }

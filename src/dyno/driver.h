@@ -207,6 +207,14 @@ class DynoDriver {
       const JoinBlock& block, QueryRunReport* report,
       const CheckpointManifest* resume);
 
+  /// The tail after a block's joins: an optional group-by job, then an
+  /// optional order-by job, written to "<temp>/<path_prefix>gb_<now>" and
+  /// "<path_prefix>ob_<now>". Returns the last output.
+  Result<std::shared_ptr<DfsFile>> RunPostJoin(
+      std::shared_ptr<DfsFile> input, const std::optional<GroupBySpec>& group_by,
+      const std::optional<OrderBySpec>& order_by,
+      const std::string& path_prefix, QueryRunReport* report);
+
   MapReduceEngine* engine_;
   Catalog* catalog_;
   StatsStore* store_;

@@ -159,42 +159,53 @@ PilotRunner::PilotRunner(MapReduceEngine* engine, Catalog* catalog,
     : engine_(engine), catalog_(catalog), store_(store), options_(options) {}
 
 Result<PilotRunReport> PilotRunner::Run(const std::vector<LeafExpr>& leaves) {
-  return options_.mode == PilotRunOptions::Mode::kSerial
-             ? RunSerial(leaves)
-             : RunParallel(leaves);
+  PilotRunReport report;
+  const SimMillis start = engine_->now();
+  run_counter_ = ++g_pilot_run_counter;
+  DYNO_RETURN_IF_ERROR(options_.mode == PilotRunOptions::Mode::kSerial
+                           ? RunSerial(leaves, &report)
+                           : RunParallel(leaves, &report));
+  if (obs::MetricsRegistry* metrics = engine_->metrics()) {
+    metrics->GetCounter("pilot.runs_executed")->Add(report.runs_executed);
+    metrics->GetCounter("pilot.runs_skipped_cached")
+        ->Add(report.runs_skipped_cached);
+  }
+  report.elapsed_ms = engine_->now() - start;
+  return report;
 }
 
-Result<PilotRunReport> PilotRunner::RunSerial(
-    const std::vector<LeafExpr>& leaves) {
-  PilotRunReport report;
-  SimMillis start = engine_->now();
+bool PilotRunner::ReuseKnownStats(const LeafExpr& leaf,
+                                  const std::string& signature,
+                                  uint64_t table_version,
+                                  PilotRunReport* report) {
+  if (!options_.reuse_stats) return false;
+  // Stats are only valid for the data version they were observed on: a
+  // signature match alone would happily reuse synopses from before the
+  // table was rewritten.
+  auto cached = store_->Get(signature, table_version);
+  if (!cached.has_value()) return false;
+  PilotLeafResult result;
+  result.alias = leaf.alias;
+  result.signature = signature;
+  result.stats = *cached;
+  result.reused_cached_stats = true;
+  report->leaves.push_back(std::move(result));
+  ++report->runs_skipped_cached;
+  if (obs::TraceSink* trace = engine_->trace()) {
+    trace->Record(obs::TraceEvent(engine_->now(), -1, obs::TraceLane::kPilot,
+                                  "pilot", "pilot_leaf_cached")
+                      .Arg("alias", leaf.alias));
+  }
+  return true;
+}
+
+Status PilotRunner::RunSerial(const std::vector<LeafExpr>& leaves,
+                              PilotRunReport* report) {
   obs::TraceSink* trace = engine_->trace();
-  run_counter_ = ++g_pilot_run_counter;
   for (const LeafExpr& leaf : leaves) {
     std::string signature = LeafSignature(leaf);
-    // Stats are only valid for the data version they were observed on: a
-    // signature match alone would happily reuse synopses from before the
-    // table was rewritten.
     uint64_t table_version = catalog_->TableVersion(leaf.table);
-    if (options_.reuse_stats) {
-      auto cached = store_->Get(signature, table_version);
-      if (cached.has_value()) {
-        PilotLeafResult result;
-        result.alias = leaf.alias;
-        result.signature = signature;
-        result.stats = *cached;
-        result.reused_cached_stats = true;
-        report.leaves.push_back(std::move(result));
-        ++report.runs_skipped_cached;
-        if (trace != nullptr) {
-          trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                        obs::TraceLane::kPilot, "pilot",
-                                        "pilot_leaf_cached")
-                            .Arg("alias", leaf.alias));
-        }
-        continue;
-      }
-    }
+    if (ReuseKnownStats(leaf, signature, table_version, report)) continue;
     SimMillis leaf_start = engine_->now();
     DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
                           catalog_->OpenTable(leaf.table));
@@ -229,7 +240,12 @@ Result<PilotRunReport> PilotRunner::RunSerial(
     fraction = std::clamp(fraction, 1e-9, 1.0);
     bool scanned_everything = job.map_tasks_skipped == 0;
     result.stats = merged.Finalize(scanned_everything ? 1.0 : fraction);
-    if (scanned_everything) result.full_output = job.output;
+    if (scanned_everything) {
+      result.full_output = job.output;
+    } else if (job.output != nullptr) {
+      // A partial scan is no materialization: only its statistics survive.
+      engine_->dfs()->Delete(job.output->path()).ok();
+    }
     store_->Put(signature, table_version, result.stats);
     if (trace != nullptr) {
       trace->Record(obs::TraceEvent(leaf_start, engine_->now() - leaf_start,
@@ -247,24 +263,16 @@ Result<PilotRunReport> PilotRunner::RunSerial(
                         .ArgBool("stop_hit", job.map_tasks_skipped > 0)
                         .ArgBool("scanned_all", scanned_everything));
     }
-    report.leaves.push_back(std::move(result));
-    ++report.runs_executed;
+    report->leaves.push_back(std::move(result));
+    ++report->runs_executed;
   }
-  if (obs::MetricsRegistry* metrics = engine_->metrics()) {
-    metrics->GetCounter("pilot.runs_executed")->Add(report.runs_executed);
-    metrics->GetCounter("pilot.runs_skipped_cached")
-        ->Add(report.runs_skipped_cached);
-  }
-  report.elapsed_ms = engine_->now() - start;
-  return report;
+  return Status::OK();
 }
 
-Result<PilotRunReport> PilotRunner::RunParallel(
-    const std::vector<LeafExpr>& leaves) {
-  PilotRunReport report;
-  SimMillis start = engine_->now();
+Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
+                                PilotRunReport* report) {
+  const SimMillis start = engine_->now();
   obs::TraceSink* trace = engine_->trace();
-  run_counter_ = ++g_pilot_run_counter;
   // Seed from options alone (NOT the process-wide run counter, which is
   // only used to keep DFS paths and Coordinator keys unique): two runs of
   // the same workload must pick identical split permutations so results
@@ -274,28 +282,8 @@ Result<PilotRunReport> PilotRunner::RunParallel(
   std::vector<LeafJobState> states;
   for (const LeafExpr& leaf : leaves) {
     std::string signature = LeafSignature(leaf);
-    // Same staleness guard as the serial path: reuse requires both the
-    // signature and the data version to match.
     uint64_t table_version = catalog_->TableVersion(leaf.table);
-    if (options_.reuse_stats) {
-      auto cached = store_->Get(signature, table_version);
-      if (cached.has_value()) {
-        PilotLeafResult result;
-        result.alias = leaf.alias;
-        result.signature = signature;
-        result.stats = *cached;
-        result.reused_cached_stats = true;
-        report.leaves.push_back(std::move(result));
-        ++report.runs_skipped_cached;
-        if (trace != nullptr) {
-          trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                        obs::TraceLane::kPilot, "pilot",
-                                        "pilot_leaf_cached")
-                            .Arg("alias", leaf.alias));
-        }
-        continue;
-      }
-    }
+    if (ReuseKnownStats(leaf, signature, table_version, report)) continue;
     LeafJobState state;
     state.leaf = &leaf;
     state.signature = signature;
@@ -425,6 +413,10 @@ Result<PilotRunReport> PilotRunner::RunParallel(
         result.full_output = *combined;
       }
     }
+    // Merged (and, above, concatenated), the batch outputs are garbage.
+    for (const auto& out : state.batch_outputs) {
+      if (out != nullptr) engine_->dfs()->Delete(out->path()).ok();
+    }
     store_->Put(state.signature, state.table_version, result.stats);
     if (trace != nullptr) {
       trace->Record(
@@ -441,16 +433,10 @@ Result<PilotRunReport> PilotRunner::RunParallel(
                            static_cast<uint64_t>(options_.k))
               .ArgBool("scanned_all", scanned_everything));
     }
-    report.leaves.push_back(std::move(result));
-    ++report.runs_executed;
+    report->leaves.push_back(std::move(result));
+    ++report->runs_executed;
   }
-  if (obs::MetricsRegistry* metrics = engine_->metrics()) {
-    metrics->GetCounter("pilot.runs_executed")->Add(report.runs_executed);
-    metrics->GetCounter("pilot.runs_skipped_cached")
-        ->Add(report.runs_skipped_cached);
-  }
-  report.elapsed_ms = engine_->now() - start;
-  return report;
+  return Status::OK();
 }
 
 }  // namespace dyno

@@ -82,8 +82,18 @@ class PilotRunner {
  private:
   struct LeafJobState;
 
-  Result<PilotRunReport> RunSerial(const std::vector<LeafExpr>& leaves);
-  Result<PilotRunReport> RunParallel(const std::vector<LeafExpr>& leaves);
+  /// The two modes fill `report`'s leaves and run counts; Run() times the
+  /// run and writes the pilot.* metrics.
+  Status RunSerial(const std::vector<LeafExpr>& leaves,
+                   PilotRunReport* report);
+  Status RunParallel(const std::vector<LeafExpr>& leaves,
+                     PilotRunReport* report);
+
+  /// The StatsStore reuse check both modes make before piloting a leaf
+  /// (recurring queries, §4.1): on a hit for (signature, table version) it
+  /// records the known statistics in `report` and returns true.
+  bool ReuseKnownStats(const LeafExpr& leaf, const std::string& signature,
+                       uint64_t table_version, PilotRunReport* report);
 
   MapReduceEngine* engine_;
   Catalog* catalog_;

@@ -84,21 +84,22 @@ struct QueryService::Session {
   SimMillis admit_ms = -1;       ///< First admission (preemption keeps it).
   SimMillis finish_ms = -1;
 
+  /// Why the scheduler wants the session stopped, in precedence order: a
+  /// preemption (unwind at the next submission point, then re-queue instead
+  /// of finalizing) yields to a deadline, a deadline to an explicit cancel,
+  /// and a service halt overrides all three.
+  enum class Stop { kNone, kPreempt, kDeadline, kCancel, kHalt };
+
   State state = State::kQueued;
-  bool started = false;        ///< Thread launched.
-  bool start_granted = false;  ///< First baton handoff.
-  bool cancelled = false;
-  bool deadline_hit = false;
-  /// The scheduler wants this session's slot back: unwind with Cancelled at
-  /// the next submission point, then re-queue instead of finalizing.
-  bool preempt_requested = false;
+  bool started = false;  ///< Thread launched.
+  /// Only rises (Raise), except that a preemption re-queue clears it.
+  Stop stop = Stop::kNone;
   int preempt_count = 0;
   /// Start the driver via Resume() (preempted earlier, or re-admitted by
   /// RecoverPending) so it continues from its checkpoint manifest.
   bool resume_on_start = false;
   bool recovered = false;  ///< Came in through RecoverPending().
   std::optional<SimMillis> cancel_at;
-  bool reaped = false;  ///< Outcome collected, thread joined.
   /// Bytes this session currently holds against the memory ledger (0 when
   /// not admitted or memory-aware admission is off).
   uint64_t memory_charge = 0;
@@ -114,7 +115,32 @@ struct QueryService::Session {
   /// Posted by SessionMain when the driver returns.
   std::optional<Result<QueryRunReport>> driver_result;
 
+  /// Joinable exactly while the session has finished but is not yet
+  /// reaped (or is still running).
   std::thread thread;
+
+  void Raise(Stop reason) { stop = std::max(stop, reason); }
+
+  /// The error a stopped session unwinds with, or (`queued`: stopped while
+  /// waiting for admission) is finalized with.
+  Status StopStatus(bool queued) const {
+    const std::string query = "query " + sub.query_id;
+    const char* when = queued ? " before admission" : "";
+    switch (stop) {
+      case Stop::kPreempt:
+        return Status::Cancelled(query + " preempted");
+      case Stop::kDeadline:
+        return Status::DeadlineExceeded(query + " missed its deadline" +
+                                        when);
+      case Stop::kCancel:
+        return Status::Cancelled(query + " cancelled" + when);
+      case Stop::kHalt:
+        return Status::Cancelled(query + " interrupted by service halt");
+      case Stop::kNone:
+        break;
+    }
+    return Status::OK();
+  }
 };
 
 QueryService::QueryService(MapReduceEngine* engine, Catalog* catalog,
@@ -133,24 +159,18 @@ QueryService::QueryService(MapReduceEngine* engine, Catalog* catalog,
 
 QueryService::~QueryService() {
   // Defensive teardown for a service destroyed mid-run (RunAll normally
-  // joins everything): unblock any parked or unstarted session with
-  // Cancelled and join its thread.
+  // joins everything): unwind any parked session as a halt would and join
+  // its thread.
+  std::unique_lock<std::mutex> lock(mu_);
+  for (auto& session : sessions_) session->Raise(Session::Stop::kHalt);
+  UnwindStopped(&lock);
   std::vector<std::thread> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& session : sessions_) {
-      session->cancelled = true;
-      if (session->state == Session::State::kWaitingSubmit) {
-        session->grant = Result<std::vector<JobResult>>(
-            Status::Cancelled("query service shut down"));
-      }
-      session->start_granted = true;
-      if (session->thread.joinable()) {
-        to_join.push_back(std::move(session->thread));
-      }
+  for (auto& session : sessions_) {
+    if (session->thread.joinable()) {
+      to_join.push_back(std::move(session->thread));
     }
-    cv_.notify_all();
   }
+  lock.unlock();
   for (std::thread& t : to_join) t.join();
 }
 
@@ -218,7 +238,7 @@ Status QueryService::Cancel(const std::string& query_id) {
     if (session->state == Session::State::kDone) {
       return Status::OK();  // Already finished: cancellation is a no-op.
     }
-    session->cancelled = true;
+    session->Raise(Session::Stop::kCancel);
     return Status::OK();
   }
   return Status::NotFound("unknown query id: " + query_id);
@@ -286,12 +306,12 @@ Result<std::vector<JobResult>> QueryService::SubmitFromSession(
     lock.unlock();
     return engine_->SubmitAllDirect(specs);
   }
-  if (session->cancelled) {
-    return Status::Cancelled("query " + session->sub.query_id + " cancelled");
-  }
-  if (session->deadline_hit) {
-    return Status::DeadlineExceeded("query " + session->sub.query_id +
-                                    " missed its deadline");
+  // A preemption victim parks like any other session and unwinds in the
+  // scheduler's next UnwindStopped pass. Returning here would let a victim
+  // named by the second admission pass finish inside the wave instead,
+  // which moves its finish time and the trace.
+  if (session->stop >= Session::Stop::kDeadline) {
+    return session->StopStatus(/*queued=*/false);
   }
   session->pending_specs = std::move(specs);
   session->state = Session::State::kWaitingSubmit;
@@ -305,9 +325,9 @@ Result<std::vector<JobResult>> QueryService::SubmitFromSession(
 void QueryService::SessionMain(Session* session) {
   bool resume = false;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return session->start_granted; });
-    session->start_granted = false;
+    // The scheduler holds mu_ from launching this thread until it waits for
+    // the session to block, so acquiring it is the start handoff.
+    std::lock_guard<std::mutex> lock(mu_);
     resume = session->resume_on_start;
   }
   // The stats-sharing knob: with sharing off each session plans from a
@@ -342,12 +362,33 @@ void QueryService::RunSessionUntilBlocked(Session* session,
   running_session_ = nullptr;
 }
 
+void QueryService::UnwindStopped(std::unique_lock<std::mutex>* lock) {
+  for (auto& session : sessions_) {
+    if (session->state != Session::State::kWaitingSubmit ||
+        session->stop == Session::Stop::kNone) {
+      continue;
+    }
+    session->pending_specs.clear();
+    obs::TraceSink* trace = engine_->trace();
+    if (session->stop == Session::Stop::kCancel && trace != nullptr) {
+      trace->Record(obs::TraceEvent(engine_->now(), -1,
+                                    obs::TraceLane::kService, "service",
+                                    "query_cancelled")
+                        .Arg("query", session->sub.query_id)
+                        .ArgBool("admitted", true));
+    }
+    session->grant =
+        Result<std::vector<JobResult>>(session->StopStatus(/*queued=*/false));
+    RunSessionUntilBlocked(session.get(), lock);
+  }
+}
+
 void QueryService::ApplyTimedCancels() {
   const SimMillis now = engine_->now();
   for (auto& session : sessions_) {
     if (session->cancel_at.has_value() && now >= *session->cancel_at &&
         session->state != Session::State::kDone) {
-      session->cancelled = true;
+      session->Raise(Session::Stop::kCancel);
     }
   }
 }
@@ -423,15 +464,9 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                ? session->sub.estimated_memory_bytes
                : options_.default_query_memory_bytes;
   };
-  // Halt mode (crash simulation / drain): no cleanup of service state.
-  bool halted = false;
-
   auto committed_slot_ms = [&](Session* session) -> SimMillis {
     const auto& per_query = engine_->query_slot_ms();
-    const std::string& id = session->scoped_options.exec.query_id.empty()
-                                ? session->sub.query_id
-                                : session->scoped_options.exec.query_id;
-    auto it = per_query.find(id);
+    auto it = per_query.find(session->sub.query_id);
     return it == per_query.end() ? 0 : it->second;
   };
 
@@ -449,12 +484,30 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     engine_->dfs()->Create(path).ok();
   };
 
-  // Finalization scrubs the query's service state — pending marker plus
-  // both checkpoint manifest generations — unless the run is halting, in
-  // which case everything is left behind exactly as a crash would.
+  // Finalization scrubs the query's state — every intermediate under its
+  // temp directory except the result and the quarantine files (poison
+  // records are durable, like the result), the pending marker and both
+  // checkpoint manifest generations — unless the run is halting, in which
+  // case everything is left behind exactly as a crash would. A preemption
+  // re-queue is not a finalization: the resume needs the intermediates.
   auto cleanup_service_state = [&](Session* session) {
-    if (options_.checkpoint_root.empty() || halted) return;
+    if (session->stop == Session::Stop::kHalt) return;
     Dfs* dfs = engine_->dfs();
+    if (session->admit_ms >= 0) {
+      const std::string temp_dir =
+          session->scoped_options.exec.ScopedTempPrefix() + "/";
+      const Result<QueryRunReport>& result = *session->driver_result;
+      const std::string keep = result.ok() && result->result != nullptr
+                                   ? result->result->path()
+                                   : "";
+      for (const std::string& path : dfs->List()) {
+        if (StartsWith(path, temp_dir) && path != keep &&
+            !EndsWith(path, ".quarantine")) {
+          dfs->Delete(path).ok();
+        }
+      }
+    }
+    if (options_.checkpoint_root.empty()) return;
     dfs->Delete(pending_marker_path(session)).ok();
     const std::string& manifest = session->scoped_options.checkpoint_path;
     if (session->started && !manifest.empty() &&
@@ -465,31 +518,18 @@ std::vector<QueryOutcome> QueryService::RunAll() {
   };
 
   // Finalizes a session with no live thread (never admitted, or already
-  // joined after a preemption) without a driver run: cancelled while
-  // queued, past its deadline, or load-shed.
-  auto finalize_queued = [&](Session* session, Status status,
-                             obs::Counter* counter) {
+  // joined after a preemption) without a driver run: stopped while queued
+  // (`status` empty: its StopStatus) or load-shed. No thread, no slot
+  // accounting.
+  auto finalize_queued = [&](Session* session, obs::Counter* counter,
+                             std::optional<Status> status = std::nullopt) {
+    session->driver_result.emplace(
+        Result<QueryRunReport>(status ? *status
+                                      : session->StopStatus(/*queued=*/true)));
     session->state = Session::State::kDone;
     session->finish_ms = engine_->now();
-    session->driver_result.emplace(
-        Result<QueryRunReport>(std::move(status)));
-    session->reaped = true;  // No thread, no slot accounting.
     if (counter != nullptr) counter->Add();
     cleanup_service_state(session);
-  };
-
-  auto finalize_queued_cancelled = [&](Session* session) {
-    finalize_queued(session,
-                    Status::Cancelled("query " + session->sub.query_id +
-                                      " cancelled before admission"),
-                    m_cancelled);
-    if (trace != nullptr) {
-      trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                    obs::TraceLane::kService, "service",
-                                    "query_cancelled")
-                        .Arg("query", session->sub.query_id)
-                        .ArgBool("admitted", false));
-    }
   };
 
   // Joins finished session threads and releases their capacity. A session
@@ -497,10 +537,11 @@ std::vector<QueryOutcome> QueryService::RunAll() {
   // from its checkpoint instead of being finalized.
   auto reap_finished = [&] {
     for (Session* session : cohort) {
-      if (session->state != Session::State::kDone || session->reaped) {
+      if (session->state != Session::State::kDone ||
+          !session->thread.joinable()) {
         continue;
       }
-      if (session->thread.joinable()) session->thread.join();
+      session->thread.join();
       --running;
       --tenant_running[session->sub.tenant];
       if (g_running != nullptr) g_running->Set(running);
@@ -512,15 +553,13 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         }
       }
 
-      if (session->preempt_requested && !session->cancelled &&
-          !session->deadline_hit && !halted &&
+      if (session->stop == Session::Stop::kPreempt &&
           session->driver_result->status().code() == StatusCode::kCancelled) {
-        session->preempt_requested = false;
+        session->stop = Session::Stop::kNone;
         ++session->preempt_count;
         session->resume_on_start = true;
         session->driver_result.reset();
         session->started = false;
-        session->start_granted = false;
         session->finish_ms = -1;
         session->state = Session::State::kQueued;
         if (m_preemptions != nullptr) m_preemptions->Add();
@@ -534,8 +573,6 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         continue;
       }
 
-      session->preempt_requested = false;
-      session->reaped = true;
       const Status& st = session->driver_result->status();
       if (st.ok()) {
         if (m_completed != nullptr) m_completed->Add();
@@ -564,17 +601,17 @@ std::vector<QueryOutcome> QueryService::RunAll() {
 
   // Deadline sweep, at wave boundaries like timed cancels: queued sessions
   // past deadline finalize without ever starting; admitted ones are handed
-  // DeadlineExceeded at their parked submission point (unwind_parked). An
+  // DeadlineExceeded at their parked submission point (UnwindStopped). An
   // explicit cancel wins over a deadline.
   auto apply_deadlines = [&] {
     const SimMillis now = engine_->now();
     for (Session* session : cohort) {
-      if (session->deadline_at < 0 || session->deadline_hit) continue;
-      if (session->state == Session::State::kDone || session->cancelled) {
+      if (session->deadline_at < 0 || now < session->deadline_at) continue;
+      if (session->state == Session::State::kDone ||
+          session->stop >= Session::Stop::kDeadline) {
         continue;
       }
-      if (now < session->deadline_at) continue;
-      session->deadline_hit = true;
+      session->Raise(Session::Stop::kDeadline);
       if (trace != nullptr) {
         trace->Record(obs::TraceEvent(now, -1, obs::TraceLane::kService,
                                       "service", "deadline_exceeded")
@@ -583,11 +620,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                           .ArgBool("admitted", session->started));
       }
       if (session->state == Session::State::kQueued) {
-        finalize_queued(session,
-                        Status::DeadlineExceeded(
-                            "query " + session->sub.query_id +
-                            " missed its deadline before admission"),
-                        m_deadline);
+        finalize_queued(session, m_deadline);
       }
     }
   };
@@ -599,7 +632,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     Session* victim = nullptr;
     for (Session* s : cohort) {
       if (!s->started || s->state == Session::State::kDone) continue;
-      if (s->preempt_requested || s->cancelled || s->deadline_hit) continue;
+      if (s->stop != Session::Stop::kNone) continue;
       if (victim == nullptr || s->priority < victim->priority ||
           (s->priority == victim->priority &&
            s->admit_seq > victim->admit_seq)) {
@@ -632,11 +665,10 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     const bool memory_shed = options_.load_shed_pressure > 0.0 &&
                              memory_pressure >= options_.load_shed_pressure;
     if (!queue_shed && !pressure_shed && !memory_shed) return;
-    finalize_queued(session,
-                    Status::ResourceExhausted(
-                        "query " + session->sub.query_id +
-                        " shed under overload"),
-                    m_shed);
+    finalize_queued(session, m_shed,
+                    Status::ResourceExhausted("query " +
+                                              session->sub.query_id +
+                                              " shed under overload"));
     if (trace != nullptr) {
       trace->Record(obs::TraceEvent(engine_->now(), -1,
                                     obs::TraceLane::kService, "service",
@@ -663,8 +695,15 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     std::vector<Session*> due;
     for (Session* session : cohort) {
       if (session->state != Session::State::kQueued) continue;
-      if (session->cancelled) {
-        finalize_queued_cancelled(session);
+      if (session->stop == Session::Stop::kCancel) {
+        finalize_queued(session, m_cancelled);
+        if (trace != nullptr) {
+          trace->Record(obs::TraceEvent(engine_->now(), -1,
+                                        obs::TraceLane::kService, "service",
+                                        "query_cancelled")
+                            .Arg("query", session->sub.query_id)
+                            .ArgBool("admitted", false));
+        }
         continue;
       }
       if (session->arrival_ms <= engine_->now()) due.push_back(session);
@@ -679,7 +718,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         if (options_.priority_preemption) {
           Session* victim = lowest_priority_victim();
           if (victim != nullptr && victim->priority < session->priority) {
-            victim->preempt_requested = true;
+            victim->Raise(Session::Stop::kPreempt);
             continue;  // Admitted next pass, once the victim unwinds.
           }
         }
@@ -725,16 +764,15 @@ std::vector<QueryOutcome> QueryService::RunAll() {
       session->admit_seq = next_admit_seq_++;
       const bool first_admission = session->admit_ms < 0;
       if (first_admission) session->admit_ms = engine_->now();
-      // The driver inherits the submission's query id: it scopes DFS temp
-      // paths, quarantine files, engine fault streams and trace tags. A
+      // The driver takes the submission's query id, which the service keeps
+      // unique: it scopes DFS temp paths (reclaimed at finalization),
+      // quarantine files, engine fault streams and trace tags. A
       // checkpoint path, if configured, becomes per-query for the same
       // reason (manifest + ".prev" must never be shared across queries);
       // with none configured the service checkpoint root (if any) supplies
       // one, which is what makes preemption and crash recovery lossless.
       session->scoped_options = session->sub.options;
-      if (session->scoped_options.exec.query_id.empty()) {
-        session->scoped_options.exec.query_id = session->sub.query_id;
-      }
+      session->scoped_options.exec.query_id = session->sub.query_id;
       if (session->scoped_options.checkpoint_path.empty() &&
           !options_.checkpoint_root.empty()) {
         session->scoped_options.checkpoint_path = options_.checkpoint_root;
@@ -775,43 +813,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         }
       }
       session->started = true;
-      session->start_granted = true;
       session->thread = std::thread(&QueryService::SessionMain, this, session);
-      RunSessionUntilBlocked(session, &lock);
-    }
-  };
-
-  // Unwinds every parked session the scheduler wants stopped — cancelled,
-  // past deadline, or preempted — by handing it the matching error; each
-  // unwinds its driver stack and finishes (preempted ones then re-queue in
-  // reap_finished).
-  auto unwind_parked = [&] {
-    for (Session* session : cohort) {
-      if (session->state != Session::State::kWaitingSubmit) continue;
-      if (!session->cancelled && !session->deadline_hit &&
-          !session->preempt_requested) {
-        continue;
-      }
-      session->pending_specs.clear();
-      Status st;
-      if (session->cancelled) {
-        st = Status::Cancelled("query " + session->sub.query_id +
-                               " cancelled");
-        if (trace != nullptr) {
-          trace->Record(obs::TraceEvent(engine_->now(), -1,
-                                        obs::TraceLane::kService, "service",
-                                        "query_cancelled")
-                            .Arg("query", session->sub.query_id)
-                            .ArgBool("admitted", true));
-        }
-      } else if (session->deadline_hit) {
-        st = Status::DeadlineExceeded("query " + session->sub.query_id +
-                                      " missed its deadline");
-      } else {
-        st = Status::Cancelled("query " + session->sub.query_id +
-                               " preempted");
-      }
-      session->grant = Result<std::vector<JobResult>>(std::move(st));
       RunSessionUntilBlocked(session, &lock);
     }
   };
@@ -886,31 +888,21 @@ std::vector<QueryOutcome> QueryService::RunAll() {
 
   // Stops scheduling mid-run, leaving all service state on the DFS as a
   // crash would: parked sessions unwind with Cancelled, queued ones
-  // finalize as cancelled, markers and manifests survive for a successor's
-  // RecoverPending.
+  // finalize as cancelled, intermediates, markers and manifests survive for
+  // a successor's RecoverPending.
   auto halt_run = [&] {
-    halted = true;
     if (trace != nullptr) {
       trace->Record(obs::TraceEvent(engine_->now(), -1,
                                     obs::TraceLane::kService, "service",
                                     "service_halt")
                         .ArgInt("at_ms", engine_->now()));
     }
-    for (Session* session : cohort) {
-      if (session->state != Session::State::kWaitingSubmit) continue;
-      session->pending_specs.clear();
-      session->grant = Result<std::vector<JobResult>>(
-          Status::Cancelled("query " + session->sub.query_id +
-                            " interrupted by service halt"));
-      RunSessionUntilBlocked(session, &lock);
-    }
+    for (Session* session : cohort) session->Raise(Session::Stop::kHalt);
+    UnwindStopped(&lock);
     reap_finished();
     for (Session* session : cohort) {
       if (session->state == Session::State::kQueued) {
-        finalize_queued(session,
-                        Status::Cancelled("query " + session->sub.query_id +
-                                          " interrupted by service halt"),
-                        m_cancelled);
+        finalize_queued(session, m_cancelled);
       }
     }
   };
@@ -924,7 +916,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     apply_deadlines();
     reap_finished();
     admit_due();
-    unwind_parked();
+    UnwindStopped(&lock);
     reap_finished();
     // A preemption freed its slot just now (unwind → reap): admit again so
     // the preemptor joins the very next wave instead of waiting one out.
@@ -937,7 +929,8 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     SimMillis next_arrival = -1;
     bool any_queued = false;
     for (Session* session : cohort) {
-      if (session->state == Session::State::kDone && !session->reaped) {
+      if (session->state == Session::State::kDone &&
+          session->thread.joinable()) {
         any_done_unreaped = true;
       }
       if (session->state == Session::State::kQueued) {

@@ -106,9 +106,9 @@ struct QueryServiceOptions {
   /// Crash/drain hook (tests, graceful shutdown): once the cluster clock
   /// reaches this time the scheduler stops — parked sessions unwind with
   /// Cancelled, queued ones finalize as cancelled, and *no* service state
-  /// is cleaned up: pending markers and manifests stay on the DFS exactly
-  /// as a killed service would leave them, so a successor instance can
-  /// RecoverPending(). < 0 (default) disables.
+  /// is cleaned up: pending markers, manifests and intermediates stay on
+  /// the DFS exactly as a killed service would leave them, so a successor
+  /// instance can RecoverPending(). < 0 (default) disables.
   SimMillis halt_at_ms = -1;
 
   /// Fills the knobs from DYNO_CONCURRENCY / DYNO_TENANT_SLOTS /
@@ -132,9 +132,11 @@ struct QuerySubmission {
   /// Tenant for quota accounting; empty is the anonymous shared tenant.
   std::string tenant;
   Query query;
-  /// Per-session driver configuration. The service stamps exec.query_id
-  /// (when empty) and rewrites a non-empty checkpoint_path to a per-query
-  /// subpath, so callers may reuse one options template across sessions.
+  /// Per-session driver configuration. The service sets exec.query_id to
+  /// query_id (replacing any caller value, so no two sessions share the
+  /// temp directory it reclaims) and rewrites a non-empty checkpoint_path
+  /// to a per-query subpath, so callers may reuse one options template
+  /// across sessions.
   DynoOptions options;
   /// Arrival time as an offset (SimMillis) from the schedule start. < 0
   /// draws from the service RNG stream (see QueryServiceOptions).
@@ -245,6 +247,9 @@ class QueryService {
   /// Runs every queued session to completion (or cancellation) and returns
   /// their outcomes in enqueue order. Installs the submit gate on the
   /// engine for the duration of the call and removes it before returning.
+  /// Finalizing an admitted session deletes its intermediates: every DFS
+  /// file under its ExecOptions::ScopedTempPrefix() but the result and the
+  /// ".quarantine" files (a halt keeps them all for RecoverPending).
   std::vector<QueryOutcome> RunAll();
 
   const QueryServiceOptions& options() const { return options_; }
@@ -264,14 +269,20 @@ class QueryService {
   Result<std::vector<JobResult>> SubmitFromSession(
       std::vector<JobSpec> specs);
 
-  /// Session thread body: waits for the first baton grant, runs the
-  /// driver, posts the outcome.
+  /// Session thread body: takes the start handoff, runs the driver, posts
+  /// the outcome.
   void SessionMain(Session* session);
 
   /// Hands the baton to `session` (start or grant) and blocks until it
   /// parks at a submission or finishes. Call with `lock` held.
   void RunSessionUntilBlocked(Session* session,
                               std::unique_lock<std::mutex>* lock);
+
+  /// Hands every parked session that has a stop reason its StopStatus and
+  /// runs it until it blocks again (it unwinds its driver stack and
+  /// finishes). Serves the scheduler pass, the halt and the destructor.
+  /// Call with `lock` held.
+  void UnwindStopped(std::unique_lock<std::mutex>* lock);
 
   /// Applies due CancelAt requests; call with the lock held.
   void ApplyTimedCancels();

@@ -4,7 +4,10 @@
 // runs one multi-job workload — concurrent map-only and map-reduce jobs
 // with an output observer, followed by a PILR_MT pilot with an active stop
 // condition — at 1, 4 and 8 execution threads and compares full-state
-// fingerprints.
+// fingerprints. The query-service fingerprints are also compared byte for
+// byte with checked-in goldens (tests/golden/*.fp), so a change that moved
+// them at every thread count still fails; regenerate after an intended
+// change with DYNO_UPDATE_GOLDEN=1 ./engine_determinism_test.
 
 #include <cstdint>
 #include <string>
@@ -37,6 +40,17 @@ namespace {
 /// the Columnar* tests below, which pin the knobs on instead.
 ScopedEnv RowMode() {
   return ScopedEnv({{"DYNO_COLUMNAR", "0"}, {"DYNO_ZONE_MAPS", "0"}});
+}
+
+/// Row mode plus the driver's environment-read recovery knobs at their
+/// defaults, so a ctest preset (node-faults exports DYNO_MAX_JOB_ATTEMPTS)
+/// cannot move a fingerprint that is compared against a checked-in golden.
+ScopedEnv GoldenEnv() {
+  return ScopedEnv({{"DYNO_COLUMNAR", "0"},
+                    {"DYNO_ZONE_MAPS", "0"},
+                    {"DYNO_MAX_JOB_ATTEMPTS", "1"},
+                    {"DYNO_RETRY_BUDGET_MS", "0"},
+                    {"DYNO_OOM_RETRIES", "0"}});
 }
 
 uint64_t Fnv1a(uint64_t h, const std::string& bytes) {
@@ -654,6 +668,15 @@ TEST(EngineDeterminismTest, ConcurrentQueriesDeterministicAcrossThreadCounts) {
 // across engine thread counts.
 TEST(EngineDeterminismTest,
      ConcurrentQueriesWithSubtreeCacheDeterministicAcrossThreadCounts) {
+  {
+    // Pinned to the checked-in fingerprint, not only across thread counts: a
+    // service refactor that moved the bytes at every count would pass the
+    // comparisons below. The golden run fixes the recovery knobs a ctest
+    // preset may export; the cross-thread runs keep the inherited ones.
+    ScopedEnv env = GoldenEnv();
+    CompareWithGolden("service_concurrent_cached.fp",
+                      RunConcurrentWorkload(1, nullptr, /*with_cache=*/true));
+  }
   ScopedEnv row_mode = RowMode();
   std::string one = RunConcurrentWorkload(1, nullptr, /*with_cache=*/true);
   std::string four = RunConcurrentWorkload(4, nullptr, /*with_cache=*/true);
@@ -784,6 +807,12 @@ std::string RunOverloadWorkload(int threads) {
 }
 
 TEST(EngineDeterminismTest, OverloadRegimeDeterministicAcrossThreadCounts) {
+  {
+    // The golden run fixes the recovery knobs a ctest preset may export;
+    // the cross-thread runs keep the inherited ones.
+    ScopedEnv env = GoldenEnv();
+    CompareWithGolden("service_overload.fp", RunOverloadWorkload(1));
+  }
   ScopedEnv row_mode = RowMode();
   std::string one = RunOverloadWorkload(1);
   std::string four = RunOverloadWorkload(4);
@@ -800,6 +829,184 @@ TEST(EngineDeterminismTest, OverloadRegimeDeterministicAcrossThreadCounts) {
   // The preempted session still completed, resuming checkpointed work.
   EXPECT_NE(one.find("query_resumed"), std::string::npos)
       << "no resume event in the trace";
+}
+
+/// Every way a service session can stop, on one cluster and one checkpoint
+/// root, in four service instances:
+///   1. cancel before RunAll, CancelAt on a queued and on a running session,
+///      a deadline, a priority preemption, a queue-wait shed and a memory
+///      ledger hold-back;
+///   2. a preemption named in the second admission pass of a wave boundary
+///      (after a memory hold-back let a lower-priority arrival in);
+///   3. a halt (halt_at_ms) with two sessions in flight and one queued;
+///   4. a successor instance that RecoverPending()s the halted pair.
+/// The fingerprint holds each outcome (with its full status message), the
+/// checkpoint-root DFS listing after each instance, the service metrics and
+/// the full trace.
+std::string RunStopWorkload(int threads) {
+  Dfs dfs;
+  Catalog catalog(&dfs);
+  ClusterConfig config;
+  config.job_startup_ms = 2000;
+  config.map_slots = 20;
+  config.reduce_slots = 10;
+  config.memory_per_task_bytes = 64 * 1024;
+  config.execution_threads = threads;
+  config.faults.use_env_defaults = false;
+  MapReduceEngine engine(&dfs, config);
+  obs::TraceSink trace;
+  obs::MetricsRegistry metrics;
+  engine.set_trace(&trace);
+  engine.set_metrics(&metrics);
+
+  TpchConfig tpch;
+  tpch.scale = 0.0005;
+  tpch.split_bytes = 8 * 1024;
+  EXPECT_TRUE(GenerateTpch(&catalog, tpch).ok());
+
+  StatsStore store;
+  const std::string root = "/svc_stop";
+  QueryServiceOptions base;
+  base.checkpoint_root = root;
+  base.priority_preemption = true;
+  base.load_shed_queue_ms = 5000;
+  base.load_shed_max_priority = -1;
+  base.memory_ledger_bytes = 7 << 19;  // 3.5 MiB
+  base.default_query_memory_bytes = 1 << 20;
+
+  auto submission = [&](const std::string& id, const Query& query,
+                        SimMillis arrival, int priority) {
+    QuerySubmission sub;
+    sub.query_id = id;
+    sub.query = query;
+    sub.options.pilot.k = 256;
+    sub.options.pilot.mode = PilotRunOptions::Mode::kParallel;
+    sub.options.cost.max_memory_bytes = config.memory_per_task_bytes;
+    sub.options.cost.memory_factor = 1.5;
+    sub.arrival_offset_ms = arrival;
+    sub.priority = priority;
+    return sub;
+  };
+
+  std::string fp;
+  auto run = [&](QueryService* service, const char* phase) {
+    fp += StrFormat("phase %s start=%lld\n", phase, (long long)engine.now());
+    for (const QueryOutcome& outcome : service->RunAll()) {
+      fp += StrFormat(
+          "%s pri=%d preempt=%d recovered=%d arrive=%lld admit=%lld "
+          "finish=%lld slot=%lld status=%s",
+          outcome.query_id.c_str(), outcome.priority, outcome.preemptions,
+          outcome.recovered ? 1 : 0, (long long)outcome.arrival_ms,
+          (long long)outcome.admit_ms, (long long)outcome.finish_ms,
+          (long long)outcome.slot_ms, outcome.status.ToString().c_str());
+      if (outcome.status.ok()) {
+        const QueryRunReport& report = outcome.report;
+        uint64_t h = 14695981039346656037ull;
+        for (const Split& split : report.result->splits()) {
+          h = Fnv1a(h, split.data);
+        }
+        fp += StrFormat(" jobs=%d records=%llu rows=%llx resumed=%d",
+                        report.jobs_run,
+                        (unsigned long long)report.result_records,
+                        (unsigned long long)h, report.resumed_steps);
+      }
+      fp += "\n";
+    }
+    for (const std::string& path : dfs.List()) {
+      if (StartsWith(path, root + "/")) fp += "dfs " + path + "\n";
+    }
+  };
+
+  {
+    QueryServiceOptions opts = base;
+    opts.max_concurrent = 3;
+    QueryService service(&engine, &catalog, &store, opts);
+    EXPECT_TRUE(service.Enqueue(submission("early", MakeTpchQ2(), 0, 0)).ok());
+    EXPECT_TRUE(service.Enqueue(submission("low_a", MakeTpchQ10(), 0, 0)).ok());
+    EXPECT_TRUE(service.Enqueue(submission("low_b", MakeTpchQ2(), 0, 0)).ok());
+    QuerySubmission late = submission("late", MakeTpchQ10(), 0, 1);
+    late.deadline_ms = 10000;
+    EXPECT_TRUE(service.Enqueue(std::move(late)).ok());
+    EXPECT_TRUE(
+        service.Enqueue(submission("queued", MakeTpchQ2(), 1000, 0)).ok());
+    EXPECT_TRUE(service.Enqueue(submission("shed", MakeTpchQ2(), 2000, -1)).ok());
+    EXPECT_TRUE(
+        service.Enqueue(submission("urgent", MakeTpchQ2(), 5000, 5)).ok());
+    QuerySubmission held = submission("held", MakeTpchQ10(), 11000, 0);
+    held.estimated_memory_bytes = 2 << 20;
+    EXPECT_TRUE(service.Enqueue(std::move(held)).ok());
+    EXPECT_TRUE(service.Cancel("early").ok());
+    EXPECT_TRUE(service.CancelAt("queued", 3000).ok());
+    EXPECT_TRUE(service.CancelAt("low_a", 8000).ok());
+    run(&service, "stops");
+  }
+
+  {
+    // A memory hold-back lets a lower-priority arrival take the last slot,
+    // so the held higher-priority arrival names its victim only in the
+    // second admission pass of that wave boundary. The victim is parked in
+    // the wave that follows; it must park again afterwards and unwind with
+    // the next scheduler pass, not inside the wave.
+    QueryServiceOptions opts = base;
+    opts.max_concurrent = 2;
+    opts.memory_ledger_bytes = 3 << 20;
+    QueryService service(&engine, &catalog, &store, opts);
+    QuerySubmission low = submission("m_low", MakeTpchQ10(), 0, 0);
+    low.estimated_memory_bytes = 3 << 19;  // 1.5 MiB
+    QuerySubmission small = submission("m_small", MakeTpchQ2(), 1000, 1);
+    small.estimated_memory_bytes = 1 << 19;
+    QuerySubmission high = submission("m_high", MakeTpchQ2(), 1000, 5);
+    high.estimated_memory_bytes = 2 << 20;
+    EXPECT_TRUE(service.Enqueue(std::move(low)).ok());
+    EXPECT_TRUE(service.Enqueue(std::move(small)).ok());
+    EXPECT_TRUE(service.Enqueue(std::move(high)).ok());
+    run(&service, "second_pass");
+  }
+
+  std::vector<QuerySubmission> halted = {
+      submission("h0", MakeTpchQ10(), 0, 0),
+      submission("h1", MakeTpchQ2(), 0, 0),
+      submission("h2", MakeTpchQ2(), 20000, 0)};
+  {
+    QueryServiceOptions opts = base;
+    opts.max_concurrent = 2;
+    opts.halt_at_ms = engine.now() + 4000;
+    QueryService service(&engine, &catalog, &store, opts);
+    for (const QuerySubmission& sub : halted) {
+      EXPECT_TRUE(service.Enqueue(sub).ok());
+    }
+    run(&service, "halt");
+  }
+  {
+    QueryServiceOptions opts = base;
+    opts.max_concurrent = 2;
+    QueryService service(&engine, &catalog, &store, opts);
+    auto recovered = service.RecoverPending(halted);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    fp += StrFormat("recovered=%d\n", recovered.ok() ? *recovered : -1);
+    run(&service, "recover");
+  }
+  fp += "metrics:\n" + metrics.Serialize();
+  fp += "trace:\n" + trace.SerializeJsonl();
+  return fp;
+}
+
+TEST(EngineDeterminismTest, StopPathsMatchGoldenAcrossThreadCounts) {
+  ScopedEnv env = GoldenEnv();
+  std::string one = RunStopWorkload(1);
+  std::string four = RunStopWorkload(4);
+  EXPECT_TRUE(one == four) << DescribeFirstDivergence(one, four);
+  CompareWithGolden("service_stop.fp", one);
+  // Every stop path genuinely fired.
+  for (const char* needle :
+       {"cancelled before admission", "low_a cancelled",
+        "late missed its deadline", "\"name\":\"query_preempted\"",
+        "\"reason\":\"queue_wait\"", "\"name\":\"memory_pressure\"",
+        "\"name\":\"service_halt\"", "h0 interrupted by service halt",
+        "h2 interrupted by service halt", "\"name\":\"query_recovered\"",
+        "recovered=2", "m_low pri=0 preempt=1"}) {
+    EXPECT_NE(one.find(needle), std::string::npos) << needle;
+  }
 }
 
 TEST(EngineDeterminismTest, ResumedQueryIsDeterministicAcrossThreadCounts) {

@@ -1,7 +1,11 @@
 #include "pilot/pilot_runner.h"
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "tpch/queries.h"
 
 namespace dyno {
@@ -128,6 +132,35 @@ TEST_F(PilotTest, SelectiveLeafYieldsFullOutputForReuse) {
   EXPECT_EQ(report->leaves[0].full_output->num_records(), 50u);
   EXPECT_FALSE(report->leaves[0].stats.from_sample);
   EXPECT_DOUBLE_EQ(report->leaves[0].stats.cardinality, 50.0);
+}
+
+// PILR keeps only what it hands back: every pilot output other than a
+// returned full materialization is deleted once its statistics are merged
+// (MT batch outputs after concatenation, an ST output that stopped early).
+TEST_F(PilotTest, OnlyReturnedFullOutputsOutliveTheRun) {
+  std::set<std::string> returned;
+  for (PilotRunOptions::Mode mode :
+       {PilotRunOptions::Mode::kParallel, PilotRunOptions::Mode::kSerial}) {
+    PilotRunOptions options;
+    options.k = 256;
+    options.mode = mode;
+    options.reuse_stats = false;
+    PilotRunner runner(&engine_, &catalog_, &store_, options);
+    auto report = runner.Run({BigLeaf(), SmallLeaf()});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (const PilotLeafResult& leaf : report->leaves) {
+      if (leaf.full_output != nullptr) {
+        returned.insert(leaf.full_output->path());
+      }
+    }
+  }
+  // The 200-row small table is consumed whole in both modes.
+  EXPECT_EQ(returned.size(), 2u);
+  std::set<std::string> listed;
+  for (const std::string& path : dfs_.List()) {
+    if (StartsWith(path, "/tmp/pilr/")) listed.insert(path);
+  }
+  EXPECT_EQ(listed, returned);
 }
 
 TEST_F(PilotTest, NdvEstimateReasonable) {

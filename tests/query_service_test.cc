@@ -7,6 +7,7 @@
 #include "service/query_service.h"
 
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,15 @@ class QueryServiceTest : public ::testing::Test {
     for (size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(actual[i].Compare(want[i]), 0) << "row " << i;
     }
+  }
+
+  /// Every DFS path under the per-query temp directories.
+  std::set<std::string> QueryTempFiles() const {
+    std::set<std::string> paths;
+    for (const std::string& path : dfs_.List()) {
+      if (StartsWith(path, "/tmp/dyno/q/")) paths.insert(path);
+    }
+    return paths;
   }
 
   Dfs dfs_;
@@ -240,6 +250,99 @@ TEST_F(QueryServiceTest, CancelIsIdempotent) {
   EXPECT_TRUE(service.CancelAt("kept", 1).ok());
   EXPECT_EQ(service.Cancel("nosuch").code(), StatusCode::kNotFound);
   EXPECT_EQ(service.CancelAt("nosuch", 1).code(), StatusCode::kNotFound);
+}
+
+// Finalization reclaims a session's intermediates: once RunAll returns, the
+// only file left under a finished query's temp directory is its result.
+TEST_F(QueryServiceTest, FinishedSessionsLeaveOnlyTheirResultFiles) {
+  QueryServiceOptions opts;
+  opts.max_concurrent = 2;
+  QueryService service(&engine_, &catalog_, &store_, opts);
+  ASSERT_TRUE(service.Enqueue(MakeSubmission("ra", MakeTpchQ10())).ok());
+  ASSERT_TRUE(service.Enqueue(MakeSubmission("rb", MakeTpchQ10())).ok());
+  std::set<std::string> results;
+  for (const QueryOutcome& outcome : service.RunAll()) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    results.insert(outcome.report.result->path());
+  }
+  EXPECT_EQ(QueryTempFiles(), results);
+}
+
+// A halt reclaims nothing: the halted session's checkpointed intermediates
+// are what its successor resumes from. The successor's finalization then
+// reclaims them.
+TEST_F(QueryServiceTest, HaltedSessionKeepsIntermediatesUntilRecovered) {
+  QueryServiceOptions opts;
+  opts.checkpoint_root = "/svc";
+  opts.halt_at_ms = 6000;
+  QuerySubmission sub = MakeSubmission("rh", MakeTpchQ10());
+  {
+    QueryService crashed(&engine_, &catalog_, &store_, opts);
+    ASSERT_TRUE(crashed.Enqueue(sub).ok());
+    std::vector<QueryOutcome> first = crashed.RunAll();
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].status.code(), StatusCode::kCancelled);
+  }
+  EXPECT_FALSE(QueryTempFiles().empty())
+      << "a halted session's intermediates must survive for recovery";
+
+  opts.halt_at_ms = -1;
+  QueryService recovered(&engine_, &catalog_, &store_, opts);
+  auto count = recovered.RecoverPending({sub});
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count.value(), 1);
+  std::vector<QueryOutcome> second = recovered.RunAll();
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(second[0].status.ok()) << second[0].status.ToString();
+  EXPECT_GE(second[0].report.resumed_steps, 1);
+  ExpectMatchesOracle(MakeTpchQ10(), second[0].report);
+  EXPECT_EQ(QueryTempFiles(),
+            std::set<std::string>{second[0].report.result->path()});
+}
+
+// Reclamation keeps the poison records: the result's `<output>.quarantine`
+// file survives finalization next to the result (this plan runs one
+// executor job, so the result is the only quarantining output).
+TEST_F(QueryServiceTest, FinalizationKeepsQuarantineFiles) {
+  ClusterConfig config = MakeConfig();
+  config.faults.seed = 3;
+  config.faults.poison_record_rate = 0.01;
+  config.faults.max_skipped_records = -1;
+  MapReduceEngine engine(&dfs_, config);
+  QueryService service(&engine, &catalog_, &store_, QueryServiceOptions{});
+  ASSERT_TRUE(service.Enqueue(MakeSubmission("rp", MakeTpchQ10())).ok());
+  std::vector<QueryOutcome> outcomes = service.RunAll();
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  ASSERT_GT(outcomes[0].report.records_quarantined, 0u)
+      << "no poison record fired at this rate/seed";
+  const std::string result = outcomes[0].report.result->path();
+  EXPECT_EQ(QueryTempFiles(),
+            (std::set<std::string>{result, result + ".quarantine"}));
+}
+
+// The service owns the temp directory it reclaims: a caller-set
+// exec.query_id shared by two submissions is replaced by each submission's
+// own id, so neither session's finalization deletes the other's files.
+TEST_F(QueryServiceTest, CallerQueryIdDoesNotShareTempDirectory) {
+  QueryServiceOptions opts;
+  opts.max_concurrent = 2;
+  QueryService service(&engine_, &catalog_, &store_, opts);
+  for (const char* id : {"sa", "sb"}) {
+    QuerySubmission sub = MakeSubmission(id, MakeTpchQ10());
+    sub.options.exec.query_id = "shared";
+    ASSERT_TRUE(service.Enqueue(sub).ok());
+  }
+  std::set<std::string> results;
+  for (const QueryOutcome& outcome : service.RunAll()) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    const std::string path = outcome.report.result->path();
+    EXPECT_TRUE(StartsWith(path, "/tmp/dyno/q/" + outcome.query_id + "/"))
+        << path;
+    ExpectMatchesOracle(MakeTpchQ10(), outcome.report);
+    results.insert(path);
+  }
+  EXPECT_EQ(QueryTempFiles(), results);
 }
 
 TEST_F(QueryServiceTest, ArrivalScheduleIsSeededAndDeterministic) {

@@ -1,9 +1,12 @@
 #include "test_util.h"
 
+#include <cstdio>
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
 
 namespace dyno {
 
@@ -147,6 +150,99 @@ std::vector<Value> MustReadAll(const DfsFile& file) {
   auto rows = ReadAllRows(file);
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
   return rows.ok() ? std::move(rows).value() : std::vector<Value>{};
+}
+
+bool ReadFileToString(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return false;
+  out->clear();
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  std::fclose(f);
+  return true;
+}
+
+bool WriteStringToFile(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  return std::fclose(f) == 0 && written == contents.size();
+}
+
+std::vector<std::string> SplitLines(const std::string& s) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start <= s.size()) {
+    size_t end = s.find('\n', start);
+    if (end == std::string::npos) {
+      if (start < s.size()) lines.push_back(s.substr(start));
+      break;
+    }
+    lines.push_back(s.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+namespace {
+
+/// "name" field of one serialized event line, or "<no name>".
+std::string EventName(const std::string& line) {
+  const char kKey[] = "\"name\":\"";
+  size_t pos = line.find(kKey);
+  if (pos == std::string::npos) return "<no name>";
+  pos += sizeof(kKey) - 1;
+  size_t end = line.find('"', pos);
+  if (end == std::string::npos) return "<no name>";
+  return line.substr(pos, end - pos);
+}
+
+}  // namespace
+
+std::string DescribeFirstDivergence(const std::string& golden,
+                                    const std::string& actual) {
+  if (golden == actual) return "";
+  std::vector<std::string> want = SplitLines(golden);
+  std::vector<std::string> got = SplitLines(actual);
+  size_t n = std::min(want.size(), got.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (want[i] == got[i]) continue;
+    return StrFormat(
+        "first divergent span at line %zu: event \"%s\"\n  golden: %s\n  "
+        "actual: %s",
+        i, EventName(got[i] != "" ? got[i] : want[i]).c_str(),
+        want[i].c_str(), got[i].c_str());
+  }
+  // One trace is a strict prefix of the other.
+  const std::vector<std::string>& longer = want.size() > n ? want : got;
+  return StrFormat("traces diverge at line %zu: %s has extra event \"%s\": %s",
+                   n, want.size() > n ? "golden" : "actual",
+                   EventName(longer[n]).c_str(), longer[n].c_str());
+}
+
+#ifndef DYNO_GOLDEN_DIR
+#error "DYNO_GOLDEN_DIR must point at the checked-in goldens directory"
+#endif
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(DYNO_GOLDEN_DIR) + "/" + name;
+}
+
+void CompareWithGolden(const std::string& name, const std::string& actual) {
+  const std::string path = GoldenPath(name);
+  if (std::getenv("DYNO_UPDATE_GOLDEN") != nullptr) {
+    ASSERT_TRUE(WriteStringToFile(path, actual))
+        << "cannot write golden " << path;
+    std::fprintf(stderr, "updated golden %s (%zu bytes)\n", path.c_str(),
+                 actual.size());
+    return;
+  }
+  std::string expected;
+  ASSERT_TRUE(ReadFileToString(path, &expected))
+      << "missing golden " << path
+      << " — regenerate with DYNO_UPDATE_GOLDEN=1";
+  EXPECT_TRUE(expected == actual) << DescribeFirstDivergence(expected, actual);
 }
 
 }  // namespace dyno

@@ -64,6 +64,27 @@ void SortRowsForComparison(std::vector<Value>* rows);
 /// Reads every row of a DFS file (fails the calling test on error).
 std::vector<Value> MustReadAll(const DfsFile& file);
 
+/// Reads a whole host file; false when it cannot be opened.
+bool ReadFileToString(const std::string& path, std::string* out);
+
+bool WriteStringToFile(const std::string& path, const std::string& contents);
+
+std::vector<std::string> SplitLines(const std::string& s);
+
+/// Event-level diff of two serialized fingerprints or traces: names the
+/// first line where they disagree (with the trace event name it carries, if
+/// any) and both renderings. Empty string when identical.
+std::string DescribeFirstDivergence(const std::string& golden,
+                                    const std::string& actual);
+
+/// Path of the checked-in golden file `name` under tests/golden/.
+std::string GoldenPath(const std::string& name);
+
+/// Compares `actual` byte for byte against the golden file `name` and
+/// reports the first divergent line; with DYNO_UPDATE_GOLDEN set, rewrites
+/// the golden instead.
+void CompareWithGolden(const std::string& name, const std::string& actual);
+
 }  // namespace dyno
 
 #endif  // DYNO_TESTS_TEST_UTIL_H_

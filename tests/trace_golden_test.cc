@@ -24,86 +24,12 @@
 #include "obs/trace.h"
 #include "stats/stats_store.h"
 #include "storage/catalog.h"
+#include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
-#ifndef DYNO_GOLDEN_DIR
-#error "DYNO_GOLDEN_DIR must point at the checked-in goldens directory"
-#endif
-
 namespace dyno {
 namespace {
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(DYNO_GOLDEN_DIR) + "/" + name;
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
-bool WriteStringToFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  return std::fclose(f) == 0 && written == contents.size();
-}
-
-std::vector<std::string> SplitLines(const std::string& s) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t end = s.find('\n', start);
-    if (end == std::string::npos) {
-      if (start < s.size()) lines.push_back(s.substr(start));
-      break;
-    }
-    lines.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-/// "name" field of one serialized event line, or "<no name>".
-std::string EventName(const std::string& line) {
-  const char kKey[] = "\"name\":\"";
-  size_t pos = line.find(kKey);
-  if (pos == std::string::npos) return "<no name>";
-  pos += sizeof(kKey) - 1;
-  size_t end = line.find('"', pos);
-  if (end == std::string::npos) return "<no name>";
-  return line.substr(pos, end - pos);
-}
-
-/// Event-level diff: names the first span where two serialized traces
-/// disagree, with both renderings. Empty string when identical.
-std::string DescribeFirstDivergence(const std::string& golden,
-                                    const std::string& actual) {
-  if (golden == actual) return "";
-  std::vector<std::string> want = SplitLines(golden);
-  std::vector<std::string> got = SplitLines(actual);
-  size_t n = std::min(want.size(), got.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (want[i] == got[i]) continue;
-    return StrFormat(
-        "first divergent span at line %zu: event \"%s\"\n  golden: %s\n  "
-        "actual: %s",
-        i, EventName(got[i] != "" ? got[i] : want[i]).c_str(),
-        want[i].c_str(), got[i].c_str());
-  }
-  // One trace is a strict prefix of the other.
-  const std::vector<std::string>& longer = want.size() > n ? want : got;
-  return StrFormat("traces diverge at line %zu: %s has extra event \"%s\": %s",
-                   n, want.size() > n ? "golden" : "actual",
-                   EventName(longer[n]).c_str(), longer[n].c_str());
-}
 
 struct TracedRun {
   std::string trace_jsonl;
@@ -182,25 +108,6 @@ TracedRun RunCanonicalQuery(int threads, bool faults,
   out.trace_jsonl = trace.SerializeJsonl();
   out.metrics_text = metrics.Serialize();
   return out;
-}
-
-/// Compares `actual` against the golden file, or rewrites the golden when
-/// DYNO_UPDATE_GOLDEN is set.
-void CompareWithGolden(const std::string& golden_name,
-                       const std::string& actual) {
-  std::string path = GoldenPath(golden_name);
-  if (std::getenv("DYNO_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(WriteStringToFile(path, actual))
-        << "cannot write golden " << path;
-    std::fprintf(stderr, "updated golden %s (%zu bytes)\n", path.c_str(),
-                 actual.size());
-    return;
-  }
-  std::string expected;
-  ASSERT_TRUE(ReadFileToString(path, &expected))
-      << "missing golden " << path
-      << " — regenerate with DYNO_UPDATE_GOLDEN=1";
-  EXPECT_TRUE(expected == actual) << DescribeFirstDivergence(expected, actual);
 }
 
 TEST(TraceGoldenTest, CleanTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
