@@ -589,7 +589,6 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
           static_cast<double>(job.counters.output_bytes) /
           static_cast<double>(job.counters.output_records);
     }
-    stats_overhead_ms_ += job.observer_overhead_ms;
 
     RelationBinding binding;
     binding.file = job.output;

@@ -221,9 +221,6 @@ class PlanExecutor {
   MapReduceEngine* engine() const { return engine_; }
   const ExecOptions& options() const { return options_; }
 
-  /// Total simulated observer (statistics-collection) overhead so far.
-  SimMillis total_stats_overhead_ms() const { return stats_overhead_ms_; }
-
   /// Temp-id high-water mark: relation ids are "t<N>" with N up to this.
   int temp_counter() const { return temp_counter_; }
 
@@ -247,7 +244,6 @@ class PlanExecutor {
   std::map<std::string, RelationBinding> bindings_;
   std::map<int64_t, std::string> unit_outputs_;
   int temp_counter_ = 0;
-  SimMillis stats_overhead_ms_ = 0;
 };
 
 }  // namespace dyno

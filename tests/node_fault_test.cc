@@ -130,10 +130,17 @@ TEST(NodeFaultTest, CrashLosingCompletedMapOutputsYieldsByteIdenticalOutput) {
       << "the crash must land after some maps completed on node 0";
   // Recovery costs time but changes nothing observable about the output.
   EXPECT_GT(faulty.Elapsed(), clean.Elapsed());
+  // Every counter of the re-executed tasks replaces the lost one's, so all
+  // seven match the crash-free run.
   EXPECT_EQ(faulty.counters.map_input_records, clean.counters.map_input_records);
+  EXPECT_EQ(faulty.counters.map_input_bytes, clean.counters.map_input_bytes);
   EXPECT_EQ(faulty.counters.map_output_records,
             clean.counters.map_output_records);
+  EXPECT_EQ(faulty.counters.map_output_bytes, clean.counters.map_output_bytes);
+  EXPECT_EQ(faulty.counters.reduce_input_records,
+            clean.counters.reduce_input_records);
   EXPECT_EQ(faulty.counters.output_records, clean.counters.output_records);
+  EXPECT_EQ(faulty.counters.output_bytes, clean.counters.output_bytes);
   ASSERT_NE(faulty.output, nullptr);
   EXPECT_EQ(FileBytes(*faulty.output), FileBytes(*clean.output))
       << "re-executed maps must reproduce the output byte for byte";
