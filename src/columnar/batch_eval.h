@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "columnar/column.h"
 #include "common/status.h"
 #include "expr/expr.h"
 #include "json/value.h"
@@ -38,6 +39,35 @@ struct BatchFilterResult {
 /// `filter` must be non-null.
 Result<BatchFilterResult> EvalFilterOverRows(const ExprPtr& filter,
                                              const std::vector<Value>& rows);
+
+/// The rows of one open frame for a late-materialized scan: each is built
+/// on first use and kept until taken, so a row a residual filter factor
+/// already built is not built again for the map function.
+class FrameRows {
+ public:
+  explicit FrameRows(FrameReader frame) : frame_(std::move(frame)) {}
+
+  const FrameReader& frame() const { return frame_; }
+  uint64_t size() const { return frame_.num_rows(); }
+
+  /// Row `i`, built once and kept.
+  const Value& Get(uint64_t i);
+  /// Row `i` by value: the kept build if there is one, else a fresh one.
+  Value Take(uint64_t i);
+
+ private:
+  FrameReader frame_;
+  std::vector<Value> rows_;     ///< Sized on the first Get.
+  std::vector<uint8_t> built_;  ///< built_[i] != 0 iff rows_[i] is kept.
+};
+
+/// The same evaluator over a frame, without building the frame's rows:
+/// simple factors read only their own column's cells, and residual factors
+/// see rows built only at indexes still selected (kept in `rows`). Keep
+/// bits, `cpu_units` and `vectorized_evals` equal EvalFilterOverRows over
+/// `rows->frame().Rows()`.
+Result<BatchFilterResult> EvalFilterOverFrame(const ExprPtr& filter,
+                                              FrameRows* rows);
 
 }  // namespace dyno::columnar
 

@@ -1,5 +1,6 @@
 #include "columnar/column.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -63,8 +64,9 @@ void EncodeTypedValue(ColumnType type, const Value& v, std::string* out) {
   }
 }
 
-Result<Value> DecodeTypedValue(ColumnType type, std::string_view data,
-                               size_t* offset) {
+/// Checks one set value of `type` at `*offset` and advances past it, with
+/// the checks and statuses the format defines for it, building nothing.
+Status SkipTypedValue(ColumnType type, std::string_view data, size_t* offset) {
   switch (type) {
     case ColumnType::kBool: {
       if (*offset >= data.size()) {
@@ -72,19 +74,18 @@ Result<Value> DecodeTypedValue(ColumnType type, std::string_view data,
       }
       uint8_t b = static_cast<uint8_t>(data[(*offset)++]);
       if (b > 1) return Status::DataLoss("columnar batch: bad bool byte");
-      return Value::Bool(b == 1);
+      return Status::OK();
     }
     case ColumnType::kInt: {
       uint64_t zz = 0;
-      DYNO_RETURN_IF_ERROR(DecodeVarint(data, offset, &zz));
-      return Value::Int(ZigzagDecode(zz));
+      return DecodeVarint(data, offset, &zz);
     }
     case ColumnType::kDouble: {
       double d = 0.0;
       if (!ReadDoubleLe(data, offset, &d)) {
         return Status::DataLoss("columnar batch: truncated double");
       }
-      return Value::Double(d);
+      return Status::OK();
     }
     case ColumnType::kString: {
       uint64_t len = 0;
@@ -92,20 +93,47 @@ Result<Value> DecodeTypedValue(ColumnType type, std::string_view data,
       if (len > data.size() - *offset) {
         return Status::DataLoss("columnar batch: truncated string");
       }
-      Value v = Value::String(std::string(data.substr(*offset, len)));
       *offset += len;
-      return v;
+      return Status::OK();
     }
     case ColumnType::kMixed: {
-      Result<Value> v = Value::Decode(data, offset);
-      if (!v.ok()) {
+      Status st = Value::Skip(data, offset);
+      if (!st.ok()) {
         return Status::DataLoss("columnar batch: bad nested value: " +
-                                v.status().message());
+                                st.message());
       }
-      return *std::move(v);
+      return Status::OK();
     }
   }
   return Status::DataLoss("columnar batch: unknown column type");
+}
+
+/// Decodes the set value of `type` at `offset`, which SkipTypedValue has
+/// already accepted — so no read below can fail.
+Value DecodeCheckedValue(ColumnType type, std::string_view data,
+                         size_t offset) {
+  switch (type) {
+    case ColumnType::kBool:
+      return Value::Bool(data[offset] == 1);
+    case ColumnType::kInt: {
+      uint64_t zz = 0;
+      ReadVarint(data, &offset, &zz);
+      return Value::Int(ZigzagDecode(zz));
+    }
+    case ColumnType::kDouble: {
+      double d = 0.0;
+      ReadDoubleLe(data, &offset, &d);
+      return Value::Double(d);
+    }
+    case ColumnType::kString: {
+      uint64_t len = 0;
+      ReadVarint(data, &offset, &len);
+      return Value::String(std::string(data.substr(offset, len)));
+    }
+    case ColumnType::kMixed:
+      return Value::Decode(data, &offset).value();
+  }
+  return Value::Null();
 }
 
 }  // namespace
@@ -209,7 +237,7 @@ void ColumnBatch::EncodeTo(std::string* out) const {
   }
 }
 
-Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
+Result<FrameReader> FrameReader::Open(std::string_view data) {
   // Verify the frame checksum before trusting a single byte of structure.
   if (data.size() < sizeof(kMagic) + 1 + 4) {
     return Status::DataLoss("columnar batch: frame too short");
@@ -233,21 +261,29 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
     return Status::DataLoss("columnar batch: unknown flags");
   }
 
-  ColumnBatch batch;
-  batch.irregular_ = (flags & kFlagIrregular) != 0;
+  FrameReader reader;
+  reader.frame_ = frame;
+  reader.irregular_ = (flags & kFlagIrregular) != 0;
   uint64_t num_cols = 0;
-  DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &batch.num_rows_));
+  DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &reader.num_rows_));
   DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &num_cols));
+  const uint64_t rows = reader.num_rows_;
   if (num_cols > frame.size()) {
     return Status::DataLoss("columnar batch: column count exceeds frame");
   }
-  if (batch.num_rows_ > frame.size() && batch.num_rows_ > 0) {
+  if (rows > frame.size() && rows > 0) {
     // Every row costs at least one presence byte per column (or one value
     // byte when irregular), so a count beyond the frame size is corrupt.
     return Status::DataLoss("columnar batch: row count exceeds frame");
   }
-  if (batch.irregular_ && num_cols != 1) {
+  if (reader.irregular_ && num_cols != 1) {
     return Status::DataLoss("columnar batch: irregular frame column count");
+  }
+  // Each column's presence run takes `rows` bytes of the frame, so no more
+  // than frame.size() / rows columns can pass their checks below.
+  if (rows > 0) {
+    reader.value_offsets_.reserve(
+        std::min<uint64_t>(num_cols, frame.size() / rows) * rows);
   }
 
   for (uint64_t c = 0; c < num_cols; ++c) {
@@ -256,8 +292,8 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
     if (name_len > frame.size() - offset) {
       return Status::DataLoss("columnar batch: truncated column name");
     }
-    ColumnVector col;
-    col.name = std::string(frame.substr(offset, name_len));
+    Column col;
+    col.name = frame.substr(offset, name_len);
     offset += name_len;
     if (offset >= frame.size()) {
       return Status::DataLoss("columnar batch: truncated column type");
@@ -266,74 +302,88 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
     if (type_byte > static_cast<uint8_t>(ColumnType::kMixed)) {
       return Status::DataLoss("columnar batch: bad column type");
     }
-    ColumnType type = static_cast<ColumnType>(type_byte);
-    if (batch.num_rows_ > frame.size() - offset) {
+    col.type = static_cast<ColumnType>(type_byte);
+    if (rows > frame.size() - offset) {
       return Status::DataLoss("columnar batch: truncated presence run");
     }
-    col.presence.resize(batch.num_rows_);
+    col.presence_offset = offset;
     uint64_t want_set = 0;
-    for (uint64_t r = 0; r < batch.num_rows_; ++r) {
+    for (uint64_t r = 0; r < rows; ++r) {
       uint8_t p = static_cast<uint8_t>(frame[offset + r]);
       if (p > static_cast<uint8_t>(Presence::kSet)) {
         return Status::DataLoss("columnar batch: bad presence byte");
       }
-      col.presence[r] = p;
       if (p == static_cast<uint8_t>(Presence::kSet)) ++want_set;
     }
-    offset += batch.num_rows_;
+    offset += rows;
     uint64_t set_count = 0;
     DYNO_RETURN_IF_ERROR(DecodeVarint(frame, &offset, &set_count));
     if (set_count != want_set) {
       return Status::DataLoss("columnar batch: set count mismatch");
     }
-    col.values.reserve(set_count);
-    for (uint64_t i = 0; i < set_count; ++i) {
-      DYNO_ASSIGN_OR_RETURN(Value v, DecodeTypedValue(type, frame, &offset));
-      if (!batch.irregular_ && v.is_null()) {
+    const size_t base = reader.value_offsets_.size();
+    reader.value_offsets_.resize(base + rows);
+    uint64_t row = 0;
+    for (uint64_t i = 0; i < set_count; ++i, ++row) {
+      while (frame[col.presence_offset + row] !=
+             static_cast<char>(Presence::kSet)) {
+        ++row;
+      }
+      const size_t start = offset;
+      DYNO_RETURN_IF_ERROR(SkipTypedValue(col.type, frame, &offset));
+      if (!reader.irregular_ && col.type == ColumnType::kMixed &&
+          frame[start] == static_cast<char>(Value::Type::kNull)) {
         // Set slots never hold null (null is a presence state); a null here
         // can only come from a damaged frame.
         return Status::DataLoss("columnar batch: null in set slot");
       }
-      col.values.push_back(std::move(v));
+      reader.value_offsets_[base + row] = start;
     }
-    if (batch.irregular_) {
-      if (col.name != kRawRowColumn || want_set != batch.num_rows_ ||
-          type != ColumnType::kMixed) {
-        return Status::DataLoss("columnar batch: malformed irregular frame");
-      }
-      batch.raw_rows_ = std::move(col.values);
-    } else {
-      batch.columns_.push_back(std::move(col));
+    if (reader.irregular_ &&
+        (col.name != kRawRowColumn || want_set != rows ||
+         col.type != ColumnType::kMixed)) {
+      return Status::DataLoss("columnar batch: malformed irregular frame");
     }
+    reader.columns_.push_back(col);
   }
   if (offset != frame.size()) {
     return Status::DataLoss("columnar batch: trailing bytes in frame");
   }
-  return batch;
+  return reader;
 }
 
-std::vector<Value> ColumnBatch::ToRows() const {
-  if (irregular_) return raw_rows_;
+Value FrameReader::Cell(size_t column, uint64_t row) const {
+  return DecodeCheckedValue(columns_[column].type, frame_,
+                            value_offsets_[column * num_rows_ + row]);
+}
+
+Value FrameReader::Row(uint64_t row) const {
+  if (irregular_) return Cell(0, row);
+  size_t present = 0;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (presence(c, row) != Presence::kAbsent) ++present;
+  }
+  StructFields fields;
+  fields.reserve(present);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    switch (presence(c, row)) {
+      case Presence::kAbsent:
+        break;
+      case Presence::kNull:
+        fields.emplace_back(std::string(columns_[c].name), Value::Null());
+        break;
+      case Presence::kSet:
+        fields.emplace_back(std::string(columns_[c].name), Cell(c, row));
+        break;
+    }
+  }
+  return Value::Struct(std::move(fields));
+}
+
+std::vector<Value> FrameReader::Rows() const {
   std::vector<Value> rows;
   rows.reserve(num_rows_);
-  std::vector<size_t> cursor(columns_.size(), 0);
-  for (uint64_t r = 0; r < num_rows_; ++r) {
-    StructFields fields;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      const ColumnVector& col = columns_[c];
-      switch (static_cast<Presence>(col.presence[r])) {
-        case Presence::kAbsent:
-          break;
-        case Presence::kNull:
-          fields.emplace_back(col.name, Value::Null());
-          break;
-        case Presence::kSet:
-          fields.emplace_back(col.name, col.values[cursor[c]++]);
-          break;
-      }
-    }
-    rows.push_back(Value::Struct(std::move(fields)));
-  }
+  for (uint64_t r = 0; r < num_rows_; ++r) rows.push_back(Row(r));
   return rows;
 }
 

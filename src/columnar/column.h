@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -30,7 +31,8 @@ enum class Presence : uint8_t {
   kSet = 2,
 };
 
-/// One decoded column: a presence run plus the set values in row order.
+/// One column of a batch being built: a presence run plus the set values
+/// in row order.
 struct ColumnVector {
   std::string name;
   /// Presence::kAbsent/kNull/kSet per row (size == batch row count).
@@ -43,8 +45,8 @@ struct ColumnVector {
 /// the columnar data plane is on. Construction never fails: rows whose
 /// field order cannot be expressed as a subsequence of a single shared
 /// schema (duplicate names, reordered fields, non-struct rows) fall back to
-/// an "irregular" representation holding whole row encodings, so
-/// `ToRows(FromRows(rows))` is always byte-exact.
+/// an "irregular" representation holding whole row encodings, so reading
+/// an encoded `FromRows(rows)` back with FrameReader is always byte-exact.
 ///
 /// Encoded layout (all integers varint unless noted):
 ///   'C' 'B' '0' '1'            magic
@@ -53,9 +55,6 @@ struct ColumnVector {
 ///   per column: name, u8 type, num_rows presence bytes, set_count,
 ///               typed payload (set values in row order)
 ///   u32 CRC32C (LE)            over every preceding byte
-/// Decode verifies the trailing CRC before parsing a single field; any
-/// corruption of the frame surfaces as Status::DataLoss, never a crash or
-/// a wrong row.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -65,13 +64,6 @@ class ColumnBatch {
 
   /// Appends the encoded frame (including the trailing CRC) to `out`.
   void EncodeTo(std::string* out) const;
-
-  /// Decodes one frame occupying all of `data`. CRC mismatch, truncation,
-  /// trailing garbage, bad tags — every failure mode is DataLoss.
-  static Result<ColumnBatch> Decode(std::string_view data);
-
-  /// Reassembles the original rows (exact round trip of FromRows input).
-  std::vector<Value> ToRows() const;
 
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
@@ -84,6 +76,56 @@ class ColumnBatch {
   /// Irregular mode: whole-row values, one per row (columns_ empty).
   std::vector<Value> raw_rows_;
   std::vector<ColumnVector> columns_;
+};
+
+/// The one reader of an encoded ColumnBatch frame. Open() verifies the
+/// trailing CRC before parsing a single field, then walks the frame once
+/// and runs every structural and value check without building a Value:
+/// CRC mismatch, truncation, trailing garbage, bad tags — every failure
+/// mode is DataLoss. Once open, nothing can fail: cells and rows decode in
+/// place, and only where a caller asks for them. The reader views the
+/// bytes it was opened on, which must outlive it.
+class FrameReader {
+ public:
+  static Result<FrameReader> Open(std::string_view data);
+
+  uint64_t num_rows() const { return num_rows_; }
+  bool irregular() const { return irregular_; }
+  /// Regular frames: the batch's columns. Irregular frames: one kMixed
+  /// pseudo-column whose cells are the whole rows.
+  size_t num_columns() const { return columns_.size(); }
+  std::string_view column_name(size_t column) const {
+    return columns_[column].name;
+  }
+  Presence presence(size_t column, uint64_t row) const {
+    return static_cast<Presence>(
+        frame_[columns_[column].presence_offset + row]);
+  }
+
+  /// Decodes the value of `column` at `row`, which must be kSet there.
+  Value Cell(size_t column, uint64_t row) const;
+
+  /// Builds row `row` exactly as FromRows was given it: its non-absent
+  /// columns in column order, in a field vector of exactly that size.
+  Value Row(uint64_t row) const;
+
+  /// Every row, in order.
+  std::vector<Value> Rows() const;
+
+ private:
+  struct Column {
+    std::string_view name;
+    ColumnType type = ColumnType::kMixed;
+    size_t presence_offset = 0;
+  };
+
+  std::string_view frame_;  ///< The frame without its CRC.
+  uint64_t num_rows_ = 0;
+  bool irregular_ = false;
+  std::vector<Column> columns_;
+  /// Frame offset of the value of column c at row r, at
+  /// [c * num_rows_ + r]; meaningless where the cell is not kSet.
+  std::vector<size_t> value_offsets_;
 };
 
 }  // namespace dyno::columnar

@@ -1,8 +1,33 @@
 #include "columnar/zone_map.h"
 
+#include <cmath>
 #include <utility>
 
 namespace dyno::columnar {
+
+namespace {
+
+/// True when `v` is, or (inside an array or struct) holds, a NaN double.
+bool ContainsNaN(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kDouble:
+      return std::isnan(v.double_value());
+    case Value::Type::kArray:
+      for (const Value& e : v.array()) {
+        if (ContainsNaN(e)) return true;
+      }
+      return false;
+    case Value::Type::kStruct:
+      for (const auto& [name, field] : v.fields()) {
+        if (ContainsNaN(field)) return true;
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 const ColumnZone* ZoneMap::FindColumn(std::string_view name) const {
   for (const ColumnZone& zone : zones_) {
@@ -56,6 +81,7 @@ void ZoneMapBuilder::Observe(const Value& row) {
     if (field.is_null()) {
       zone->has_null_or_absent = true;
     } else {
+      if (ContainsNaN(field)) zone->has_nan = true;
       if (zone->non_null_rows == 0) {
         zone->min_value = field;
         zone->max_value = field;
@@ -107,6 +133,9 @@ TriState EvalComparison(const ZoneMap& zm, const std::string& column,
     return TriState{false, true};
   }
   if (zone->non_null_rows == 0) return TriState{false, true};
+  // NaN compares equal to every number, so neither a NaN in the column nor
+  // a NaN literal leaves min/max a bound.
+  if (zone->has_nan || ContainsNaN(literal)) return Unknown();
 
   // All non-null values v of the column satisfy min <= v <= max under the
   // total value order, so range tests against the literal bound existence.

@@ -23,6 +23,10 @@ struct ColumnZone {
   Value max_value;
   uint64_t non_null_rows = 0;
   bool has_null_or_absent = false;
+  /// A value holding a NaN was seen. Value::Compare orders NaN equal to
+  /// every number, so min/max no longer bound the column: the zone answers
+  /// "unknown" to every comparison.
+  bool has_nan = false;
 };
 
 /// Per-split zone map: one ColumnZone per top-level column seen in the

@@ -183,11 +183,16 @@ void Value::EncodeTo(std::string* out) const {
 
 Result<Value> Value::Decode(std::string_view data, size_t* offset) {
   Value v;
-  DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &v));
+  DYNO_RETURN_IF_ERROR(Walk<true>(data, offset, &v));
   return v;
 }
 
-Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
+Status Value::Skip(std::string_view data, size_t* offset) {
+  return Walk<false>(data, offset, nullptr);
+}
+
+template <bool kBuild>
+Status Value::Walk(std::string_view data, size_t* offset, Value* out) {
   if (*offset >= data.size()) return Status::Internal("truncated value");
   Type t = static_cast<Type>(data[(*offset)++]);
   switch (t) {
@@ -195,13 +200,14 @@ Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
       return Status::OK();
     case Type::kBool: {
       if (*offset >= data.size()) return Status::Internal("truncated bool");
-      out->rep_.emplace<bool>(data[(*offset)++] != 0);
+      const bool b = data[(*offset)++] != 0;
+      if constexpr (kBuild) out->rep_.emplace<bool>(b);
       return Status::OK();
     }
     case Type::kInt: {
       uint64_t u = 0;
       if (!ReadVarint(data, offset, &u)) return MalformedVarint();
-      out->rep_.emplace<int64_t>(ZigzagDecode(u));
+      if constexpr (kBuild) out->rep_.emplace<int64_t>(ZigzagDecode(u));
       return Status::OK();
     }
     case Type::kDouble: {
@@ -209,14 +215,16 @@ Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
       if (!ReadDoubleLe(data, offset, &d)) {
         return Status::Internal("truncated double");
       }
-      out->rep_.emplace<double>(d);
+      if constexpr (kBuild) out->rep_.emplace<double>(d);
       return Status::OK();
     }
     case Type::kString: {
       uint64_t n = 0;
       if (!ReadVarint(data, offset, &n)) return MalformedVarint();
       if (n > data.size() - *offset) return Status::Internal("bad string");
-      out->rep_.emplace<std::string>(data.data() + *offset, n);
+      if constexpr (kBuild) {
+        out->rep_.emplace<std::string>(data.data() + *offset, n);
+      }
       *offset += n;
       return Status::OK();
     }
@@ -228,11 +236,17 @@ Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
       if (n > data.size() - *offset) {
         return Status::Internal("array count exceeds input");
       }
-      auto elems = std::make_shared<ArrayElements>(n);
-      for (Value& e : *elems) {
-        DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &e));
+      if constexpr (kBuild) {
+        auto elems = std::make_shared<ArrayElements>(n);
+        for (Value& e : *elems) {
+          DYNO_RETURN_IF_ERROR(Walk<true>(data, offset, &e));
+        }
+        out->rep_.emplace<ArrayPtr>(std::move(elems));
+      } else {
+        for (uint64_t i = 0; i < n; ++i) {
+          DYNO_RETURN_IF_ERROR(Walk<false>(data, offset, nullptr));
+        }
       }
-      out->rep_.emplace<ArrayPtr>(std::move(elems));
       return Status::OK();
     }
     case Type::kStruct: {
@@ -241,22 +255,30 @@ Status Value::DecodeInto(std::string_view data, size_t* offset, Value* out) {
       if (n > data.size() - *offset) {
         return Status::Internal("field count exceeds input");
       }
-      auto flds = std::make_shared<StructFields>();
-      flds->reserve(n);
+      std::shared_ptr<StructFields> flds;
+      if constexpr (kBuild) {
+        flds = std::make_shared<StructFields>();
+        flds->reserve(n);
+      }
       for (uint64_t i = 0; i < n; ++i) {
         uint64_t len = 0;
         if (!ReadVarint(data, offset, &len)) return MalformedVarint();
         if (len > data.size() - *offset) {
           return Status::Internal("bad field name");
         }
-        auto& field = flds->emplace_back(
-            std::piecewise_construct,
-            std::forward_as_tuple(data.data() + *offset, len),
-            std::forward_as_tuple());
-        *offset += len;
-        DYNO_RETURN_IF_ERROR(DecodeInto(data, offset, &field.second));
+        if constexpr (kBuild) {
+          auto& field = flds->emplace_back(
+              std::piecewise_construct,
+              std::forward_as_tuple(data.data() + *offset, len),
+              std::forward_as_tuple());
+          *offset += len;
+          DYNO_RETURN_IF_ERROR(Walk<true>(data, offset, &field.second));
+        } else {
+          *offset += len;
+          DYNO_RETURN_IF_ERROR(Walk<false>(data, offset, nullptr));
+        }
       }
-      out->rep_.emplace<StructPtr>(std::move(flds));
+      if constexpr (kBuild) out->rep_.emplace<StructPtr>(std::move(flds));
       return Status::OK();
     }
   }

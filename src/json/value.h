@@ -91,6 +91,10 @@ class Value {
   /// Decodes one value from `data` starting at `*offset`, advancing it.
   static Result<Value> Decode(std::string_view data, size_t* offset);
 
+  /// Checks one encoded value at `*offset` and advances past it: the same
+  /// walk, checks and statuses as Decode, without building the value.
+  static Status Skip(std::string_view data, size_t* offset);
+
   /// Size in bytes of the binary encoding (without materializing it).
   size_t EncodedSize() const;
 
@@ -105,9 +109,11 @@ class Value {
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
 
-  /// Decode's allocation-free core: decodes one value into `*out` (which
-  /// must be null on entry), building containers in place.
-  static Status DecodeInto(std::string_view data, size_t* offset, Value* out);
+  /// Decode's and Skip's one walk over an encoding. With kBuild it decodes
+  /// into `*out` (null on entry), building containers in place; without it
+  /// it only checks, and `out` is unused.
+  template <bool kBuild>
+  static Status Walk(std::string_view data, size_t* offset, Value* out);
 
   Rep rep_;
 };

@@ -378,52 +378,48 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   if (!out->status.ok()) return;
   TaskContext ctx(out, task_index);
 
-  // Columnar splits are decoded whole-block into rows first; any frame
-  // defect that slipped past the checksum is still DataLoss, never a wrong
-  // answer. Row splits stream record-at-a-time as they always have.
+  // A columnar split's frame is opened whole: its own CRC and every value
+  // are checked before any row is built, so a frame defect that slipped
+  // past the block checksum is still DataLoss, never a wrong answer. Rows
+  // are then built late, only where a record is mapped or quarantined.
+  // Row splits stream record-at-a-time as they always have.
   const bool is_columnar = split.format == SplitFormat::kColumnar;
-  std::vector<Value> batch_rows;
+  std::optional<columnar::FrameRows> frame_rows;
+  std::vector<uint8_t> batch_keep;
   if (is_columnar) {
-    // The whole block was read to decode it, so billing is all-or-nothing.
+    // The whole block was read to open it, so billing is all-or-nothing.
     out->input_bytes =
         input.bill_logical_read ? split.logical_bytes : split.num_bytes();
     out->counters.map_input_bytes = split.logical_bytes;
-    Result<std::vector<Value>> rows = DecodeSplitRows(split);
-    if (!rows.ok()) {
-      out->status = rows.status();
+    Result<columnar::FrameReader> frame = OpenColumnarFrame(split);
+    if (!frame.ok()) {
+      out->status = frame.status();
       return;
     }
     out->batches_decoded += 1;
-    batch_rows = std::move(*rows);
-  }
-
-  // Pushed-down filter over a columnar batch runs batch-at-a-time: the
-  // selection vector is computed up front (vectorized conjuncts at a CPU
-  // discount) and consulted per row below. The keep bits are identical to
-  // row-at-a-time evaluation, so results never depend on the format.
-  std::vector<uint8_t> batch_keep;
-  if (is_columnar && input.scan_filter != nullptr) {
-    Result<columnar::BatchFilterResult> filtered =
-        columnar::EvalFilterOverRows(input.scan_filter, batch_rows);
-    if (!filtered.ok()) {
-      out->status = filtered.status();
-      return;
+    frame_rows.emplace(std::move(*frame));
+    // A pushed-down filter runs batch-at-a-time over the frame: the
+    // selection vector is computed up front (vectorized conjuncts at a CPU
+    // discount) and consulted per row below. The keep bits are identical
+    // to row-at-a-time evaluation, so results never depend on the format.
+    if (input.scan_filter != nullptr) {
+      Result<columnar::BatchFilterResult> filtered =
+          columnar::EvalFilterOverFrame(input.scan_filter, &*frame_rows);
+      if (!filtered.ok()) {
+        out->status = filtered.status();
+        return;
+      }
+      out->cpu_units += filtered->cpu_units;
+      batch_keep = std::move(filtered->keep);
     }
-    out->cpu_units += filtered->cpu_units;
-    batch_keep = std::move(filtered->keep);
   }
 
   SplitReader reader(&split);
   size_t poison_next = 0;
-  uint64_t record_index = 0;
-  const uint64_t num_rows =
-      is_columnar ? batch_rows.size() : split.num_records;
-  while (true) {
-    const Value* record = nullptr;
-    Value row_storage;
+  for (uint64_t record_index = 0;; ++record_index) {
+    Value record;
     if (is_columnar) {
-      if (record_index >= num_rows) break;
-      record = &batch_rows[record_index];
+      if (record_index >= frame_rows->size()) break;
     } else {
       if (reader.AtEnd()) break;
       Result<Value> next = reader.Next();
@@ -431,8 +427,7 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
         out->status = next.status();
         return;
       }
-      row_storage = std::move(*next);
-      record = &row_storage;
+      record = std::move(*next);
       // Accumulated per record so an attempt that errors mid-split still
       // reports how much of the split it actually scanned (billed as read
       // time for the failed attempt).
@@ -453,12 +448,13 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
         return;
       }
       // Skip mode: the record is read (and billed) but never reaches the
-      // map function; it goes to the quarantine instead of any output.
+      // map function; it goes to the quarantine instead of any output. Its
+      // columnar row is built even when the pushed filter drops it.
       out->cpu_units += 1.0;
-      record->EncodeTo(&out->quarantine.data);
+      if (is_columnar) record = frame_rows->Take(record_index);
+      record.EncodeTo(&out->quarantine.data);
       out->quarantine.num_records += 1;
       out->quarantine_indexes.push_back(record_index);
-      ++record_index;
       continue;
     }
     if (input.scan_filter != nullptr) {
@@ -469,22 +465,21 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
         // Row splits evaluate the pushed-down filter record-at-a-time at
         // its full declared cost.
         out->cpu_units += input.scan_filter_cpu;
-        Result<Value> v = input.scan_filter->Eval(*record);
+        Result<Value> v = input.scan_filter->Eval(record);
         if (!v.ok()) {
           out->status = v.status();
           return;
         }
         pass = v->type() == Value::Type::kBool && v->bool_value();
       }
-      ++record_index;
       out->cpu_units += 1.0;
       if (!pass) continue;
       out->cpu_units += input.cpu_per_record;
     } else {
-      ++record_index;
       out->cpu_units += 1.0 + input.cpu_per_record;
     }
-    out->status = input.map_fn(*record, &ctx);
+    if (is_columnar) record = frame_rows->Take(record_index);
+    out->status = input.map_fn(record, &ctx);
     if (!out->status.ok()) return;
   }
   if (input.flush_fn) {

@@ -116,11 +116,9 @@ void TableWriter::Append(const Value& row) {
     pending_logical_bytes_ = pending_.data.size();
     ++pending_.num_records;
   } else {
-    // Measure the row encoding without keeping it: the seal decision must
+    // Size the row encoding without building it: the seal decision must
     // match row format byte-for-byte.
-    std::string scratch;
-    row.EncodeTo(&scratch);
-    pending_logical_bytes_ += scratch.size();
+    pending_logical_bytes_ += row.EncodedSize();
     pending_rows_.push_back(row);
   }
   zone_builder_.Observe(row);
@@ -155,26 +153,41 @@ Result<Value> SplitReader::Next() {
   return Value::Decode(split_->data, &offset_);
 }
 
+namespace {
+
+Status RecordCountMismatch(uint64_t decoded, uint64_t expected) {
+  return Status::DataLoss(StrFormat("split decoded %llu records, expected %llu",
+                                    (unsigned long long)decoded,
+                                    (unsigned long long)expected));
+}
+
+}  // namespace
+
+Result<columnar::FrameReader> OpenColumnarFrame(const Split& split) {
+  DYNO_ASSIGN_OR_RETURN(columnar::FrameReader frame,
+                        columnar::FrameReader::Open(split.data));
+  if (frame.num_rows() != split.num_records) {
+    return RecordCountMismatch(frame.num_rows(), split.num_records);
+  }
+  return frame;
+}
+
 Result<std::vector<Value>> DecodeSplitRows(const Split& split) {
   DYNO_RETURN_IF_ERROR(VerifySplit(split));
+  if (split.format == SplitFormat::kColumnar) {
+    DYNO_ASSIGN_OR_RETURN(columnar::FrameReader frame,
+                          OpenColumnarFrame(split));
+    return frame.Rows();
+  }
   std::vector<Value> rows;
   rows.reserve(split.num_records);
-  if (split.format == SplitFormat::kRow) {
-    SplitReader reader(&split);
-    while (!reader.AtEnd()) {
-      DYNO_ASSIGN_OR_RETURN(Value row, reader.Next());
-      rows.push_back(std::move(row));
-    }
-  } else {
-    DYNO_ASSIGN_OR_RETURN(columnar::ColumnBatch batch,
-                          columnar::ColumnBatch::Decode(split.data));
-    rows = batch.ToRows();
+  SplitReader reader(&split);
+  while (!reader.AtEnd()) {
+    DYNO_ASSIGN_OR_RETURN(Value row, reader.Next());
+    rows.push_back(std::move(row));
   }
   if (rows.size() != split.num_records) {
-    return Status::DataLoss(
-        StrFormat("split decoded %llu records, expected %llu",
-                  (unsigned long long)rows.size(),
-                  (unsigned long long)split.num_records));
+    return RecordCountMismatch(rows.size(), split.num_records);
   }
   return rows;
 }

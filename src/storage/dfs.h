@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "columnar/column.h"
 #include "columnar/zone_map.h"
 #include "common/status.h"
 #include "expr/expr.h"
@@ -200,6 +201,12 @@ class SplitReader {
 /// (truncated frame, bad magic, record-count mismatch) is also DataLoss —
 /// corruption never surfaces as a wrong answer.
 Result<std::vector<Value>> DecodeSplitRows(const Split& split);
+
+/// Opens the frame of a columnar split whose checksum the caller has just
+/// verified: the frame's own CRC and every value are checked, and the frame
+/// must hold `split.num_records` rows. Every failure is DataLoss. The
+/// reader views `split.data`, which must outlive it.
+Result<columnar::FrameReader> OpenColumnarFrame(const Split& split);
 
 /// Reads an entire file into a row vector (test/debug helper; real scans go
 /// through map tasks). Every split is checksum-verified first; a corrupt

@@ -1,5 +1,5 @@
-// Property tests for the columnar batch codec: FromRows→Encode→Decode→
-// ToRows must be byte-exact for every column type — bools, ints, doubles,
+// Property tests for the columnar batch codec: FromRows→Encode→
+// FrameReader::Open→Rows must be byte-exact for every column type — bools, ints, doubles,
 // strings, mixed/nested values, nulls, absent fields, empty batches,
 // irregular rows — and every corruption of an encoded frame must surface
 // as Status::DataLoss, never a crash or a silently wrong row.
@@ -21,6 +21,7 @@ namespace dyno {
 namespace {
 
 using columnar::ColumnBatch;
+using columnar::FrameReader;
 
 int FuzzIters(int base) {
   static const int env_iters = [] {
@@ -51,19 +52,17 @@ void ExpectRowsByteIdentical(const std::vector<Value>& got,
 void ExpectRoundTrip(const std::vector<Value>& rows) {
   ColumnBatch batch = ColumnBatch::FromRows(rows);
   EXPECT_EQ(batch.num_rows(), rows.size());
-  // In-memory reassembly.
-  ExpectRowsByteIdentical(batch.ToRows(), rows);
   // Through the encoded frame.
   std::string frame;
   batch.EncodeTo(&frame);
-  auto decoded = ColumnBatch::Decode(frame);
+  auto decoded = FrameReader::Open(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_rows(), rows.size());
   EXPECT_EQ(decoded->irregular(), batch.irregular());
-  ExpectRowsByteIdentical(decoded->ToRows(), rows);
-  // Re-encoding the decoded batch reproduces the frame bit for bit.
+  ExpectRowsByteIdentical(decoded->Rows(), rows);
+  // Re-encoding the decoded rows reproduces the frame bit for bit.
   std::string frame2;
-  decoded->EncodeTo(&frame2);
+  ColumnBatch::FromRows(decoded->Rows()).EncodeTo(&frame2);
   EXPECT_EQ(frame, frame2);
 }
 
@@ -144,13 +143,13 @@ std::string FrameWithBody(const std::string& body) {
 
 TEST(ColumnarBatchTest, BadVarintsKeepTheirOwnStatuses) {
   // The row count's varint cut off by the end of the frame.
-  auto truncated = ColumnBatch::Decode(FrameWithBody("\x80"));
+  auto truncated = FrameReader::Open(FrameWithBody("\x80"));
   EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(truncated.status().message(), "columnar batch: truncated varint");
   // Ten continuation bytes are malformed, even when they end the frame.
   for (const std::string tail : {"", "\x01"}) {
     auto malformed =
-        ColumnBatch::Decode(FrameWithBody(std::string(10, '\x80') + tail));
+        FrameReader::Open(FrameWithBody(std::string(10, '\x80') + tail));
     EXPECT_EQ(malformed.status().code(), StatusCode::kDataLoss);
     EXPECT_EQ(malformed.status().message(),
               "columnar batch: malformed varint");
@@ -265,7 +264,7 @@ TEST_P(BatchFuzzTest, EveryBitFlipSurfacesAsDataLoss) {
         corrupted.push_back(static_cast<char>(rng.Uniform(256)));
         break;
     }
-    auto decoded = ColumnBatch::Decode(corrupted);
+    auto decoded = FrameReader::Open(corrupted);
     ASSERT_FALSE(decoded.ok()) << "corrupted frame decoded successfully";
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
         << decoded.status().ToString();
@@ -278,7 +277,7 @@ TEST_P(BatchFuzzTest, GarbageFramesNeverCrashDecoder) {
   for (int i = 0; i < iters; ++i) {
     std::string garbage(rng.Uniform(96), '\0');
     for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
-    auto decoded = ColumnBatch::Decode(garbage);
+    auto decoded = FrameReader::Open(garbage);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   }

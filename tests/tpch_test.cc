@@ -138,6 +138,33 @@ TEST_F(TpchGenTest, DeterministicForSameSeed) {
   }
 }
 
+TEST_F(TpchGenTest, RowAndColumnarWritersSealTheSameSplits) {
+  // The columnar writer seals on the row-encoded size of what it buffered,
+  // so both formats cut a table into the same splits. `customer` carries
+  // nested address arrays, `orders` only scalars.
+  for (const char* table : {"customer", "orders"}) {
+    std::vector<Value> rows = Rows(table);
+    Dfs dfs;
+    auto row_file = WriteRows(&dfs, "/row", rows, /*target_split_bytes=*/2048,
+                              SplitFormat::kRow);
+    auto col_file = WriteRows(&dfs, "/col", rows, /*target_split_bytes=*/2048,
+                              SplitFormat::kColumnar);
+    ASSERT_TRUE(row_file.ok());
+    ASSERT_TRUE(col_file.ok());
+    const std::vector<Split>& row_splits = (*row_file)->splits();
+    const std::vector<Split>& col_splits = (*col_file)->splits();
+    ASSERT_GT(row_splits.size(), 1u) << table;
+    ASSERT_EQ(col_splits.size(), row_splits.size()) << table;
+    for (size_t i = 0; i < row_splits.size(); ++i) {
+      EXPECT_EQ(col_splits[i].format, SplitFormat::kColumnar);
+      EXPECT_EQ(col_splits[i].num_records, row_splits[i].num_records)
+          << table << " split " << i;
+      EXPECT_EQ(col_splits[i].logical_bytes, row_splits[i].num_bytes())
+          << table << " split " << i;
+    }
+  }
+}
+
 TEST_F(TpchGenTest, QueriesValidateAgainstSchema) {
   for (const NamedQuery& nq : MakeAllPaperQueries()) {
     EXPECT_TRUE(ValidateJoinBlock(nq.query.join_block).ok()) << nq.name;

@@ -5,6 +5,7 @@
 // a pruned scan must produce byte-identical output to the unpruned
 // row-path scan while provably skipping splits (scan.splits_pruned).
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -267,6 +268,58 @@ TEST(ZoneMapOracleTest, PrunedSplitsContainNoMatchingRows) {
     // The sweep as a whole genuinely pruned (the clustered layout makes
     // the range/equality filters selective).
     EXPECT_GT(total_pruned, 0u);
+  }
+}
+
+TEST(ZoneMapOracleTest, NaNDoublesNeverPruneSplitsWithMatchingRows) {
+  // Value::Compare orders NaN equal to every number, so a NaN seen first
+  // would pin min = max = NaN and no later value would widen the range:
+  // the split {NaN, 10.0} must still be kept for `x > 5`.
+  const double nan = std::nan("");
+  const std::vector<std::vector<double>> pairs = {
+      {nan, 10.0}, {10.0, nan}, {1.0, nan}, {nan, nan}, {1.0, 10.0}};
+  for (SplitFormat format : {SplitFormat::kRow, SplitFormat::kColumnar}) {
+    Dfs dfs;
+    std::vector<Value> rows;
+    for (const std::vector<double>& pair : pairs) {
+      for (double x : pair) rows.push_back(MakeRow({{"x", Value::Double(x)}}));
+    }
+    // Each row encodes to 13 bytes, so every split holds one pair.
+    auto file = WriteRows(&dfs, "/tables/nan", rows,
+                          /*target_split_bytes=*/26, format);
+    ASSERT_TRUE(file.ok());
+    ASSERT_EQ((*file)->splits().size(), pairs.size());
+
+    ExprPtr nan_literal = LitDouble(nan);
+    std::vector<ExprPtr> filters = {
+        Gt(Col("x"), LitDouble(5.0)),
+        Lt(Col("x"), LitDouble(5.0)),
+        Eq(Col("x"), LitDouble(10.0)),
+        Not(Gt(Col("x"), LitDouble(5.0))),
+        Lt(Col("x"), nan_literal),
+        Ne(Col("x"), nan_literal),
+        Not(Eq(Col("x"), nan_literal)),
+    };
+    for (const ExprPtr& filter : filters) {
+      PruneResult result = PruneSplitIndexes(**file, filter);
+      std::vector<uint8_t> kept_mask((*file)->splits().size(), 0);
+      for (size_t index : result.kept) kept_mask[index] = 1;
+      for (size_t i = 0; i < (*file)->splits().size(); ++i) {
+        if (kept_mask[i]) continue;
+        auto split_rows = DecodeSplitRows((*file)->splits()[i]);
+        ASSERT_TRUE(split_rows.ok());
+        for (const Value& row : *split_rows) {
+          auto keep = EvalFilter(filter, row);
+          ASSERT_TRUE(keep.ok());
+          EXPECT_FALSE(*keep) << "split " << i
+                              << " was pruned but contains matching row "
+                              << row.ToString();
+        }
+      }
+    }
+    // Splits without a NaN keep pruning: {1.0, 10.0} is skipped for x < 0.
+    EXPECT_EQ(PruneSplitIndexes(**file, Lt(Col("x"), LitDouble(0.0))).pruned,
+              1u);
   }
 }
 
