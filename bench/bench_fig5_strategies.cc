@@ -21,26 +21,25 @@ int main() {
       {"Q8'", MakeTpchQ8Prime()},
       {"Q10", MakeTpchQ10()},
   };
-  std::vector<std::pair<std::string, ExecutionStrategy>> strategies = {
-      {"SIMPLE_SO", ExecutionStrategy::kSimpleSerial},
-      {"SIMPLE_MO", ExecutionStrategy::kSimpleParallel},
-      {"UNC-1", ExecutionStrategy::kUncertain1},
-      {"UNC-2", ExecutionStrategy::kUncertain2},
-      {"CHEAP-1", ExecutionStrategy::kCheapest1},
-      {"CHEAP-2", ExecutionStrategy::kCheapest2},
+  const ExecutionStrategy strategies[] = {
+      ExecutionStrategy::kSimpleSerial, ExecutionStrategy::kSimpleParallel,
+      ExecutionStrategy::kUncertain1,   ExecutionStrategy::kUncertain2,
+      ExecutionStrategy::kCheapest1,    ExecutionStrategy::kCheapest2,
   };
 
   std::vector<std::string> columns;
-  for (auto& [name, strategy] : strategies) columns.push_back(name);
+  for (ExecutionStrategy strategy : strategies) {
+    columns.push_back(ExecutionStrategyName(strategy));
+  }
   PrintHeader("Figure 5: execution strategies (normalized to SIMPLE_SO)",
               columns);
   for (auto& [qname, query] : queries) {
     std::vector<double> row;
     double baseline = -1;
-    for (auto& [sname, strategy] : strategies) {
+    for (ExecutionStrategy strategy : strategies) {
       Measured m = RunDynopt(scenario.get(), query, strategy);
       double t = m.ok ? static_cast<double>(m.total_ms) : -1;
-      if (sname == "SIMPLE_SO") baseline = t;
+      if (strategy == ExecutionStrategy::kSimpleSerial) baseline = t;
       row.push_back(t);
     }
     PrintRow(qname, row, baseline);

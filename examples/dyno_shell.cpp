@@ -4,7 +4,6 @@
 //
 //   \tables                list catalog tables
 //   \plan <sql>            show the chosen plan (after pilot runs) as a tree
-//   \dot <sql>             emit the plan as Graphviz DOT
 //   \explain <sql>         run and print the full plan history
 //   \q                     quit
 //
@@ -67,7 +66,7 @@ class Shell {
     }
   }
 
-  void PlanOnly(const std::string& sql, bool dot) {
+  void PlanOnly(const std::string& sql) {
     auto query = ParseQuery(sql, udfs_);
     if (!query.ok()) {
       std::printf("parse error: %s\n", query.status().ToString().c_str());
@@ -85,15 +84,7 @@ class Shell {
       std::printf("(single-scan query, no join plan)\n");
       return;
     }
-    if (dot) {
-      // Re-derive a DOT by parsing is overkill; print the tree instead of
-      // reconstructing the PlanNode — the history stores renderings.
-      std::printf("%s", report->plan_history.front().plan_tree.c_str());
-      std::printf("(DOT output requires programmatic PlanNode access; "
-                  "see PlanNode::ToDot)\n");
-    } else {
-      std::printf("%s", report->plan_history.front().plan_tree.c_str());
-    }
+    std::printf("%s", report->plan_history.front().plan_tree.c_str());
   }
 
   void Run(const std::string& sql, bool explain) {
@@ -145,9 +136,7 @@ class Shell {
       if (line == "\\tables") {
         ListTables();
       } else if (line.rfind("\\plan ", 0) == 0) {
-        PlanOnly(line.substr(6), /*dot=*/false);
-      } else if (line.rfind("\\dot ", 0) == 0) {
-        PlanOnly(line.substr(5), /*dot=*/true);
+        PlanOnly(line.substr(6));
       } else if (line.rfind("\\explain ", 0) == 0) {
         Run(line.substr(9), /*explain=*/true);
       } else {

@@ -161,33 +161,4 @@ Status SubtreeCache::Publish(
   return Status::OK();
 }
 
-int SubtreeCache::InvalidateTable(const std::string& table, SimMillis now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.table_versions.count(table) == 0) {
-      ++it;
-      continue;
-    }
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache.invalidations")->Add();
-    }
-    RecordEvent("cache_invalidate", it->first, now, it->second.bytes);
-    DropEntryLocked(it++);
-    ++dropped;
-  }
-  return dropped;
-}
-
-size_t SubtreeCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-uint64_t SubtreeCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_;
-}
-
 }  // namespace dyno

@@ -91,14 +91,6 @@ class SubtreeCache {
                  const DfsFile& result, const TableStats& stats,
                  SimMillis now);
 
-  /// Drops every entry that reads `table`; returns how many were dropped.
-  /// Lazy lookup validation makes this optional, but callers that rewrite a
-  /// table can reclaim the bytes eagerly.
-  int InvalidateTable(const std::string& table, SimMillis now);
-
-  size_t entries() const;
-  uint64_t bytes() const;
-
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const {

@@ -105,8 +105,6 @@ ZoneMap ZoneMapBuilder::Build() {
   return out;
 }
 
-void ZoneMapBuilder::Reset() { map_ = ZoneMap{}; }
-
 namespace {
 
 /// Over-approximation of a predicate's truth set over one split: can any

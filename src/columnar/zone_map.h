@@ -58,7 +58,6 @@ class ZoneMapBuilder {
  public:
   void Observe(const Value& row);
   ZoneMap Build();
-  void Reset();
 
  private:
   ZoneMap map_;

@@ -1,7 +1,5 @@
 #include "common/random.h"
 
-#include <cmath>
-
 namespace dyno {
 
 namespace {
@@ -55,30 +53,6 @@ double Rng::NextDouble() {
 }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-uint64_t Rng::Zipf(uint64_t n, double theta) {
-  if (n <= 1) return 0;
-  if (theta <= 0.0) return Uniform(n);
-  if (n != zipf_n_ || theta != zipf_theta_) {
-    zipf_n_ = n;
-    zipf_theta_ = theta;
-    zipf_zetan_ = 0.0;
-    for (uint64_t i = 1; i <= n; ++i) {
-      zipf_zetan_ += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
-    zipf_alpha_ = 1.0 / (1.0 - theta);
-    zipf_eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-                (1.0 - zeta2 / zipf_zetan_);
-  }
-  double u = NextDouble();
-  double uz = u * zipf_zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
-  return static_cast<uint64_t>(
-      static_cast<double>(n) *
-      std::pow(zipf_eta_ * u - zipf_eta_ + 1.0, zipf_alpha_));
-}
 
 std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
   std::vector<uint64_t> out;

@@ -29,11 +29,6 @@ class Rng {
   /// Bernoulli draw with probability `p` of returning true.
   bool Bernoulli(double p);
 
-  /// Zipf-distributed value in [0, n) with skew parameter `theta` in [0, 1).
-  /// theta = 0 degenerates to uniform. Uses the standard rejection-free
-  /// approximation (Gray et al.), amortizing the zeta normalization.
-  uint64_t Zipf(uint64_t n, double theta);
-
   /// Samples `k` distinct indices out of [0, n) via reservoir sampling, in
   /// selection order. If k >= n, returns all indices shuffled.
   std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k);
@@ -50,13 +45,6 @@ class Rng {
 
  private:
   uint64_t s_[4];
-
-  // Cached Zipf normalization state (recomputed when n/theta changes).
-  uint64_t zipf_n_ = 0;
-  double zipf_theta_ = -1.0;
-  double zipf_zetan_ = 0.0;
-  double zipf_alpha_ = 0.0;
-  double zipf_eta_ = 0.0;
 };
 
 }  // namespace dyno

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -14,13 +13,6 @@ namespace dyno {
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Splits `s` on `delim`, keeping empty tokens.
-std::vector<std::string> StrSplit(std::string_view s, char delim);
-
-/// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);

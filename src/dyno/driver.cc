@@ -366,7 +366,8 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunPostJoin(
     const std::optional<OrderBySpec>& order_by, const std::string& path_prefix,
     QueryRunReport* report) {
   auto path = [&](const char* kind) {
-    return StrFormat("%s/%s%s_%lld", options_.exec.ScopedTempPrefix().c_str(),
+    return StrFormat("%s/%s%s_%lld",
+                     QueryTempDir(options_.exec.query_id).c_str(),
                      path_prefix.c_str(), kind,
                      static_cast<long long>(engine_->now()));
   };
@@ -461,7 +462,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
   // --- Single-table block: a bare scan job. ---
   if (leaves.size() == 1) {
     std::string path =
-        StrFormat("%s/scan_%lld", options_.exec.ScopedTempPrefix().c_str(),
+        StrFormat("%s/scan_%lld", QueryTempDir(options_.exec.query_id).c_str(),
                   static_cast<long long>(engine_->now()));
     DYNO_ASSIGN_OR_RETURN(JobResult job,
                           executor.ScanRelation(leaves[0].alias,

@@ -293,7 +293,7 @@ Status PlanExecutor::MaterializeFilteredLeaf(const std::string& id) {
   DYNO_ASSIGN_OR_RETURN(
       JobResult job,
       ScanRelation(id, /*projection=*/{}, StrFormat("filter:%s", id.c_str()),
-                   options_.ScopedTempPrefix() +
+                   QueryTempDir(options_.query_id) +
                        StrFormat("/e%d_f%d_%s", instance_id_, temp_counter_,
                                  id.c_str())));
 
@@ -333,7 +333,7 @@ Result<PlanExecutor::PreparedJob> PlanExecutor::Prepare(
   p.signature = CanonicalSignature(root);
   p.spec.name = p.output_id;
   p.spec.query_id = options_.query_id;
-  p.spec.output_path = options_.ScopedTempPrefix() +
+  p.spec.output_path = QueryTempDir(options_.query_id) +
                        StrFormat("/e%d_%s", instance_id_,
                                  p.output_id.c_str());
 

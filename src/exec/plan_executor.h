@@ -38,21 +38,12 @@ struct ExecOptions {
   bool hive_broadcast = false;
   /// KMV parameter for online statistics collection.
   int kmv_k = 1024;
-  /// DFS directory for intermediate results.
-  std::string temp_prefix = "/tmp/dyno";
   /// Unique id of the query these jobs belong to. Empty (the default)
-  /// keeps single-query behavior: intermediates go directly under
-  /// temp_prefix and job specs are unscoped. When set, every intermediate
-  /// lands under ScopedTempPrefix() and every JobSpec carries the id, so
-  /// concurrent queries — even two with identical text — never collide on
-  /// DFS paths or share engine fault streams.
+  /// keeps single-query behavior: job specs are unscoped. Intermediates
+  /// land under QueryTempDir(query_id), and when set every JobSpec carries
+  /// the id, so concurrent queries — even two with identical text — never
+  /// collide on DFS paths or share engine fault streams.
   std::string query_id;
-
-  /// temp_prefix, extended with a per-query subdirectory when query_id is
-  /// set ("<temp_prefix>/q/<query_id>").
-  std::string ScopedTempPrefix() const {
-    return query_id.empty() ? temp_prefix : temp_prefix + "/q/" + query_id;
-  }
 };
 
 /// One input of a job unit: either a bound relation (leaf of the plan) or

@@ -24,39 +24,6 @@ std::unique_ptr<PlanNode> PlanNode::Join(
   return node;
 }
 
-std::unique_ptr<PlanNode> PlanNode::Clone() const {
-  auto node = std::make_unique<PlanNode>();
-  node->kind = kind;
-  node->relation_id = relation_id;
-  node->method = method;
-  if (left) node->left = left->Clone();
-  if (right) node->right = right->Clone();
-  node->key_pairs = key_pairs;
-  node->post_filter = post_filter;
-  node->chain_with_left = chain_with_left;
-  node->est_rows = est_rows;
-  node->est_bytes = est_bytes;
-  node->est_cost = est_cost;
-  return node;
-}
-
-void PlanNode::CollectLeafIds(std::vector<std::string>* out) const {
-  if (IsLeaf()) {
-    out->push_back(relation_id);
-    return;
-  }
-  if (left) left->CollectLeafIds(out);
-  if (right) right->CollectLeafIds(out);
-}
-
-int PlanNode::NumJoins() const {
-  if (IsLeaf()) return 0;
-  int n = 1;
-  if (left) n += left->NumJoins();
-  if (right) n += right->NumJoins();
-  return n;
-}
-
 std::string PlanNode::ToString() const {
   if (IsLeaf()) return relation_id;
   const char* op = method == JoinMethod::kBroadcast ? "*b" : "*r";
@@ -88,57 +55,6 @@ std::string PlanNode::ToTreeString() const {
   std::string out;
   AppendTree(0, &out);
   return out;
-}
-
-namespace {
-
-/// Emits one node (and its subtree) as DOT; returns the node's DOT id.
-int AppendDotNode(const PlanNode& node, int* counter, std::string* out) {
-  int id = (*counter)++;
-  if (node.IsLeaf()) {
-    out->append(StrFormat(
-        "  n%d [shape=ellipse, label=\"%s\\n~%.0f rows\"];\n", id,
-        node.relation_id.c_str(), node.est_rows));
-    return id;
-  }
-  std::string keys;
-  for (const auto& [left_col, right_col] : node.key_pairs) {
-    if (!keys.empty()) keys += ", ";
-    keys += left_col + "=" + right_col;
-  }
-  out->append(StrFormat(
-      "  n%d [shape=box%s, label=\"%s\\n%s\\n~%.0f rows%s\"];\n", id,
-      node.method == JoinMethod::kBroadcast ? ", style=rounded" : "",
-      node.method == JoinMethod::kBroadcast ? "broadcast join"
-                                            : "repartition join",
-      keys.c_str(), node.est_rows,
-      node.post_filter != nullptr ? "\\n+filter" : ""));
-  int left = AppendDotNode(*node.left, counter, out);
-  int right = AppendDotNode(*node.right, counter, out);
-  out->append(StrFormat("  n%d -> n%d [label=\"probe\"];\n", id, left));
-  out->append(StrFormat("  n%d -> n%d [label=\"build\"%s];\n", id, right,
-                        node.chain_with_left ? ", style=dashed" : ""));
-  return id;
-}
-
-}  // namespace
-
-std::string PlanNode::ToDot(const std::string& graph_name) const {
-  std::string out = "digraph " + graph_name + " {\n  rankdir=BT;\n";
-  int counter = 0;
-  AppendDotNode(*this, &counter, &out);
-  out += "}\n";
-  return out;
-}
-
-bool PlanNode::StructurallyEquals(const PlanNode& other) const {
-  if (kind != other.kind) return false;
-  if (IsLeaf()) return relation_id == other.relation_id;
-  if (method != other.method) return false;
-  if (key_pairs != other.key_pairs) return false;
-  if (chain_with_left != other.chain_with_left) return false;
-  return left->StructurallyEquals(*other.left) &&
-         right->StructurallyEquals(*other.right);
 }
 
 }  // namespace dyno

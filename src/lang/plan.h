@@ -55,31 +55,13 @@ struct PlanNode {
       std::unique_ptr<PlanNode> right,
       std::vector<std::pair<std::string, std::string>> key_pairs);
 
-  std::unique_ptr<PlanNode> Clone() const;
-
   bool IsLeaf() const { return kind == Kind::kLeaf; }
-
-  /// Appends the relation ids of every leaf under this node (left-to-right).
-  void CollectLeafIds(std::vector<std::string>* out) const;
-
-  /// Number of join nodes in this subtree — the paper's *uncertainty*
-  /// metric for execution strategies (§5.3).
-  int NumJoins() const;
 
   /// Single-line rendering, e.g. "(l ⋈r (p ⋈b s))".
   std::string ToString() const;
 
   /// Multi-line indented rendering for plan-evolution figures.
   std::string ToTreeString() const;
-
-  /// Graphviz DOT rendering of the plan tree (joins as boxes labelled with
-  /// method/keys/estimates, leaves as ellipses). `graph_name` must be a
-  /// valid DOT identifier.
-  std::string ToDot(const std::string& graph_name = "plan") const;
-
-  /// Structural equality (method, shape, leaf ids, keys); estimates and
-  /// filters are ignored. Used to detect plan changes at re-optimization.
-  bool StructurallyEquals(const PlanNode& other) const;
 
  private:
   void AppendTree(int depth, std::string* out) const;

@@ -94,32 +94,4 @@ std::string LeafSignature(const LeafExpr& leaf) {
   return sig;
 }
 
-bool IsJoinGraphConnected(const JoinBlock& block) {
-  if (block.tables.size() <= 1) return true;
-  std::map<std::string, int> index;
-  for (size_t i = 0; i < block.tables.size(); ++i) {
-    index[block.tables[i].alias] = static_cast<int>(i);
-  }
-  // Union-find over aliases.
-  std::vector<int> parent(block.tables.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const JoinEdge& edge : block.edges) {
-    int a = find(index[edge.left_alias]);
-    int b = find(index[edge.right_alias]);
-    if (a != b) parent[a] = b;
-  }
-  int root = find(0);
-  for (size_t i = 1; i < parent.size(); ++i) {
-    if (find(static_cast<int>(i)) != root) return false;
-  }
-  return true;
-}
-
 }  // namespace dyno

@@ -104,9 +104,6 @@ std::vector<LeafExpr> ExtractLeafExprs(const JoinBlock& block,
 /// statistics reuse (§4.1): "table|<filter rendering>".
 std::string LeafSignature(const LeafExpr& leaf);
 
-/// True if the join graph is connected (no cartesian products needed).
-bool IsJoinGraphConnected(const JoinBlock& block);
-
 }  // namespace dyno
 
 #endif  // DYNO_LANG_QUERY_H_

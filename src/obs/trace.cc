@@ -66,16 +66,6 @@ void TraceSink::Record(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-size_t TraceSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-void TraceSink::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
 namespace {
 
 void AppendArgsObject(const TraceEvent& e, std::string* out) {

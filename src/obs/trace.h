@@ -81,9 +81,6 @@ class TraceSink {
  public:
   void Record(TraceEvent event);
 
-  size_t size() const;
-  void Clear();
-
   /// Header line {"schema":N,"clock":"sim_ms"} followed by one JSON object
   /// per event: {"seq":i,"ts":...,"dur":...,"lane":...,"cat":...,
   /// "name":...,"args":{...}}. "dur" is omitted for instant events.

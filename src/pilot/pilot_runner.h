@@ -39,7 +39,9 @@ struct PilotRunOptions {
   /// Query scope stamped onto every pilot JobSpec (JobSpec::query_id).
   /// Empty keeps legacy single-query behavior. Pilot job names are
   /// "pilr:<alias>", so without the scope two concurrent queries piloting
-  /// the same alias would share one engine fault stream.
+  /// the same alias would share one engine fault stream. Pilot outputs
+  /// land under QueryTempDir(query_id), with the query's other
+  /// intermediates.
   std::string query_id;
 };
 

@@ -495,7 +495,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     Dfs* dfs = engine_->dfs();
     if (session->admit_ms >= 0) {
       const std::string temp_dir =
-          session->scoped_options.exec.ScopedTempPrefix() + "/";
+          QueryTempDir(session->scoped_options.exec.query_id) + "/";
       const Result<QueryRunReport>& result = *session->driver_result;
       const std::string keep = result.ok() && result->result != nullptr
                                    ? result->result->path()

@@ -248,8 +248,8 @@ class QueryService {
   /// their outcomes in enqueue order. Installs the submit gate on the
   /// engine for the duration of the call and removes it before returning.
   /// Finalizing an admitted session deletes its intermediates: every DFS
-  /// file under its ExecOptions::ScopedTempPrefix() but the result and the
-  /// ".quarantine" files (a halt keeps them all for RecoverPending).
+  /// file under its QueryTempDir(), pilot outputs included, but the result
+  /// and the ".quarantine" files (a halt keeps them all for RecoverPending).
   std::vector<QueryOutcome> RunAll();
 
   const QueryServiceOptions& options() const { return options_; }

@@ -38,11 +38,6 @@ void KmvSynopsis::Merge(const KmvSynopsis& other) {
   if (hashes_.size() >= static_cast<size_t>(2 * k_)) Compact();
 }
 
-size_t KmvSynopsis::size() const {
-  EnsureCompacted();
-  return hashes_.size();
-}
-
 double KmvSynopsis::Estimate() const {
   EnsureCompacted();
   if (hashes_.empty()) return 0.0;

@@ -40,9 +40,6 @@ class KmvSynopsis {
 
   int k() const { return k_; }
 
-  /// Number of stored (distinct, k-smallest) hashes; compacts first.
-  size_t size() const;
-
   /// Serialization for publication through the Coordinator.
   std::string Serialize() const;
 

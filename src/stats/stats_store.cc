@@ -37,24 +37,4 @@ std::optional<TableStats> StatsStore::Get(const std::string& signature,
   return entry.stats;
 }
 
-bool StatsStore::Contains(const std::string& signature) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.count(signature) > 0;
-}
-
-void StatsStore::Erase(const std::string& signature) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(signature);
-}
-
-void StatsStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-size_t StatsStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 }  // namespace dyno

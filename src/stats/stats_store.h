@@ -53,13 +53,6 @@ class StatsStore {
   std::optional<TableStats> Get(const std::string& signature,
                                 uint64_t version) const;
 
-  bool Contains(const std::string& signature) const;
-
-  void Erase(const std::string& signature);
-  void Clear();
-
-  size_t size() const;
-
   /// Number of Get calls that found a valid entry / missed — instrumentation
   /// for the statistics-reuse ablation. `stale_misses` counts the subset of
   /// misses where an entry existed but its data version no longer matched.

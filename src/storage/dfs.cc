@@ -98,10 +98,9 @@ uint64_t Dfs::WriteEpoch(const std::string& path) const {
   return it == write_epochs_.end() ? 0 : it->second;
 }
 
-uint64_t Dfs::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [path, file] : files_) total += file->num_bytes();
-  return total;
+std::string QueryTempDir(const std::string& query_id) {
+  const std::string root = "/tmp/dyno";
+  return query_id.empty() ? root : root + "/q/" + query_id;
 }
 
 TableWriter::TableWriter(std::shared_ptr<DfsFile> file,

@@ -128,9 +128,6 @@ class Dfs {
   /// All paths in lexicographic order.
   std::vector<std::string> List() const;
 
-  /// Total bytes stored across all files.
-  uint64_t TotalBytes() const;
-
   /// Monotone per-path write epoch: bumped every time `path` is created or
   /// deleted. Two opens of the same path with equal epochs are guaranteed to
   /// see the same immutable file; a differing epoch means the path was
@@ -142,6 +139,12 @@ class Dfs {
   std::map<std::string, std::shared_ptr<DfsFile>> files_;
   std::map<std::string, uint64_t> write_epochs_;
 };
+
+/// DFS directory of one query's intermediates: "/tmp/dyno", extended with
+/// "/q/<query_id>" when `query_id` is non-empty. Executor, driver and pilot
+/// outputs all land under it, so the service reclaims everything a
+/// finished query wrote by this one prefix.
+std::string QueryTempDir(const std::string& query_id);
 
 /// Buffers rows and seals them into splits of roughly `target_split_bytes`.
 /// The default mirrors an HDFS block: at simulator scale we use 64 KiB so a

@@ -137,29 +137,6 @@ Query MakeTpchQ9Prime(double dim_udf_selectivity, double ol_udf_selectivity) {
   return q;
 }
 
-Query MakeTpchQ5() {
-  Query q;
-  JoinBlock& b = q.join_block;
-  b.tables = {{"customer", "c"}, {"orders", "o"},  {"lineitem", "l"},
-              {"supplier", "s"}, {"nation", "n"},  {"region", "r"}};
-  b.edges = {{"c", "c_custkey", "o", "o_custkey"},
-             {"l", "l_orderkey", "o", "o_orderkey"},
-             {"l", "l_suppkey", "s", "s_suppkey"},
-             // The cycle: customer and supplier share a nation, which also
-             // links both to the nation/region arm.
-             {"c", "c_nationkey", "s", "s_nationkey"},
-             {"s", "s_nationkey", "n", "n_nationkey"},
-             {"n", "n_regionkey", "r", "r_regionkey"}};
-  b.predicates = {
-      {Eq(Col("r_name"), LitString("ASIA")), {"r"}},
-      {And(Ge(Col("o_orderdate"), LitInt(19940101)),
-           Lt(Col("o_orderdate"), LitInt(19950101))),
-       {"o"}},
-  };
-  b.output_columns = {"n_name", "l_extendedprice", "l_discount"};
-  return q;
-}
-
 Query MakeTpchQ10() {
   Query q;
   JoinBlock& b = q.join_block;
@@ -177,15 +154,6 @@ Query MakeTpchQ10() {
   b.output_columns = {"c_custkey", "c_name", "c_acctbal", "n_name",
                       "l_extendedprice", "l_discount"};
   return q;
-}
-
-std::vector<NamedQuery> MakeAllPaperQueries() {
-  return {{"Q2", MakeTpchQ2()},
-          {"Q5", MakeTpchQ5()},
-          {"Q7", MakeTpchQ7()},
-          {"Q8'", MakeTpchQ8Prime()},
-          {"Q9'", MakeTpchQ9Prime()},
-          {"Q10", MakeTpchQ10()}};
 }
 
 }  // namespace dyno

@@ -43,24 +43,10 @@ Query MakeTpchQ8Prime(double udf_selectivity = 0.2);
 Query MakeTpchQ9Prime(double dim_udf_selectivity = 0.01,
                       double ol_udf_selectivity = 0.5);
 
-/// Q5: customer ⋈ orders ⋈ lineitem ⋈ supplier ⋈ nation ⋈ region with the
-/// *cyclic* join condition c_nationkey = s_nationkey (customer and supplier
-/// in the same nation). The paper excluded Q5 because its optimizer did not
-/// support cyclic join graphs (§6.1); this enumerator handles arbitrary
-/// connected graphs, so Q5 is included as an extension workload.
-Query MakeTpchQ5();
-
 /// Q10: customer ⋈ orders ⋈ lineitem ⋈ nation with a quarter-long
 /// order-date window and l_returnflag = 'R'. The left-deep plan is already
 /// near-optimal here (Fig. 7).
 Query MakeTpchQ10();
-
-/// Convenience: the paper's five queries plus the Q5 extension.
-struct NamedQuery {
-  std::string name;
-  Query query;
-};
-std::vector<NamedQuery> MakeAllPaperQueries();
 
 }  // namespace dyno
 

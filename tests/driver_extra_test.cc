@@ -195,7 +195,6 @@ TEST_F(DriverExtraTest, CyclicJoinGraphQ5MatchesOracle) {
   // The paper excluded Q5 ("cyclic join conditions that are not currently
   // supported by our optimizer", §6.1); this enumerator supports cycles.
   Query q5 = MakeTpchQ5();
-  EXPECT_TRUE(IsJoinGraphConnected(q5.join_block));
   DynoDriver driver(&engine_, &catalog_, &store_, MakeOptions());
   auto report = driver.Execute(q5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -260,13 +259,14 @@ TEST_F(DriverRootTest, CachedRootEndsTheBlockWithoutAJob) {
   EXPECT_EQ(CountEvents(trace, "final_step"), 1);
   EXPECT_EQ(CountEvents(trace, "final_step_cached"), 0);
 
-  trace.Clear();
+  obs::TraceSink warm_trace;
+  engine.set_trace(&warm_trace);
   DynoDriver warm(&engine, &catalog_, &store_, options);
   auto second = warm.Execute(query);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->jobs_run, 0);
-  EXPECT_EQ(CountEvents(trace, "final_step"), 0);
-  EXPECT_EQ(CountEvents(trace, "final_step_cached"), 1);
+  EXPECT_EQ(CountEvents(warm_trace, "final_step"), 0);
+  EXPECT_EQ(CountEvents(warm_trace, "final_step_cached"), 1);
   ExpectOracleMatch(query, *second);
 }
 

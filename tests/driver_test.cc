@@ -192,10 +192,8 @@ TEST_F(DriverTest, PilotStatsReusedAcrossQueries) {
   options.pilot.reuse_stats = true;
   DynoDriver driver(&engine_, &catalog_, &store_, options);
   ASSERT_TRUE(driver.Execute(MakeTpchQ10()).ok());
-  size_t stats_after_first = store_.size();
   ASSERT_TRUE(driver.Execute(MakeTpchQ10()).ok());
   EXPECT_GT(store_.hits(), 0u) << "second run must reuse cached statistics";
-  EXPECT_GE(store_.size(), stats_after_first);
 }
 
 }  // namespace

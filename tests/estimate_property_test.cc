@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "optimizer/optimizer.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
@@ -62,8 +63,10 @@ TEST_P(JoinEstimateTest, TwoWayEstimateWithinBoundedFactor) {
     dim.keys.push_back(static_cast<int64_t>(i));
   }
   SyntheticRelation fact{"fact", {}, "k"};
+  ZipfSampler zipf;
   for (uint64_t i = 0; i < fact_rows; ++i) {
-    fact.keys.push_back(static_cast<int64_t>(rng.Zipf(dim_rows, theta)));
+    fact.keys.push_back(
+        static_cast<int64_t>(zipf.Next(&rng, dim_rows, theta)));
   }
 
   OptJoinGraph graph;

@@ -172,24 +172,5 @@ TEST_F(ExecExtraTest, RegisterUnitOutputResolvesForDependants) {
   EXPECT_FALSE(executor.ResolveInput(missing).ok());
 }
 
-TEST_F(ExecExtraTest, PlanToDotRendersAllNodes) {
-  auto inner = PlanNode::Join(JoinMethod::kBroadcast, PlanNode::Leaf("a"),
-                              PlanNode::Leaf("b"), {{"x", "y"}});
-  inner->post_filter = Eq(Col("x"), LitInt(1));
-  auto plan = PlanNode::Join(JoinMethod::kRepartition, std::move(inner),
-                             PlanNode::Leaf("c"), {{"z", "z"}});
-  std::string dot = plan->ToDot("myplan");
-  EXPECT_NE(dot.find("digraph myplan"), std::string::npos);
-  EXPECT_NE(dot.find("broadcast join"), std::string::npos);
-  EXPECT_NE(dot.find("repartition join"), std::string::npos);
-  EXPECT_NE(dot.find("+filter"), std::string::npos);
-  EXPECT_NE(dot.find("probe"), std::string::npos);
-  EXPECT_NE(dot.find("build"), std::string::npos);
-  // 5 nodes -> ids n0..n4 present.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_NE(dot.find(StrFormat("n%d ", i)), std::string::npos) << i;
-  }
-}
-
 }  // namespace
 }  // namespace dyno

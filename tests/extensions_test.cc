@@ -1,18 +1,16 @@
-// Tests for the paper's extension features: CORDS-lite correlation
-// discovery, rank-based predicate reordering, conditional re-optimization,
-// the adaptive broadcast→repartition fallback (§8 dynamic join), and
-// multi-block queries (§5.1).
+// Tests for the paper's extension features: rank-based predicate
+// reordering, conditional re-optimization, the adaptive
+// broadcast→repartition fallback (§8 dynamic join), and multi-block
+// queries (§5.1).
 
 #include <gtest/gtest.h>
 
 #include "dyno/driver.h"
 #include "lang/parser.h"
 #include "pilot/predicate_order.h"
-#include "stats/cords.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
-#include "tpch/restaurant.h"
 
 namespace dyno {
 namespace {
@@ -45,68 +43,6 @@ class ExtensionsTest : public ::testing::Test {
   MapReduceEngine engine_;
   StatsStore store_;
 };
-
-// --- CORDS-lite ---
-
-TEST_F(ExtensionsTest, CordsFindsChannelClerkGroupDependency) {
-  CordsOptions options;
-  options.sample_rows = 700;
-  auto findings = DetectCorrelations(
-      &catalog_, "orders",
-      {"o_channel", "o_clerk_group", "o_orderdate", "o_custkey"}, options);
-  ASSERT_TRUE(findings.ok()) << findings.status().ToString();
-  // The injected soft FD o_channel -> o_clerk_group must surface as the
-  // strongest pair.
-  ASSERT_FALSE(findings->empty());
-  const ColumnPairCorrelation& top = (*findings)[0];
-  EXPECT_TRUE((top.column_a == "o_channel" &&
-               top.column_b == "o_clerk_group") ||
-              (top.column_a == "o_clerk_group" && top.column_b == "o_channel"))
-      << top.column_a << " / " << top.column_b;
-  EXPECT_GT(top.strength, 0.8);
-  // Independent pairs must not be reported with high strength.
-  for (const auto& f : *findings) {
-    if (f.column_a == "o_custkey" || f.column_b == "o_custkey") {
-      EXPECT_LT(f.strength, 0.5) << f.column_a << "/" << f.column_b;
-    }
-  }
-}
-
-TEST_F(ExtensionsTest, CordsDetectsZipStateFd) {
-  RestaurantConfig config;
-  config.num_restaurants = 2000;
-  config.num_reviews = 10;
-  config.num_tweets = 10;
-  ASSERT_TRUE(GenerateRestaurantData(&catalog_, config).ok());
-  // Flatten the nested addresses into a helper table for column analysis.
-  auto file = catalog_.OpenTable("restaurant");
-  ASSERT_TRUE(file.ok());
-  std::vector<Value> flat;
-  for (const Value& row : MustReadAll(**file)) {
-    const Value& primary = row.FindField("rs_addr")->array()[0];
-    flat.push_back(MakeRow({{"zip", *primary.FindField("zip")},
-                            {"state", *primary.FindField("state")},
-                            {"rid", *row.FindField("rs_id")}}));
-  }
-  ASSERT_TRUE(catalog_.CreateTable("restaurant_flat", flat).ok());
-  CordsOptions options;
-  auto findings = DetectCorrelations(&catalog_, "restaurant_flat",
-                                     {"zip", "state"}, options);
-  ASSERT_TRUE(findings.ok());
-  ASSERT_EQ(findings->size(), 1u);
-  EXPECT_TRUE((*findings)[0].fd_a_to_b)
-      << "zip (nearly) determines state";
-  EXPECT_FALSE((*findings)[0].fd_b_to_a);
-}
-
-TEST_F(ExtensionsTest, CordsRejectsTooFewColumns) {
-  EXPECT_FALSE(
-      DetectCorrelations(&catalog_, "orders", {"o_channel"}, CordsOptions())
-          .ok());
-  EXPECT_FALSE(DetectCorrelations(&catalog_, "no_such_table",
-                                  {"a", "b"}, CordsOptions())
-                   .ok());
-}
 
 // --- predicate reordering ---
 

@@ -74,16 +74,6 @@ TEST(QueryTest, LeafSignatureIncludesTableAndFilter) {
   EXPECT_EQ(LeafSignature(leaves[1]), "tb|");
 }
 
-TEST(QueryTest, ConnectivityDetection) {
-  JoinBlock b = ThreeWayBlock();
-  EXPECT_TRUE(IsJoinGraphConnected(b));
-  b.edges.pop_back();  // drop b-c edge
-  EXPECT_FALSE(IsJoinGraphConnected(b));
-  JoinBlock single;
-  single.tables = {{"t", "t"}};
-  EXPECT_TRUE(IsJoinGraphConnected(single));
-}
-
 // --- PlanNode ---
 
 std::unique_ptr<PlanNode> SamplePlan() {
@@ -96,37 +86,6 @@ std::unique_ptr<PlanNode> SamplePlan() {
 
 TEST(PlanTest, ToStringRendersMethods) {
   EXPECT_EQ(SamplePlan()->ToString(), "((a *b b) *r c)");
-}
-
-TEST(PlanTest, CloneIsDeepAndEqual) {
-  auto plan = SamplePlan();
-  plan->est_rows = 123;
-  plan->left->chain_with_left = false;
-  auto clone = plan->Clone();
-  EXPECT_TRUE(plan->StructurallyEquals(*clone));
-  EXPECT_DOUBLE_EQ(clone->est_rows, 123.0);
-  clone->left->relation_id = "zzz";  // mutate the clone only
-  EXPECT_EQ(plan->left->left->relation_id, "a");
-}
-
-TEST(PlanTest, StructuralEqualityDistinguishesMethodAndShape) {
-  auto a = SamplePlan();
-  auto b = SamplePlan();
-  EXPECT_TRUE(a->StructurallyEquals(*b));
-  b->method = JoinMethod::kBroadcast;
-  EXPECT_FALSE(a->StructurallyEquals(*b));
-  auto c = SamplePlan();
-  c->left->key_pairs = {{"x", "z"}};
-  EXPECT_FALSE(a->StructurallyEquals(*c));
-}
-
-TEST(PlanTest, CollectLeafIdsAndNumJoins) {
-  auto plan = SamplePlan();
-  std::vector<std::string> leaves;
-  plan->CollectLeafIds(&leaves);
-  EXPECT_EQ(leaves, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(plan->NumJoins(), 2);
-  EXPECT_EQ(PlanNode::Leaf("x")->NumJoins(), 0);
 }
 
 TEST(PlanTest, TreeStringShowsChainAndFilter) {

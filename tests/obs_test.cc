@@ -112,7 +112,6 @@ TEST(TraceTest, JsonlHeaderAndEventLayout) {
                   .ArgInt("k", 128));
   sink.Record(
       TraceEvent(150, -1, TraceLane::kDriver, "driver", "checkpoint"));
-  EXPECT_EQ(sink.size(), 2u);
   EXPECT_EQ(sink.SerializeJsonl(),
             "{\"schema\":" + std::to_string(kTraceSchemaVersion) +
                 ",\"clock\":\"sim_ms\"}\n"
@@ -120,8 +119,6 @@ TEST(TraceTest, JsonlHeaderAndEventLayout) {
                 "\"name\":\"pilot_leaf\",\"args\":{\"alias\":\"l\",\"k\":128}}\n"
                 "{\"seq\":1,\"ts\":150,\"lane\":0,\"cat\":\"driver\","
                 "\"name\":\"checkpoint\",\"args\":{}}\n");
-  sink.Clear();
-  EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(TraceTest, JsonlSchemaHeaderTracksVersionConstant) {

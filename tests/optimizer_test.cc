@@ -18,6 +18,14 @@ TableStats MakeStats(double rows, double avg_size,
   return stats;
 }
 
+/// The relation ids of every leaf under `node`, left to right.
+std::vector<std::string> LeafIds(const PlanNode& node) {
+  if (node.IsLeaf()) return {node.relation_id};
+  std::vector<std::string> ids = LeafIds(*node.left);
+  for (std::string& id : LeafIds(*node.right)) ids.push_back(std::move(id));
+  return ids;
+}
+
 CostModelParams DefaultParams() {
   CostModelParams params;
   params.max_memory_bytes = 10000;
@@ -207,8 +215,7 @@ TEST(OptimizerTest, NonLocalPredAttachedAtLowestCoveringJoin) {
     if (node.IsLeaf()) return;
     if (node.post_filter != nullptr) {
       ++filters;
-      std::vector<std::string> ids;
-      node.CollectLeafIds(&ids);
+      std::vector<std::string> ids = LeafIds(node);
       EXPECT_NE(std::find(ids.begin(), ids.end(), "fact"), ids.end());
       EXPECT_NE(std::find(ids.begin(), ids.end(), "dim1"), ids.end());
     }
@@ -288,9 +295,7 @@ TEST(OptimizerTest, WideJoinGraphsUpTo63RelationsValidate) {
   // have few connected subgraphs, so this stays fast even bushy).
   auto wide = optimizer.Optimize(chain(24));
   ASSERT_TRUE(wide.ok()) << wide.status().ToString();
-  std::vector<std::string> ids;
-  wide->plan->CollectLeafIds(&ids);
-  EXPECT_EQ(ids.size(), 24u);
+  EXPECT_EQ(LeafIds(*wide->plan).size(), 24u);
 }
 
 TEST(OptimizerTest, SameColumnNameOnBothSidesKeepsDistinctNdvs) {

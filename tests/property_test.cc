@@ -29,6 +29,7 @@ struct RandomScenario {
 /// of a random spanning tree, plus random local/non-local predicates.
 RandomScenario GenerateScenario(Catalog* catalog, uint64_t seed) {
   Rng rng(seed);
+  ZipfSampler zipf;
   RandomScenario scenario;
   int num_tables = 3 + static_cast<int>(rng.Uniform(3));  // 3..5
 
@@ -54,7 +55,8 @@ RandomScenario GenerateScenario(Catalog* catalog, uint64_t seed) {
         fields.emplace_back(
             StrFormat("k%d", parent[i]),
             Value::Int(static_cast<int64_t>(
-                rng.Zipf(rows[parent[i]], rng.Bernoulli(0.5) ? 0.8 : 0.0))));
+                zipf.Next(&rng, rows[parent[i]],
+                          rng.Bernoulli(0.5) ? 0.8 : 0.0))));
       }
       fields.emplace_back(StrFormat("f%d", i),
                           Value::Int(rng.UniformInt(0, 9)));

@@ -94,12 +94,12 @@ TEST(KmvTest, DeserializeRejectsCorruptPayloads) {
 }
 
 TEST(KmvTest, LazyCompactionKeepsEstimateStable) {
-  // Estimate()/Serialize()/size() must see the same state before and after
+  // Estimate()/Serialize() must see the same state before and after
   // internal compaction, and repeated reads must agree with each other.
   KmvSynopsis kmv(256);
   for (int i = 0; i < 200; ++i) kmv.Add(Value::Int(i));  // < 2k: uncompacted.
   double first = kmv.Estimate();
-  EXPECT_EQ(kmv.size(), 200u);
+  EXPECT_DOUBLE_EQ(first, 200.0);  // Exact below k distinct values.
   EXPECT_NEAR(kmv.Estimate(), first, 1e-12);
   std::string s1 = kmv.Serialize();
   EXPECT_EQ(kmv.Serialize(), s1);
@@ -110,7 +110,7 @@ TEST(KmvTest, LazyCompactionKeepsEstimateStable) {
   Result<KmvSynopsis> round = KmvSynopsis::Deserialize(kmv.Serialize());
   ASSERT_TRUE(round.ok());
   EXPECT_NEAR(round->Estimate(), kmv.Estimate(), 1e-9);
-  EXPECT_EQ(kmv.size(), round->size());
+  EXPECT_EQ(round->Serialize(), kmv.Serialize());
 }
 
 // --- StatsCollector ---
@@ -282,25 +282,17 @@ TEST(HistogramTest, SkewedDataEquality) {
 
 // --- StatsStore ---
 
-TEST(StatsStoreTest, PutGetEraseAndCounters) {
+TEST(StatsStoreTest, PutGetAndCounters) {
   StatsStore store;
   EXPECT_FALSE(store.Get("sig").has_value());
   EXPECT_EQ(store.misses(), 1u);
   TableStats stats;
   stats.cardinality = 42;
   store.Put("sig", stats);
-  EXPECT_TRUE(store.Contains("sig"));
   auto got = store.Get("sig");
   ASSERT_TRUE(got.has_value());
   EXPECT_DOUBLE_EQ(got->cardinality, 42.0);
   EXPECT_EQ(store.hits(), 1u);
-  store.Erase("sig");
-  EXPECT_FALSE(store.Contains("sig"));
-  store.Put("a", stats);
-  store.Put("b", stats);
-  EXPECT_EQ(store.size(), 2u);
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(StatsStoreTest, PutOverwrites) {
@@ -364,7 +356,7 @@ TEST(StatsStoreTest, ConcurrentAccessIsRaceFree) {
       stats.cardinality = t;
       for (int i = 0; i < kOpsPerThread; ++i) {
         std::string key = "sig" + std::to_string(i % 17);
-        switch (i % 5) {
+        switch (i % 4) {
           case 0:
             store.Put(key, static_cast<uint64_t>(t + 1), stats);
             break;
@@ -372,13 +364,10 @@ TEST(StatsStoreTest, ConcurrentAccessIsRaceFree) {
             (void)store.Get(key, static_cast<uint64_t>(t + 1));
             break;
           case 2:
-            (void)store.Contains(key);
-            break;
-          case 3:
-            (void)store.Get(key);
+            store.Put(key, stats);
             break;
           default:
-            if (i % 100 == 4) store.Erase(key);
+            (void)store.Get(key);
             break;
         }
       }
@@ -386,7 +375,7 @@ TEST(StatsStoreTest, ConcurrentAccessIsRaceFree) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(store.hits() + store.misses(),
-            static_cast<uint64_t>(kThreads) * kOpsPerThread * 2 / 5);
+            static_cast<uint64_t>(kThreads) * kOpsPerThread / 2);
 }
 
 }  // namespace

@@ -65,16 +65,22 @@ class SubtreeCacheUnitTest : public ::testing::Test {
     return stats;
   }
 
+  /// The entry count and pinned bytes a cache built with `&metrics_`
+  /// publishes.
+  int64_t Entries() { return metrics_.GetGauge("cache.entries")->value(); }
+  int64_t Bytes() { return metrics_.GetGauge("cache.bytes")->value(); }
+
   Dfs dfs_;
   Catalog catalog_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(SubtreeCacheUnitTest, HitReturnsPinnedBytesAndStats) {
-  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions());
+  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions(), &metrics_);
   auto result = Rows("/tmp/r1", 10);
   ASSERT_TRUE(cache.Publish("k1", Versions(), *result, StatsOf(10), 5).ok());
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_GT(cache.bytes(), 0u);
+  EXPECT_EQ(Entries(), 1);
+  EXPECT_GT(Bytes(), 0);
 
   auto hit = cache.Lookup("k1", 6);
   ASSERT_TRUE(hit.has_value());
@@ -100,7 +106,7 @@ TEST_F(SubtreeCacheUnitTest, PinnedCopySurvivesSourceDeletion) {
 }
 
 TEST_F(SubtreeCacheUnitTest, TableRewriteInvalidatesLazily) {
-  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions());
+  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions(), &metrics_);
   ASSERT_TRUE(
       cache.Publish("k", Versions(), *Rows("/tmp/r", 10), StatsOf(10), 1).ok());
   ASSERT_TRUE(cache.Lookup("k", 2).has_value());
@@ -111,20 +117,8 @@ TEST_F(SubtreeCacheUnitTest, TableRewriteInvalidatesLazily) {
   ASSERT_TRUE(catalog_.ReplaceTable("t", "/data/t_v2").ok());
   EXPECT_FALSE(cache.Lookup("k", 3).has_value());
   EXPECT_EQ(cache.invalidations(), 1u);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
-TEST_F(SubtreeCacheUnitTest, InvalidateTableDropsEagerly) {
-  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions());
-  ASSERT_TRUE(
-      cache.Publish("a", Versions(), *Rows("/tmp/a", 5), StatsOf(5), 1).ok());
-  ASSERT_TRUE(cache.Publish("b", {{"other", 7}}, *Rows("/tmp/b", 5),
-                            StatsOf(5), 1)
-                  .ok());
-  EXPECT_EQ(cache.InvalidateTable("t", 2), 1);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_FALSE(cache.Lookup("a", 3).has_value());
+  EXPECT_EQ(Entries(), 0);
+  EXPECT_EQ(Bytes(), 0);
 }
 
 TEST_F(SubtreeCacheUnitTest, LruEvictsLeastRecentlyUsed) {
@@ -152,12 +146,12 @@ TEST_F(SubtreeCacheUnitTest, LruEvictsLeastRecentlyUsed) {
 TEST_F(SubtreeCacheUnitTest, EntryCountBoundEvicts) {
   SubtreeCacheOptions options;
   options.max_entries = 1;
-  SubtreeCache cache(&dfs_, &catalog_, options);
+  SubtreeCache cache(&dfs_, &catalog_, options, &metrics_);
   ASSERT_TRUE(
       cache.Publish("a", Versions(), *Rows("/tmp/a", 5), StatsOf(5), 1).ok());
   ASSERT_TRUE(
       cache.Publish("b", Versions(), *Rows("/tmp/b", 5), StatsOf(5), 2).ok());
-  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(Entries(), 1);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_FALSE(cache.Lookup("a", 3).has_value());
   EXPECT_TRUE(cache.Lookup("b", 4).has_value());
@@ -166,16 +160,16 @@ TEST_F(SubtreeCacheUnitTest, EntryCountBoundEvicts) {
 TEST_F(SubtreeCacheUnitTest, OversizedResultNotAdmitted) {
   SubtreeCacheOptions options;
   options.max_bytes = 16;  // Smaller than any real result.
-  SubtreeCache cache(&dfs_, &catalog_, options);
+  SubtreeCache cache(&dfs_, &catalog_, options, &metrics_);
   Status st = cache.Publish("big", Versions(), *Rows("/tmp/big", 100),
                             StatsOf(100), 1);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(Entries(), 0);
+  EXPECT_EQ(Bytes(), 0);
 }
 
 TEST_F(SubtreeCacheUnitTest, FirstPublisherWins) {
-  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions());
+  SubtreeCache cache(&dfs_, &catalog_, SubtreeCacheOptions(), &metrics_);
   ASSERT_TRUE(
       cache.Publish("k", Versions(), *Rows("/tmp/one", 10), StatsOf(1), 1)
           .ok());
@@ -184,7 +178,7 @@ TEST_F(SubtreeCacheUnitTest, FirstPublisherWins) {
   ASSERT_TRUE(
       cache.Publish("k", Versions(), *Rows("/tmp/two", 10, 9), StatsOf(2), 2)
           .ok());
-  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(Entries(), 1);
   auto hit = cache.Lookup("k", 3);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->stats.cardinality, 1.0);
@@ -399,6 +393,8 @@ TEST_F(CacheBatchTest, TinyCacheEvictsButStaysCorrect) {
   QueryServiceOptions opts;
   opts.enable_subtree_cache = true;
   opts.subtree_cache.max_entries = 1;
+  obs::MetricsRegistry metrics;
+  engine.set_metrics(&metrics);
   QueryService service(&engine, &catalog, &store, opts);
   BatchResult reference = RunBatch(false, /*repeats=*/2);
   for (int i = 0; i < 4; ++i) {
@@ -421,7 +417,7 @@ TEST_F(CacheBatchTest, TinyCacheEvictsButStaysCorrect) {
         << "query " << i;
   }
   EXPECT_GT(service.subtree_cache()->evictions(), 0u);
-  EXPECT_LE(service.subtree_cache()->entries(), 1u);
+  EXPECT_LE(metrics.GetGauge("cache.entries")->value(), 1);
 }
 
 // --- Resume after a driver kill, with a cache warmed by other queries ---
@@ -441,7 +437,8 @@ TEST(SubtreeCacheResumeTest, ResumeAfterKillWithWarmCache) {
   tpch.split_bytes = 8 * 1024;
   ASSERT_TRUE(GenerateTpch(&catalog, tpch).ok());
 
-  SubtreeCache cache(&dfs, &catalog, SubtreeCacheOptions());
+  obs::MetricsRegistry metrics;
+  SubtreeCache cache(&dfs, &catalog, SubtreeCacheOptions(), &metrics);
   StatsStore store;
   Query query = MakeTpchQ10();
   DynoOptions base;
@@ -469,7 +466,7 @@ TEST(SubtreeCacheResumeTest, ResumeAfterKillWithWarmCache) {
   DynoDriver bystander(&engine, &catalog, &store, other);
   auto other_report = bystander.Execute(query);
   ASSERT_TRUE(other_report.ok()) << other_report.status().ToString();
-  ASSERT_GT(cache.entries(), 0u);
+  ASSERT_GT(metrics.GetGauge("cache.entries")->value(), 0);
 
   // The resumed victim substitutes its checkpointed step AND serves the
   // rest from the warm cache; the result is byte-identical to the

@@ -1,5 +1,6 @@
 #include "test_util.h"
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "tpch/queries.h"
 
 namespace dyno {
 
@@ -19,6 +21,61 @@ Result<bool> PassesFilter(const ExprPtr& filter, const Value& row) {
 }
 
 }  // namespace
+
+uint64_t ZipfSampler::Next(Rng* rng, uint64_t n, double theta) {
+  if (n <= 1) return 0;
+  if (theta <= 0.0) return rng->Uniform(n);
+  if (n != n_ || theta != theta_) {
+    n_ = n;
+    theta_ = theta;
+    zetan_ = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      zetan_ += 1.0 / std::pow(static_cast<double>(i), theta);
+    }
+    double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
+    alpha_ = 1.0 / (1.0 - theta);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+           (1.0 - zeta2 / zetan_);
+  }
+  double u = rng->NextDouble();
+  double uz = u * zetan_;
+  if (uz < 1.0) return 0;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  return static_cast<uint64_t>(static_cast<double>(n) *
+                               std::pow(eta_ * u - eta_ + 1.0, alpha_));
+}
+
+Query MakeTpchQ5() {
+  Query q;
+  JoinBlock& b = q.join_block;
+  b.tables = {{"customer", "c"}, {"orders", "o"},  {"lineitem", "l"},
+              {"supplier", "s"}, {"nation", "n"},  {"region", "r"}};
+  b.edges = {{"c", "c_custkey", "o", "o_custkey"},
+             {"l", "l_orderkey", "o", "o_orderkey"},
+             {"l", "l_suppkey", "s", "s_suppkey"},
+             // The cycle: customer and supplier share a nation, which also
+             // links both to the nation/region arm.
+             {"c", "c_nationkey", "s", "s_nationkey"},
+             {"s", "s_nationkey", "n", "n_nationkey"},
+             {"n", "n_regionkey", "r", "r_regionkey"}};
+  b.predicates = {
+      {Eq(Col("r_name"), LitString("ASIA")), {"r"}},
+      {And(Ge(Col("o_orderdate"), LitInt(19940101)),
+           Lt(Col("o_orderdate"), LitInt(19950101))),
+       {"o"}},
+  };
+  b.output_columns = {"n_name", "l_extendedprice", "l_discount"};
+  return q;
+}
+
+std::vector<NamedQuery> MakeAllPaperQueries() {
+  return {{"Q2", MakeTpchQ2()},
+          {"Q5", MakeTpchQ5()},
+          {"Q7", MakeTpchQ7()},
+          {"Q8'", MakeTpchQ8Prime()},
+          {"Q9'", MakeTpchQ9Prime()},
+          {"Q10", MakeTpchQ10()}};
+}
 
 Result<std::vector<Value>> NaiveEvaluateJoinBlock(Catalog* catalog,
                                                   const JoinBlock& block) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
 #include "exec/row_ops.h"
 #include "lang/query.h"
@@ -46,6 +47,36 @@ class ScopedEnv {
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
 };
+
+/// Zipf-distributed draws in [0, n) with skew parameter `theta` in [0, 1),
+/// for skewed test data. theta = 0 degenerates to uniform. Uses the
+/// standard rejection-free approximation (Gray et al.), caching the zeta
+/// normalization until n or theta changes.
+class ZipfSampler {
+ public:
+  uint64_t Next(Rng* rng, uint64_t n, double theta);
+
+ private:
+  uint64_t n_ = 0;
+  double theta_ = -1.0;
+  double zetan_ = 0.0;
+  double alpha_ = 0.0;
+  double eta_ = 0.0;
+};
+
+/// Q5: customer ⋈ orders ⋈ lineitem ⋈ supplier ⋈ nation ⋈ region with the
+/// *cyclic* join condition c_nationkey = s_nationkey (customer and supplier
+/// in the same nation). The paper excluded Q5 because its optimizer did not
+/// support cyclic join graphs (§6.1); this enumerator handles arbitrary
+/// connected graphs, so the tests run Q5 as an extension workload.
+Query MakeTpchQ5();
+
+/// The paper's five queries plus the Q5 extension.
+struct NamedQuery {
+  std::string name;
+  Query query;
+};
+std::vector<NamedQuery> MakeAllPaperQueries();
 
 /// Brute-force oracle: evaluates a join block by nested-loop joins over
 /// fully materialized tables. Only usable at test scale; results are
