@@ -83,21 +83,6 @@ void BM_StatsCollectorObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsCollectorObserve);
 
-void BM_StatsCollectorSerializeRoundTrip(benchmark::State& state) {
-  StatsCollector collector({"a"});
-  Rng rng(4);
-  for (int i = 0; i < 2000; ++i) {
-    collector.Observe(MakeRow(
-        {{"a", Value::Int(static_cast<int64_t>(rng.Uniform(1000)))}}));
-  }
-  for (auto _ : state) {
-    std::string blob = collector.Serialize();
-    auto restored = StatsCollector::Deserialize(blob);
-    benchmark::DoNotOptimize(restored.ok());
-  }
-}
-BENCHMARK(BM_StatsCollectorSerializeRoundTrip);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -338,8 +338,7 @@ Result<PlanExecutor::PreparedJob> PlanExecutor::Prepare(
                                  p.output_id.c_str());
 
   if (request.collect_stats()) {
-    p.collector = std::make_shared<StatsCollector>(request.stats_columns,
-                                                   options_.kmv_k);
+    p.collector = std::make_shared<StatsCollector>(request.stats_columns);
     std::shared_ptr<StatsCollector> collector = p.collector;
     p.spec.output_observer = [collector](const Value& record) {
       collector->Observe(record);

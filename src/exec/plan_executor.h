@@ -36,8 +36,6 @@ struct ExecOptions {
   /// DistributedCache and loaded once per node instead of once per task
   /// (the Fig. 8 backend).
   bool hive_broadcast = false;
-  /// KMV parameter for online statistics collection.
-  int kmv_k = 1024;
   /// Unique id of the query these jobs belong to. Empty (the default)
   /// keeps single-query behavior: job specs are unscoped. Intermediates
   /// land under QueryTempDir(query_id), and when set every JobSpec carries

@@ -6,12 +6,6 @@
 
 namespace dyno {
 
-Result<bool> EvalFilter(const ExprPtr& filter, const Value& row) {
-  if (filter == nullptr) return true;
-  DYNO_ASSIGN_OR_RETURN(Value v, filter->Eval(row));
-  return v.type() == Value::Type::kBool && v.bool_value();
-}
-
 Result<std::vector<uint8_t>> FilterKeepMask(const ExprPtr& filter,
                                             const std::vector<Value>& rows) {
   if (filter == nullptr) return std::vector<uint8_t>(rows.size(), 1);

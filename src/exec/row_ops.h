@@ -11,10 +11,6 @@
 
 namespace dyno {
 
-/// Evaluates a boolean filter against one row; non-bool/null results count
-/// as false (the engine's scan semantics). A null filter keeps everything.
-Result<bool> EvalFilter(const ExprPtr& filter, const Value& row);
-
 /// Batch-at-a-time variant: one keep byte per row, bit-identical to calling
 /// EvalFilter row-by-row. `column <op> literal` conjuncts run as vectorized
 /// selection-cascade compare loops (columnar::EvalFilterOverRows); client-

@@ -438,4 +438,10 @@ void DecomposeConjunction(const ExprPtr& expr, std::vector<ExprPtr>* out) {
   }
 }
 
+Result<bool> EvalFilter(const ExprPtr& filter, const Value& row) {
+  if (filter == nullptr) return true;
+  DYNO_ASSIGN_OR_RETURN(Value v, filter->Eval(row));
+  return v.type() == Value::Type::kBool && v.bool_value();
+}
+
 }  // namespace dyno

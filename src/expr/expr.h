@@ -158,6 +158,10 @@ ExprPtr Conjoin(const std::vector<ExprPtr>& preds);
 /// expression yields itself).
 void DecomposeConjunction(const ExprPtr& expr, std::vector<ExprPtr>* out);
 
+/// Evaluates a boolean filter against one row; non-bool/null results count
+/// as false (the engine's scan semantics). A null filter keeps everything.
+Result<bool> EvalFilter(const ExprPtr& filter, const Value& row);
+
 }  // namespace dyno
 
 #endif  // DYNO_EXPR_EXPR_H_

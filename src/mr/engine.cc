@@ -227,6 +227,10 @@ struct RunningJob {
   /// invalidates a completed task.
   JobResult result;
   double observer_cpu_units = 0.0;
+  /// Output records of the tasks whose data is committed, each logical
+  /// task counted once: JobSpec::stop_after_output_records compares
+  /// against it.
+  uint64_t committed_output_records = 0;
   bool failed = false;
 
   /// DFS paths of spill-run files written by completed reduce tasks;
@@ -397,9 +401,8 @@ SimMillis CeilDiv(double amount, double rate) {
 }
 
 /// Runs one map task's data flow. Worker-thread safe: reads only the
-/// immutable spec/split and writes only the task-local outcome. (User map
-/// functions may still touch shared state of their own — e.g. Coordinator
-/// counters — which must be internally synchronized and commutative.)
+/// immutable spec/split and writes only the task-local outcome; the map
+/// functions it calls mutate no shared state.
 void ExecuteMapTask(const MapInput& input, const Split& split,
                     int task_index, const std::vector<uint64_t>* poison,
                     bool skip_mode, TaskOutcome* out) {
@@ -1562,7 +1565,7 @@ class MapReduceEngine::Simulation {
     // One full read of the attempt's input: the split's block for a map,
     // the partition bucket for a reduce. Pilot jobs bill block reads at the
     // split's logical size so their event timeline (and thus the sample the
-    // stop condition admits) is identical whichever physical format the
+    // stop count admits) is identical whichever physical format the
     // table was written in.
     const MapInput* map_input =
         is_map ? &job->spec->inputs[t.map_ref.input_index] : nullptr;
@@ -1625,7 +1628,11 @@ class MapReduceEngine::Simulation {
       if (t.memory.spill_runs > 1) duration += BillSpill(t, st.failures + 1);
       if (!already_failed && o.status.ok()) {
         TaskData& d = pt.data[t.task_id];
+        // A re-run of a task whose attempt a node crash killed replaces
+        // that attempt's data, and its count.
+        if (d.valid) job->committed_output_records -= d.output.num_records;
         static_cast<TaskStaged&>(d) = std::move(static_cast<TaskStaged&>(o));
+        job->committed_output_records += d.output.num_records;
         d.valid = true;
         d.observer_charge = obs_charge;
         if (o.batches_decoded > 0) AddLazy("scan.batches", o.batches_decoded);
@@ -1863,13 +1870,15 @@ class MapReduceEngine::Simulation {
     std::vector<TaskLaunch> wave;
     for (RunningJob& job : jobs_) {
       if (Launchable(job, kMapTask)) {
-        // The stop condition is evaluated once per scheduling pass, before
-        // the wave launches: concurrently launched tasks cannot observe
-        // each other's output (they couldn't on a real cluster either);
-        // tasks already running always finish their whole split (§4.2).
+        // The stop count is checked once per scheduling pass, before the
+        // wave launches: concurrently launched tasks cannot observe each
+        // other's output (they couldn't on a real cluster either); tasks
+        // already running always finish their whole split (§4.2).
         PhaseTasks& maps = job.tasks[kMapTask];
-        if (!maps.pending.empty() && job.spec->stop_condition &&
-            job.spec->stop_condition()) {
+        const std::optional<uint64_t>& stop_after =
+            job.spec->stop_after_output_records;
+        if (!maps.pending.empty() && stop_after.has_value() &&
+            job.committed_output_records >= *stop_after) {
           const int skipped = static_cast<int>(maps.pending.size());
           job.result.map_tasks_skipped += skipped;
           maps.remaining -= skipped;
@@ -2020,9 +2029,7 @@ class MapReduceEngine::Simulation {
   /// the launch itself and immutable job inputs.
   static void Execute(TaskLaunch& t) {
     // Attempts with an injected failure never run their data flow: the
-    // simulated container dies. Re-running user code here would repeat its
-    // side effects (Coordinator counters), which real retried tasks do
-    // too, but would break the simulator's exactly-once accounting.
+    // simulated container dies, and CommitTask keeps nothing of it.
     if (t.inject_failure) return;
     // Drawn corruption is exercised against the *real* checksum machinery:
     // each corrupt copy is modeled by flipping one byte of a scratch copy

@@ -12,7 +12,6 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "mr/cluster_config.h"
-#include "mr/coordinator.h"
 #include "mr/job.h"
 #include "storage/dfs.h"
 
@@ -122,7 +121,6 @@ class MapReduceEngine {
   void AdvanceClock(SimMillis ms) { now_ += ms; }
 
   Dfs* dfs() const { return dfs_; }
-  Coordinator* coordinator() { return &coordinator_; }
   const ClusterConfig& config() const { return config_; }
 
   /// Replaces the cluster configuration (used by benches that sweep rates).
@@ -181,7 +179,6 @@ class MapReduceEngine {
 
   Dfs* dfs_;
   ClusterConfig config_;
-  Coordinator coordinator_;
   SimMillis now_ = 0;
   /// Node liveness, persisted across submissions like the clock.
   std::vector<NodeState> node_states_;

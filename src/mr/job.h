@@ -97,7 +97,7 @@ struct MapInput {
 
   /// Bill read time by the split's logical (row-encoded) size rather than
   /// its physical size. Pilot jobs set this so the pilot's event timeline —
-  /// and therefore which splits its stop condition admits — is identical
+  /// and therefore which splits its stop count admits — is identical
   /// whichever format the table is stored in (plan choice must not depend
   /// on storage format).
   bool bill_logical_read = false;
@@ -148,10 +148,12 @@ struct JobSpec {
   /// runs use to add sample splits on demand without relaunching (§4.2).
   bool reuse_warm_containers = false;
 
-  /// Checked before each new map task starts; true stops scheduling further
-  /// tasks (running tasks complete their whole split — this is how pilot
-  /// runs avoid the inspection paradox, §4.2). Optional.
-  std::function<bool()> stop_condition;
+  /// Once the job's committed output records reach this count, no further
+  /// map task starts; running tasks complete their whole split — this is
+  /// how pilot runs stop at k records yet avoid the inspection paradox
+  /// (§4.2). Each logical task's output counts once, however many attempts
+  /// it took. Absent: every map task runs.
+  std::optional<uint64_t> stop_after_output_records;
 
   /// Observes every record written to the job output — the online
   /// statistics collection hook (§5.4). Optional.
@@ -205,7 +207,7 @@ struct JobResult : JobTotals {
   SimMillis finish_time_ms = 0;
   Counters counters;
   int map_tasks_run = 0;
-  int map_tasks_skipped = 0;  ///< Cancelled by the stop condition.
+  int map_tasks_skipped = 0;  ///< Cancelled by the stop count.
   int reduce_tasks_run = 0;
   /// Simulated time attributable to the output observer (stats collection).
   SimMillis observer_overhead_ms = 0;

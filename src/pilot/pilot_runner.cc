@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/random.h"
@@ -22,58 +21,21 @@ const PilotLeafResult* PilotRunReport::Find(const std::string& alias) const {
 
 namespace {
 
-/// Evaluates a boolean filter; non-bool/null results count as false.
-Result<bool> EvalFilter(const ExprPtr& filter, const Value& row) {
-  if (filter == nullptr) return true;
-  DYNO_ASSIGN_OR_RETURN(Value v, filter->Eval(row));
-  return v.type() == Value::Type::kBool && v.bool_value();
-}
-
-/// task index -> collector, shared by every map task of one pilot job.
-/// Map tasks may run concurrently on the engine's worker threads, so the
-/// *map structure* is guarded by a mutex. Each collector itself is only
-/// ever touched by the one task that owns its index (a task runs on
-/// exactly one worker), so Observe() needs no lock — and std::map nodes
-/// are stable, so the returned pointer survives concurrent inserts.
-struct PerTaskStats {
-  std::mutex mu;
-  std::map<int, StatsCollector> collectors;
-
-  StatsCollector* ForTask(int task_index,
-                          const std::vector<std::string>& columns,
-                          int kmv_k) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto [it, inserted] = collectors.try_emplace(task_index, columns, kmv_k);
-    return &it->second;
-  }
-};
-
-/// A pilot job plus the per-task statistics its map tasks accumulate.
-struct PilotJob {
+/// Builds the map-only pilot job for one leaf: scan + local predicates. The
+/// engine's output observer feeds `collector` every committed output
+/// record once, and the job stops launching map tasks once `stop_after`
+/// output records are committed (the global counter of §4.2).
+JobSpec MakePilotJob(const LeafExpr& leaf, std::shared_ptr<DfsFile> file,
+                     std::vector<int> split_indexes,
+                     std::shared_ptr<StatsCollector> collector,
+                     uint64_t stop_after, const std::string& output_path,
+                     const std::string& query_id) {
   JobSpec spec;
-  /// Tasks publish these after the job.
-  std::shared_ptr<PerTaskStats> per_task;
-};
+  spec.name = "pilr:" + leaf.alias;
+  spec.query_id = query_id;
+  spec.output_path = output_path;
 
-/// Builds the map-only pilot job for one leaf: scan + local predicates,
-/// per-task statistics collection, and global output counting through the
-/// Coordinator (the ZooKeeper counter of §4.2).
-PilotJob MakePilotJob(const LeafExpr& leaf, std::shared_ptr<DfsFile> file,
-                      std::vector<int> split_indexes, int kmv_k,
-                      Coordinator* coordinator,
-                      const std::string& counter_key, int k_target,
-                      const std::string& output_path,
-                      const std::string& query_id) {
-  PilotJob job;
-  job.spec.name = "pilr:" + leaf.alias;
-  job.spec.query_id = query_id;
-  job.spec.output_path = output_path;
-  job.per_task = std::make_shared<PerTaskStats>();
-
-  std::vector<std::string> columns = leaf.join_columns;
   ExprPtr filter = leaf.filter;
-  double observe_cpu = 2.0 + 3.0 * static_cast<double>(columns.size());
-
   MapInput input;
   input.file = std::move(file);
   input.split_indexes = std::move(split_indexes);
@@ -83,48 +45,23 @@ PilotJob MakePilotJob(const LeafExpr& leaf, std::shared_ptr<DfsFile> file,
   // timeline — and therefore the sampled splits and the chosen plan —
   // identical between row and columnar storage.
   input.bill_logical_read = true;
-  auto per_task = job.per_task;
-  input.map_fn = [filter, per_task, columns, kmv_k, coordinator, counter_key,
-                  observe_cpu](const Value& record, MapContext* ctx) -> Status {
+  input.map_fn = [filter](const Value& record, MapContext* ctx) -> Status {
     DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
-    if (!keep) return Status::OK();
-    per_task->ForTask(ctx->task_index(), columns, kmv_k)->Observe(record);
-    ctx->ChargeCpu(observe_cpu);
-    coordinator->Increment(counter_key, 1);
-    ctx->Output(record);
+    if (keep) ctx->Output(record);
     return Status::OK();
   };
-  job.spec.inputs = {std::move(input)};
+  spec.inputs = {std::move(input)};
 
-  // Interrupt the job once k records exist cluster-wide; already-running
-  // tasks finish their whole split, avoiding the inspection-paradox bias
-  // described in the paper (tasks with small outputs finish faster and
-  // would otherwise skew the sample).
-  job.spec.stop_condition = [coordinator, counter_key, k_target]() {
-    return coordinator->GetCounter(counter_key) >= k_target;
+  // Interrupt the job once k records exist; already-running tasks finish
+  // their whole split, avoiding the inspection-paradox bias described in
+  // the paper (tasks with small outputs finish faster and would otherwise
+  // skew the sample).
+  spec.stop_after_output_records = stop_after;
+  spec.observer_cpu_per_record = collector->CpuCostPerRecord();
+  spec.output_observer = [collector](const Value& record) {
+    collector->Observe(record);
   };
-  return job;
-}
-
-/// After a pilot job finishes, each task publishes its partial statistics
-/// file to the Coordinator channel; the client fetches and merges them —
-/// no extra MR job, exactly the §4.3 flow.
-Result<StatsCollector> PublishAndMerge(Coordinator* coordinator,
-                                       const std::string& channel,
-                                       const PilotJob& job,
-                                       const std::vector<std::string>& columns,
-                                       int kmv_k) {
-  for (const auto& [task_index, collector] : job.per_task->collectors) {
-    coordinator->Publish(channel, collector.Serialize());
-  }
-  StatsCollector merged(columns, kmv_k);
-  for (const std::string& payload : coordinator->Fetch(channel)) {
-    DYNO_ASSIGN_OR_RETURN(StatsCollector partial,
-                          StatsCollector::Deserialize(payload));
-    merged.MergeFrom(partial);
-  }
-  coordinator->ClearChannel(channel);
-  return merged;
+  return spec;
 }
 
 }  // namespace
@@ -139,19 +76,18 @@ struct PilotRunner::LeafJobState {
   /// how many have been consumed by batches so far.
   std::vector<int> split_order;
   size_t next_split = 0;
-  /// Accumulated over batches.
-  StatsCollector accumulated{{}, KmvSynopsis::kDefaultK};
+  /// Observes the output of every batch.
+  std::shared_ptr<StatsCollector> stats;
   uint64_t scanned_bytes = 0;
   uint64_t output_records = 0;
   std::vector<std::shared_ptr<DfsFile>> batch_outputs;
   std::vector<std::string> batch_quarantines;  ///< Non-empty ones only.
   bool done = false;
-  std::string counter_key;
 };
 
 namespace {
 // Process-wide counter so concurrent PilotRunner instances never collide on
-// DFS output paths or Coordinator keys.
+// DFS output paths.
 std::atomic<int> g_pilot_run_counter{0};
 }  // namespace
 
@@ -210,24 +146,19 @@ Status PilotRunner::RunSerial(const std::vector<LeafExpr>& leaves,
     SimMillis leaf_start = engine_->now();
     DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
                           catalog_->OpenTable(leaf.table));
-    std::string counter_key =
-        StrFormat("pilr:%d:%s", run_counter_, leaf.alias.c_str());
-    engine_->coordinator()->ResetCounter(counter_key);
     std::string output_path =
         StrFormat("%s/st_%d_%s", QueryTempDir(options_.query_id).c_str(),
                   run_counter_, leaf.alias.c_str());
     // PILR_ST runs the leaf job alone over all splits (in order); the
-    // global counter interrupts it once k records exist.
-    PilotJob pilot =
-        MakePilotJob(leaf, file, /*split_indexes=*/{}, options_.kmv_k,
-                     engine_->coordinator(), counter_key, options_.k,
-                     output_path, options_.query_id);
-    DYNO_ASSIGN_OR_RETURN(JobResult job, engine_->Submit(pilot.spec));
-    if (!job.status.ok()) return job.status;
+    // engine interrupts it once k records exist.
+    auto collector = std::make_shared<StatsCollector>(leaf.join_columns);
     DYNO_ASSIGN_OR_RETURN(
-        StatsCollector merged,
-        PublishAndMerge(engine_->coordinator(), counter_key + ":stats",
-                        pilot, leaf.join_columns, options_.kmv_k));
+        JobResult job,
+        engine_->Submit(MakePilotJob(leaf, file, /*split_indexes=*/{},
+                                     collector,
+                                     static_cast<uint64_t>(options_.k),
+                                     output_path, options_.query_id)));
+    if (!job.status.ok()) return job.status;
 
     PilotLeafResult result;
     result.alias = leaf.alias;
@@ -241,7 +172,7 @@ Status PilotRunner::RunSerial(const std::vector<LeafExpr>& leaves,
                   static_cast<double>(file->logical_bytes());
     fraction = std::clamp(fraction, 1e-9, 1.0);
     bool scanned_everything = job.map_tasks_skipped == 0;
-    result.stats = merged.Finalize(scanned_everything ? 1.0 : fraction);
+    result.stats = collector->Finalize(scanned_everything ? 1.0 : fraction);
     if (scanned_everything) {
       result.full_output = job.output;
     } else if (job.output != nullptr) {
@@ -281,7 +212,7 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
   const SimMillis start = engine_->now();
   obs::TraceSink* trace = engine_->trace();
   // Seed from options alone (NOT the process-wide run counter, which is
-  // only used to keep DFS paths and Coordinator keys unique): two runs of
+  // only used to keep DFS paths unique): two runs of
   // the same workload must pick identical split permutations so results
   // can be compared across engine configurations.
   Rng rng(options_.seed);
@@ -300,10 +231,7 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
     std::vector<uint64_t> order =
         rng.SampleWithoutReplacement(num_splits, num_splits);
     state.split_order.assign(order.begin(), order.end());
-    state.accumulated = StatsCollector(leaf.join_columns, options_.kmv_k);
-    state.counter_key =
-        StrFormat("pilr:%d:%s", run_counter_, leaf.alias.c_str());
-    engine_->coordinator()->ResetCounter(state.counter_key);
+    state.stats = std::make_shared<StatsCollector>(leaf.join_columns);
     states.push_back(std::move(state));
   }
 
@@ -322,7 +250,6 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
   while (true) {
     std::vector<JobSpec> specs;
     std::vector<LeafJobState*> active;
-    std::vector<PilotJob> jobs;
     size_t still_running = 0;
     for (const LeafJobState& state : states) {
       if (!state.done) ++still_running;
@@ -349,15 +276,16 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
       std::string output_path =
           StrFormat("%s/mt_%d_%s_b%d", QueryTempDir(options_.query_id).c_str(),
                     run_counter_, state.leaf->alias.c_str(), batch);
-      PilotJob pilot = MakePilotJob(
+      // The batch stops once the leaf's k records exist, counting the
+      // earlier batches' output.
+      JobSpec spec = MakePilotJob(
           *state.leaf, state.table_file, std::move(split_indexes),
-          options_.kmv_k, engine_->coordinator(), state.counter_key,
-          options_.k, output_path, options_.query_id);
+          state.stats, static_cast<uint64_t>(options_.k) - state.output_records,
+          output_path, options_.query_id);
       // Follow-up batches extend the already-running sampling job with
       // fresh splits (situation-aware mappers, [38]) — no startup latency.
-      pilot.spec.reuse_warm_containers = batch > 0;
-      specs.push_back(pilot.spec);
-      jobs.push_back(std::move(pilot));
+      spec.reuse_warm_containers = batch > 0;
+      specs.push_back(std::move(spec));
       active.push_back(&state);
     }
     if (specs.empty()) break;
@@ -375,13 +303,6 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
     for (size_t i = 0; i < results.size(); ++i) {
       if (!results[i].status.ok()) return results[i].status;
       LeafJobState& state = *active[i];
-      DYNO_ASSIGN_OR_RETURN(
-          StatsCollector merged,
-          PublishAndMerge(engine_->coordinator(),
-                          state.counter_key + StrFormat(":b%d", batch),
-                          jobs[i], state.leaf->join_columns,
-                          options_.kmv_k));
-      state.accumulated.MergeFrom(merged);
       state.scanned_bytes += results[i].counters.map_input_bytes;
       state.output_records += results[i].counters.output_records;
       state.batch_outputs.push_back(results[i].output);
@@ -405,8 +326,7 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
             : static_cast<double>(state.scanned_bytes) /
                   static_cast<double>(state.table_file->logical_bytes());
     fraction = std::clamp(fraction, 1e-9, 1.0);
-    result.stats =
-        state.accumulated.Finalize(scanned_everything ? 1.0 : fraction);
+    result.stats = state.stats->Finalize(scanned_everything ? 1.0 : fraction);
     if (scanned_everything) {
       // Concatenate the batch outputs into one reusable materialization
       // (a client-side metadata move, like an HDFS rename).
@@ -436,7 +356,7 @@ Status PilotRunner::RunParallel(const std::vector<LeafExpr>& leaves,
         }
       }
     }
-    // Merged (and, above, concatenated), the batch outputs and their
+    // Observed (and, above, concatenated), the batch outputs and their
     // quarantine files are garbage.
     for (const auto& out : state.batch_outputs) {
       if (out != nullptr) engine_->dfs()->Delete(out->path()).ok();

@@ -19,18 +19,17 @@ namespace dyno {
 /// Configuration of the PILR algorithm (paper §4).
 struct PilotRunOptions {
   /// Execution variants (paper §4.2): ST submits one leaf job at a time
-  /// over all splits with a global ZooKeeper counter interrupting it at k
-  /// records; MT submits every leaf job simultaneously over m/|R| random
-  /// splits each, adding splits on demand — 4.6x faster on average and
-  /// insensitive to the dataset size (Table 1).
+  /// over all splits, interrupted at k records by the engine's count of
+  /// committed output (the paper's global ZooKeeper counter); MT submits
+  /// every leaf job simultaneously over m/|R| random splits each, adding
+  /// splits on demand — 4.6x faster on average and insensitive to the
+  /// dataset size (Table 1).
   enum class Mode { kSerial, kParallel };
 
   Mode mode = Mode::kParallel;
   /// Target number of output records per relation ("enough results to
   /// collect meaningful statistics").
   int k = 1024;
-  /// KMV synopsis size.
-  int kmv_k = 1024;
   /// Look up the StatsStore by expression signature and skip runs whose
   /// statistics are already known (recurring queries, §4.1).
   bool reuse_stats = true;
@@ -71,8 +70,9 @@ struct PilotRunReport {
 /// predicates/UDFs) runs as a map-only job over a sample of its relation
 /// until k output records exist, collecting cardinality, record size,
 /// min/max and KMV distinct-value statistics over the post-predicate
-/// output. Partial per-task statistics are published through the
-/// Coordinator and merged at the client, as in the paper.
+/// output. The engine's output observer collects them exactly once per
+/// committed task output, where the paper's tasks publish partial
+/// statistics files through ZooKeeper for the client to merge.
 class PilotRunner {
  public:
   PilotRunner(MapReduceEngine* engine, Catalog* catalog, StatsStore* store,

@@ -2,26 +2,21 @@
 #define DYNO_STATS_KMV_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "json/value.h"
 
 namespace dyno {
 
-/// K-Minimum-Values distinct-value synopsis (Beyer et al., SIGMOD'07),
-/// exactly as DYNO uses it (paper §4.3): each map task builds a synopsis
-/// over its split, partial synopses are unioned at the client, and the
-/// unbiased estimator `DV = (k-1)·M / h_k` gives the distinct count, where
-/// `h_k` is the k-th smallest hash over domain [0, M). With k = 1024 the
-/// expected relative error is about 6%.
+/// K-Minimum-Values distinct-value synopsis (Beyer et al., SIGMOD'07), as
+/// DYNO uses it (paper §4.3): the unbiased estimator `DV = (k-1)·M / h_k`
+/// gives the distinct count, where `h_k` is the k-th smallest hash over
+/// domain [0, M). With k = 1024 the expected relative error is about 6%.
+/// Synopses of parts of a relation union with Merge, as the paper's client
+/// unions the per-task ones; here one synopsis sees a whole job output.
 class KmvSynopsis {
  public:
   static constexpr int kDefaultK = 1024;
-  /// Upper bound accepted when deserializing — a corrupt header must not be
-  /// able to trigger a multi-gigabyte allocation.
-  static constexpr int kMaxK = 1 << 20;
 
   explicit KmvSynopsis(int k = kDefaultK);
 
@@ -37,15 +32,6 @@ class KmvSynopsis {
   /// Unbiased distinct-value estimate. Exact (= number of stored hashes)
   /// while fewer than k distinct values have been seen.
   double Estimate() const;
-
-  int k() const { return k_; }
-
-  /// Serialization for publication through the Coordinator.
-  std::string Serialize() const;
-
-  /// Parses a serialized synopsis, rejecting corrupt payloads: short or
-  /// misaligned buffers, k outside [1, kMaxK], or more hashes than k.
-  static Result<KmvSynopsis> Deserialize(const std::string& data);
 
  private:
   /// Sorts, dedups, and truncates the buffer to the k smallest hashes.

@@ -19,10 +19,10 @@ double TableStats::ColumnNdv(const std::string& column) const {
 
 StatsCollector::StatsCollector(std::vector<std::string> tracked_columns,
                                int kmv_k)
-    : tracked_columns_(std::move(tracked_columns)), kmv_k_(kmv_k) {
+    : tracked_columns_(std::move(tracked_columns)) {
   column_states_.reserve(tracked_columns_.size());
   for (size_t i = 0; i < tracked_columns_.size(); ++i) {
-    column_states_.emplace_back(kmv_k_);
+    column_states_.emplace_back(kmv_k);
   }
 }
 
@@ -42,35 +42,6 @@ void StatsCollector::Observe(const Value& record) {
         state.frequencies.clear();
         state.freq_valid = false;
       }
-    }
-  }
-}
-
-void StatsCollector::MergeFrom(const StatsCollector& other) {
-  num_records_ += other.num_records_;
-  num_bytes_ += other.num_bytes_;
-  for (size_t i = 0;
-       i < column_states_.size() && i < other.column_states_.size(); ++i) {
-    const ColumnState& theirs = other.column_states_[i];
-    ColumnState& mine = column_states_[i];
-    if (theirs.minmax.min_value) {
-      mine.minmax.UpdateMinMax(*theirs.minmax.min_value);
-    }
-    if (theirs.minmax.max_value) {
-      mine.minmax.UpdateMinMax(*theirs.minmax.max_value);
-    }
-    mine.synopsis.Merge(theirs.synopsis);
-    if (mine.freq_valid && theirs.freq_valid) {
-      for (const auto& [hash, count] : theirs.frequencies) {
-        mine.frequencies[hash] += count;
-      }
-      if (mine.frequencies.size() > kMaxTrackedFrequencies) {
-        mine.frequencies.clear();
-        mine.freq_valid = false;
-      }
-    } else {
-      mine.frequencies.clear();
-      mine.freq_valid = false;
     }
   }
 }
@@ -112,92 +83,6 @@ TableStats StatsCollector::Finalize(double scanned_fraction) const {
     }
     cs.ndv = std::min(ndv, std::max(out.cardinality, 1.0));
     out.columns[tracked_columns_[i]] = std::move(cs);
-  }
-  return out;
-}
-
-std::string StatsCollector::Serialize() const {
-  // Layout: one struct Value holding scalars + per-column entries; KMV blobs
-  // ride along as strings.
-  StructFields fields;
-  fields.emplace_back("num_records",
-                      Value::Int(static_cast<int64_t>(num_records_)));
-  fields.emplace_back("num_bytes",
-                      Value::Int(static_cast<int64_t>(num_bytes_)));
-  fields.emplace_back("kmv_k", Value::Int(kmv_k_));
-  ArrayElements cols;
-  for (size_t i = 0; i < tracked_columns_.size(); ++i) {
-    StructFields col;
-    col.emplace_back("name", Value::String(tracked_columns_[i]));
-    const ColumnStats& cs = column_states_[i].minmax;
-    col.emplace_back("min", cs.min_value ? *cs.min_value : Value::Null());
-    col.emplace_back("max", cs.max_value ? *cs.max_value : Value::Null());
-    col.emplace_back("kmv",
-                     Value::String(column_states_[i].synopsis.Serialize()));
-    col.emplace_back("freq_valid",
-                     Value::Bool(column_states_[i].freq_valid));
-    ArrayElements freq;
-    freq.reserve(column_states_[i].frequencies.size() * 2);
-    for (const auto& [hash, count] : column_states_[i].frequencies) {
-      freq.push_back(Value::Int(static_cast<int64_t>(hash)));
-      freq.push_back(Value::Int(count));
-    }
-    col.emplace_back("freq", Value::Array(std::move(freq)));
-    cols.push_back(Value::Struct(std::move(col)));
-  }
-  fields.emplace_back("columns", Value::Array(std::move(cols)));
-  std::string out;
-  Value::Struct(std::move(fields)).EncodeTo(&out);
-  return out;
-}
-
-Result<StatsCollector> StatsCollector::Deserialize(const std::string& data) {
-  size_t offset = 0;
-  DYNO_ASSIGN_OR_RETURN(Value v, Value::Decode(data, &offset));
-  const Value* num_records = v.FindField("num_records");
-  const Value* num_bytes = v.FindField("num_bytes");
-  const Value* kmv_k = v.FindField("kmv_k");
-  const Value* columns = v.FindField("columns");
-  if (!num_records || !num_bytes || !kmv_k || !columns) {
-    return Status::Internal("malformed stats collector blob");
-  }
-  std::vector<std::string> names;
-  for (const Value& col : columns->array()) {
-    const Value* name = col.FindField("name");
-    if (!name) return Status::Internal("column without name");
-    names.push_back(name->string_value());
-  }
-  StatsCollector out(std::move(names),
-                     static_cast<int>(kmv_k->int_value()));
-  out.num_records_ = static_cast<uint64_t>(num_records->int_value());
-  out.num_bytes_ = static_cast<uint64_t>(num_bytes->int_value());
-  const auto& cols = columns->array();
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const Value* min_v = cols[i].FindField("min");
-    const Value* max_v = cols[i].FindField("max");
-    const Value* kmv = cols[i].FindField("kmv");
-    if (min_v && !min_v->is_null()) {
-      out.column_states_[i].minmax.min_value = *min_v;
-    }
-    if (max_v && !max_v->is_null()) {
-      out.column_states_[i].minmax.max_value = *max_v;
-    }
-    if (kmv) {
-      DYNO_ASSIGN_OR_RETURN(out.column_states_[i].synopsis,
-                            KmvSynopsis::Deserialize(kmv->string_value()));
-    }
-    const Value* freq_valid = cols[i].FindField("freq_valid");
-    const Value* freq = cols[i].FindField("freq");
-    out.column_states_[i].freq_valid =
-        freq_valid != nullptr && freq_valid->bool_value();
-    if (out.column_states_[i].freq_valid && freq != nullptr) {
-      const auto& elems = freq->array();
-      for (size_t e = 0; e + 1 < elems.size(); e += 2) {
-        out.column_states_[i]
-            .frequencies[static_cast<uint64_t>(elems[e].int_value())] =
-            static_cast<uint32_t>(elems[e + 1].int_value());
-      }
-    }
   }
   return out;
 }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "json/value.h"
 #include "stats/kmv.h"
 
@@ -47,10 +46,10 @@ struct TableStats {
   double ColumnNdv(const std::string& column) const;
 };
 
-/// Streaming statistics collector run inside map/reduce tasks. Tracks
-/// record count, byte size, and per-column min/max + KMV synopses; partial
-/// collectors are serialized, published via the Coordinator, and merged at
-/// the client (paper §4.3, §5.4).
+/// Streaming statistics collector over a job's output. Tracks record
+/// count, byte size, and per-column min/max + KMV synopses. Pilot and
+/// executed jobs alike feed it through the engine's output observer, once
+/// per record of each task's committed output (paper §4.3, §5.4).
 class StatsCollector {
  public:
   StatsCollector(std::vector<std::string> tracked_columns,
@@ -58,8 +57,6 @@ class StatsCollector {
 
   /// Updates all statistics with one output record (a struct Value).
   void Observe(const Value& record);
-
-  void MergeFrom(const StatsCollector& other);
 
   uint64_t num_records() const { return num_records_; }
   uint64_t num_bytes() const { return num_bytes_; }
@@ -83,10 +80,6 @@ class StatsCollector {
   /// extrapolated cardinality.
   TableStats Finalize(double scanned_fraction) const;
 
-  /// Wire format for Coordinator publication.
-  std::string Serialize() const;
-  static Result<StatsCollector> Deserialize(const std::string& data);
-
   /// Frequency-tracking cap: beyond this many distinct values per column
   /// the collector stops tracking exact frequencies (the KMV/linear path
   /// takes over, which is accurate in the many-distincts regime anyway).
@@ -105,7 +98,6 @@ class StatsCollector {
   };
 
   std::vector<std::string> tracked_columns_;
-  int kmv_k_;
   uint64_t num_records_ = 0;
   uint64_t num_bytes_ = 0;
   std::vector<ColumnState> column_states_;

@@ -214,15 +214,15 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
     fp += FingerprintJob(job) + "\n";
     if (totals != nullptr) totals->Add(job);
   }
-  fp += "observer=" + observer_stats->Serialize() + "\n";
+  fp += "observer=" + FingerprintStats(observer_stats->Finalize(1.0), "g") +
+        "\n";
 
-  // PILR_MT pilot with an active stop condition: the "big" leaf reaches k
-  // long before its splits run out, so batches race the global counter.
+  // PILR_MT pilot with an active stop count: the "big" leaf reaches k
+  // long before its splits run out, so batches race the stop count.
   StatsStore store;
   PilotRunOptions options;
   options.mode = PilotRunOptions::Mode::kParallel;
   options.k = 300;
-  options.kmv_k = 256;
   options.reuse_stats = false;
   options.seed = 7;
   PilotRunner runner(&engine, &catalog, &store, options);

@@ -116,22 +116,20 @@ TEST_F(MrEngineTest, ReduceValuesArriveGroupedOnce) {
   EXPECT_EQ(rows->size(), 3u) << "3 distinct keys -> 3 reduce invocations";
 }
 
-TEST_F(MrEngineTest, StopConditionSkipsRemainingTasks) {
+TEST_F(MrEngineTest, StopCountSkipsRemainingTasks) {
   auto input = MakeInput(200, "/in", /*split_bytes=*/64);
   ASSERT_GT(input->splits().size(), 8u);
-  int produced = 0;
   JobSpec spec;
   spec.name = "limited";
   spec.output_path = "/out";
   MapInput mi;
   mi.file = input;
-  mi.map_fn = [&produced](const Value& record, MapContext* ctx) -> Status {
-    ++produced;
+  mi.map_fn = [](const Value& record, MapContext* ctx) -> Status {
     ctx->Output(record);
     return Status::OK();
   };
   spec.inputs = {mi};
-  spec.stop_condition = [&produced]() { return produced >= 10; };
+  spec.stop_after_output_records = 10;
   auto result = engine_.Submit(spec);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->status.ok());
@@ -338,20 +336,6 @@ TEST_F(MrEngineBatchRejectionTest, ExistingOutputRollsBackEarlierOutputs) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kAlreadyExists);
   EXPECT_FALSE(dfs_.Exists("/out_first"));
   EXPECT_TRUE(dfs_.Exists("/out_taken"));
-}
-
-TEST_F(MrEngineTest, CoordinatorCountersAndChannels) {
-  Coordinator* coord = engine_.coordinator();
-  EXPECT_EQ(coord->GetCounter("c"), 0);
-  EXPECT_EQ(coord->Increment("c", 5), 5);
-  EXPECT_EQ(coord->Increment("c", 2), 7);
-  coord->ResetCounter("c");
-  EXPECT_EQ(coord->GetCounter("c"), 0);
-  coord->Publish("ch", "a");
-  coord->Publish("ch", "b");
-  EXPECT_EQ(coord->Fetch("ch").size(), 2u);
-  coord->ClearChannel("ch");
-  EXPECT_TRUE(coord->Fetch("ch").empty());
 }
 
 TEST_F(MrEngineTest, ObserverOverheadReported) {

@@ -207,6 +207,46 @@ TEST_F(PilotTest, QuarantineFilesFollowTheirOutputs) {
   EXPECT_EQ(listed, kept);
 }
 
+// A whole-table pilot reports exactly the rows it kept: its statistics
+// come from committed task outputs alone, so neither the partial output of
+// an attempt that died on a poison record nor that of an attempt a node
+// crash killed is counted.
+TEST_F(PilotTest, WholeTableStatsCountEachCommittedRecordOnce) {
+  ClusterConfig poison = MakeConfig();
+  poison.faults.seed = 5;
+  ClusterConfig crashes = poison;
+  poison.faults.poison_record_rate = 0.05;
+  poison.faults.max_skipped_records = -1;
+  crashes.num_nodes = 4;
+  crashes.faults.node_failure_rate = 0.05;
+  crashes.faults.node_recovery_ms = 2000;
+  for (const ClusterConfig& config : {poison, crashes}) {
+    MapReduceEngine engine(&dfs_, config);
+    for (PilotRunOptions::Mode mode :
+         {PilotRunOptions::Mode::kParallel, PilotRunOptions::Mode::kSerial}) {
+      PilotRunOptions options;
+      options.k = 20000;
+      options.mode = mode;
+      options.reuse_stats = false;
+      PilotRunner runner(&engine, &catalog_, &store_, options);
+      auto report = runner.Run({BigLeaf(), SmallLeaf()});
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      for (const PilotLeafResult& leaf : report->leaves) {
+        const std::string where =
+            StrFormat("%s in %s mode, %s", leaf.alias.c_str(),
+                      mode == PilotRunOptions::Mode::kSerial ? "ST" : "MT",
+                      config.faults.poison_record_rate > 0 ? "poison"
+                                                           : "node crashes");
+        ASSERT_NE(leaf.full_output, nullptr) << where;
+        EXPECT_FALSE(leaf.stats.from_sample) << where;
+        EXPECT_EQ(leaf.stats.cardinality,
+                  static_cast<double>(leaf.full_output->num_records()))
+            << where;
+      }
+    }
+  }
+}
+
 TEST_F(PilotTest, NdvEstimateReasonable) {
   PilotRunOptions options;
   options.k = 2048;

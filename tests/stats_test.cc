@@ -61,56 +61,25 @@ TEST(KmvTest, MergeEqualsUnion) {
       << "merge of partitions must equal the single-pass synopsis";
 }
 
-TEST(KmvTest, SerializeRoundTrip) {
-  KmvSynopsis kmv(128);
-  for (int i = 0; i < 10000; ++i) kmv.Add(Value::Int(i % 3777));
-  Result<KmvSynopsis> back = KmvSynopsis::Deserialize(kmv.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->k(), 128);
-  EXPECT_NEAR(back->Estimate(), kmv.Estimate(), 1e-9);
-}
-
-TEST(KmvTest, DeserializeRejectsCorruptPayloads) {
-  KmvSynopsis kmv(64);
-  for (int i = 0; i < 500; ++i) kmv.Add(Value::Int(i));
-  std::string good = kmv.Serialize();
-
-  // Truncated header.
-  EXPECT_FALSE(KmvSynopsis::Deserialize("").ok());
-  EXPECT_FALSE(KmvSynopsis::Deserialize(good.substr(0, 5)).ok());
-  // Hash section not a multiple of 8 bytes.
-  EXPECT_FALSE(KmvSynopsis::Deserialize(good + "xyz").ok());
-  // k = 0.
-  std::string zero_k = good;
-  std::fill(zero_k.begin(), zero_k.begin() + 8, '\0');
-  EXPECT_FALSE(KmvSynopsis::Deserialize(zero_k).ok());
-  // Absurdly large k (would otherwise drive a huge reserve()).
-  std::string huge_k = good;
-  std::fill(huge_k.begin(), huge_k.begin() + 8, '\xff');
-  EXPECT_FALSE(KmvSynopsis::Deserialize(huge_k).ok());
-  // More hashes than k claims.
-  std::string overfull = good + std::string(64 * 8, 'a');
-  EXPECT_FALSE(KmvSynopsis::Deserialize(overfull).ok());
-}
-
 TEST(KmvTest, LazyCompactionKeepsEstimateStable) {
-  // Estimate()/Serialize() must see the same state before and after
-  // internal compaction, and repeated reads must agree with each other.
+  // Estimate() must see the same state before and after internal
+  // compaction, and repeated reads must agree with each other.
   KmvSynopsis kmv(256);
   for (int i = 0; i < 200; ++i) kmv.Add(Value::Int(i));  // < 2k: uncompacted.
   double first = kmv.Estimate();
   EXPECT_DOUBLE_EQ(first, 200.0);  // Exact below k distinct values.
   EXPECT_NEAR(kmv.Estimate(), first, 1e-12);
-  std::string s1 = kmv.Serialize();
-  EXPECT_EQ(kmv.Serialize(), s1);
 
   KmvSynopsis other(256);
-  for (int i = 200; i < 600; ++i) other.Add(Value::Int(i));
+  KmvSynopsis whole(256);
+  for (int i = 0; i < 600; ++i) {
+    if (i >= 200) other.Add(Value::Int(i));
+    whole.Add(Value::Int(i));
+  }
   kmv.Merge(other);  // Deferred compaction path.
-  Result<KmvSynopsis> round = KmvSynopsis::Deserialize(kmv.Serialize());
-  ASSERT_TRUE(round.ok());
-  EXPECT_NEAR(round->Estimate(), kmv.Estimate(), 1e-9);
-  EXPECT_EQ(round->Serialize(), kmv.Serialize());
+  const double merged = kmv.Estimate();
+  EXPECT_NEAR(merged, whole.Estimate(), 1e-9);
+  EXPECT_NEAR(kmv.Estimate(), merged, 1e-12);
 }
 
 // --- StatsCollector ---
@@ -174,23 +143,6 @@ TEST(StatsCollectorTest, NdvCappedByCardinality) {
   }
   TableStats stats = collector.Finalize(0.01);
   EXPECT_LE(stats.columns.at("k").ndv, stats.cardinality);
-}
-
-TEST(StatsCollectorTest, SerializeMergeRoundTrip) {
-  StatsCollector a({"x", "y"});
-  StatsCollector b({"x", "y"});
-  for (int i = 0; i < 100; ++i) {
-    a.Observe(MakeRow({{"x", Value::Int(i)}, {"y", Value::String("a")}}));
-    b.Observe(MakeRow({{"x", Value::Int(i + 100)}, {"y", Value::String("b")}}));
-  }
-  auto restored = StatsCollector::Deserialize(b.Serialize());
-  ASSERT_TRUE(restored.ok());
-  a.MergeFrom(*restored);
-  EXPECT_EQ(a.num_records(), 200u);
-  TableStats stats = a.Finalize(1.0);
-  EXPECT_NEAR(stats.columns.at("x").ndv, 200.0, 1.0);
-  EXPECT_EQ(stats.columns.at("y").min_value->string_value(), "a");
-  EXPECT_EQ(stats.columns.at("y").max_value->string_value(), "b");
 }
 
 TEST(StatsCollectorTest, MissingColumnsIgnored) {
