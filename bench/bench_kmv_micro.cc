@@ -1,5 +1,5 @@
 // Micro-benchmarks for the statistics layer (google-benchmark): KMV
-// synopsis maintenance/merge throughput and the empirical accuracy of the
+// synopsis maintenance throughput and the empirical accuracy of the
 // distinct-value estimator at k=1024 (the paper's setting; expected error
 // about 6%, §4.3).
 
@@ -26,22 +26,6 @@ void BM_KmvAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KmvAdd);
-
-void BM_KmvMerge(benchmark::State& state) {
-  Rng rng(2);
-  std::vector<KmvSynopsis> parts;
-  for (int i = 0; i < 16; ++i) {
-    KmvSynopsis part(1024);
-    for (int j = 0; j < 10000; ++j) part.AddHash(rng.Next());
-    parts.push_back(std::move(part));
-  }
-  for (auto _ : state) {
-    KmvSynopsis merged(1024);
-    for (const KmvSynopsis& part : parts) merged.Merge(part);
-    benchmark::DoNotOptimize(merged.Estimate());
-  }
-}
-BENCHMARK(BM_KmvMerge);
 
 void BM_KmvEstimateError(benchmark::State& state) {
   // Reports the mean relative estimation error (in %) as a counter.

@@ -273,13 +273,17 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
   std::vector<Predicate> non_local;
   std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
 
+  // The candidates mostly share their first joins: a unit one of them ran
+  // is replayed for the next, at the clock cost it had.
+  UnitReplayLog replay;
   SimMillis best = -1;
   for (size_t i = 0; i < top_k; ++i) {
     PlanExecutor executor(engine_, options_.exec);
     DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
     SimMillis start = engine_->now();
     auto run = RunStaticPlan(&executor, *candidates[i].plan,
-                             /*parallel_waves=*/true, block.output_columns);
+                             /*parallel_waves=*/true, block.output_columns,
+                             /*broadcast_fallback=*/false, &replay);
     ++result.plans_executed;
     if (!run.ok()) {
       ++result.plans_failed;  // e.g. broadcast OOM at runtime
@@ -297,6 +301,7 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
     return Status::Internal("no static candidate executed successfully");
   }
   result.best_time_ms = best;
+  result.units_replayed = replay.replayed;
   if (obs::TraceSink* trace = engine_->trace()) {
     trace->Record(obs::TraceEvent(engine_->now(), -1,
                                   obs::TraceLane::kDriver, "baseline",
@@ -304,6 +309,7 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
                       .ArgInt("plans_enumerated", result.plans_enumerated)
                       .ArgInt("plans_executed", result.plans_executed)
                       .ArgInt("plans_failed", result.plans_failed)
+                      .ArgInt("units_replayed", result.units_replayed)
                       .Arg("best_plan", result.best_plan)
                       .ArgInt("best_time_ms", result.best_time_ms));
   }

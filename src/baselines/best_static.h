@@ -44,6 +44,8 @@ struct BestStaticResult {
   int plans_enumerated = 0;
   int plans_executed = 0;
   int plans_failed = 0;  ///< e.g. runtime broadcast OOM.
+  /// Units served from an earlier candidate's run instead of executed.
+  int units_replayed = 0;
   std::shared_ptr<DfsFile> output;
 };
 

@@ -34,6 +34,32 @@ std::vector<const JobUnit*> ReadyUnits(const std::vector<JobUnit>& units,
   return ready;
 }
 
+/// Preorder chain flags of every join under `node`. With the canonical
+/// signature they fix how the subtree was cut into jobs, and so the splits
+/// of each job's input.
+void AppendChainFlags(const PlanNode& node, std::string* out) {
+  if (node.IsLeaf()) return;
+  out->push_back(node.chain_with_left ? 'c' : '-');
+  AppendChainFlags(*node.left, out);
+  AppendChainFlags(*node.right, out);
+}
+
+/// UnitReplayLog key of `request`: the chain flags of its unit's subtree,
+/// the canonical signature of its root and every UnitRequest field.
+std::string UnitReplayKey(const PlanExecutor& executor,
+                          const PlanExecutor::UnitRequest& request) {
+  const PlanNode& root = *request.unit->nodes.back();
+  std::string key;
+  AppendChainFlags(root, &key);
+  key += "|" + executor.CanonicalSignature(root) + "|p";
+  for (const std::string& col : request.projection) key += ":" + col;
+  key += "|s";
+  for (const std::string& col : request.stats_columns) key += ":" + col;
+  key += StrFormat("|m%d|r%d", request.reduce_memory_mode,
+                   request.num_reduce_tasks);
+  return key;
+}
+
 /// The paper's §8 "dynamic join operator": when a broadcast join's build
 /// side turns out not to fit in task memory (discovered while building the
 /// hash tables, before wasting the probe scan), re-run the unit's joins as
@@ -1117,7 +1143,7 @@ Result<std::shared_ptr<DfsFile>> DynoDriver::RunJoinBlock(
 Result<StaticRunResult> RunStaticPlan(
     PlanExecutor* executor, const PlanNode& plan, bool parallel_waves,
     const std::vector<std::string>& final_projection,
-    bool broadcast_fallback) {
+    bool broadcast_fallback, UnitReplayLog* replay) {
   StaticRunResult result;
   if (plan.IsLeaf()) {
     DYNO_ASSIGN_OR_RETURN(RelationBinding binding,
@@ -1132,6 +1158,10 @@ Result<StaticRunResult> RunStaticPlan(
   std::set<int64_t> executed;
   std::string last_id;
   int64_t final_uid = units.empty() ? -1 : units.back().uid;
+  MapReduceEngine* engine = executor->engine();
+  const bool replayable = replay != nullptr &&
+                          !engine->config().faults.enabled() &&
+                          !engine->has_submit_gate();
 
   while (executed.size() < units.size()) {
     std::vector<const JobUnit*> ready = ReadyUnits(units, executed);
@@ -1146,8 +1176,35 @@ Result<StaticRunResult> RunStaticPlan(
       if (unit->uid == final_uid) request.projection = final_projection;
       requests.push_back(std::move(request));
     }
-    DYNO_ASSIGN_OR_RETURN(std::vector<StepResult> steps,
-                          executor->Execute(requests));
+    // A one-unit wave on an idle, fault-free engine takes the same clock
+    // delta and writes the same rows every time it runs.
+    std::string replay_key;
+    const UnitReplayLog::Entry* recorded = nullptr;
+    if (replayable && requests.size() == 1) {
+      replay_key = UnitReplayKey(*executor, requests[0]);
+      auto it = replay->units.find(replay_key);
+      if (it != replay->units.end()) recorded = &it->second;
+    }
+    std::vector<StepResult> steps;
+    if (recorded != nullptr) {
+      StepResult step = recorded->step;
+      RelationBinding binding;
+      binding.file = step.job.output;
+      binding.signature = step.subtree_signature;
+      step.relation_id = executor->BindCachedRelation(std::move(binding));
+      executor->RegisterUnitOutput(ready[0]->uid, step.relation_id);
+      engine->AdvanceClock(recorded->wave_ms);
+      ++replay->replayed;
+      steps.push_back(std::move(step));
+    } else {
+      const SimMillis wave_start = engine->now();
+      DYNO_ASSIGN_OR_RETURN(steps, executor->Execute(requests));
+      if (!replay_key.empty() && steps[0].status.ok()) {
+        replay->units.emplace(
+            replay_key,
+            UnitReplayLog::Entry{steps[0], engine->now() - wave_start});
+      }
+    }
     for (size_t i = 0; i < steps.size(); ++i) {
       if (!steps[i].status.ok()) {
         if (steps[i].status.code() == StatusCode::kOutOfMemory &&

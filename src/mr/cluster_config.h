@@ -145,9 +145,12 @@ struct FaultConfig {
            poison_record_rate > 0.0 || !scripted_corruptions.empty();
   }
 
-  /// True when any fault injection is active. Retries of *real* task errors
-  /// (failing map/reduce functions) are also gated on this, preserving the
-  /// legacy fail-fast behavior when the model is off.
+  /// True when any fault can fire: some rate is above 0, or a node crash or
+  /// corruption is scripted. When false, every node stays alive and a job
+  /// run alone on the cluster takes the same simulated time whenever it is
+  /// submitted (BESTSTATIC's unit replay relies on this). Retries of *real*
+  /// task errors (failing map/reduce functions) are also gated on this,
+  /// preserving the legacy fail-fast behavior when the model is off.
   bool enabled() const {
     return task_failure_rate > 0.0 || straggler_rate > 0.0 || node_faults() ||
            data_faults();

@@ -112,6 +112,7 @@ class MapReduceEngine {
   using SubmitGate =
       std::function<Result<std::vector<JobResult>>(std::vector<JobSpec>)>;
   void set_submit_gate(SubmitGate gate) { submit_gate_ = std::move(gate); }
+  bool has_submit_gate() const { return static_cast<bool>(submit_gate_); }
 
   /// Current simulated cluster time.
   SimMillis now() const { return now_; }

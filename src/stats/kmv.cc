@@ -27,14 +27,6 @@ void KmvSynopsis::EnsureCompacted() const {
   if (!compacted_) Compact();
 }
 
-void KmvSynopsis::Merge(const KmvSynopsis& other) {
-  hashes_.insert(hashes_.end(), other.hashes_.begin(), other.hashes_.end());
-  compacted_ = false;
-  // Same amortization as AddHash: defer the sort until the buffer doubles
-  // or a reader needs a compact view.
-  if (hashes_.size() >= static_cast<size_t>(2 * k_)) Compact();
-}
-
 double KmvSynopsis::Estimate() const {
   EnsureCompacted();
   if (hashes_.empty()) return 0.0;

@@ -12,8 +12,8 @@ namespace dyno {
 /// DYNO uses it (paper §4.3): the unbiased estimator `DV = (k-1)·M / h_k`
 /// gives the distinct count, where `h_k` is the k-th smallest hash over
 /// domain [0, M). With k = 1024 the expected relative error is about 6%.
-/// Synopses of parts of a relation union with Merge, as the paper's client
-/// unions the per-task ones; here one synopsis sees a whole job output.
+/// The paper's client unions per-task synopses; here one synopsis sees a
+/// whole job output, through the engine's output observer.
 class KmvSynopsis {
  public:
   static constexpr int kDefaultK = 1024;
@@ -25,9 +25,6 @@ class KmvSynopsis {
 
   /// Inserts a pre-hashed value.
   void AddHash(uint64_t h);
-
-  /// Unions another synopsis into this one (both must share `k`).
-  void Merge(const KmvSynopsis& other);
 
   /// Unbiased distinct-value estimate. Exact (= number of stored hashes)
   /// while fewer than k distinct values have been seen.

@@ -184,5 +184,124 @@ TEST_F(BaselinesTest, BestStaticEnumerationDedupesPlans) {
       << "dedup must collapse equivalent orders";
 }
 
+/// One TPC-H instance on the benches' paper-style cluster, with fault
+/// injection off whatever the environment says.
+struct PaperScenario {
+  explicit PaperScenario(ClusterConfig cluster = Cluster())
+      : catalog(&dfs), engine(&dfs, cluster) {
+    TpchConfig config;
+    config.scale = 0.002;
+    config.split_bytes = 2 * 1024;
+    EXPECT_TRUE(GenerateTpch(&catalog, config).ok());
+  }
+
+  static ClusterConfig Cluster() {
+    ClusterConfig cluster;
+    cluster.job_startup_ms = 5000;
+    cluster.memory_per_task_bytes = 64 * 1024;
+    cluster.map_read_bytes_per_ms = 2.0;
+    cluster.map_write_bytes_per_ms = 2.0;
+    cluster.reduce_read_bytes_per_ms = 4.0;
+    cluster.reduce_write_bytes_per_ms = 4.0;
+    // Side data loads slower than the benches' 100 bytes/ms, so Q9' first
+    // materializes its UDF-filtered supplier with a filter job before
+    // broadcasting it, and a replay must account for that job's time too.
+    cluster.side_load_bytes_per_ms = 1.0;
+    cluster.cpu_units_per_ms = 500.0;
+    cluster.faults.use_env_defaults = false;
+    return cluster;
+  }
+
+  /// Runs BESTSTATIC over its top 5 candidates; `elapsed` gets the engine
+  /// clock's advance over the whole run.
+  BestStaticResult RunBestStatic(const JoinBlock& block, bool hive,
+                                 SimMillis* elapsed) {
+    BestStaticOptions options;
+    options.cost.max_memory_bytes = engine.config().memory_per_task_bytes;
+    options.cost.memory_factor = engine.config().broadcast_memory_factor;
+    options.cost.c_job = 200000.0;
+    options.execute_top_k = 5;
+    options.exec.hive_broadcast = hive;
+    BestStaticBaseline baseline(&engine, &catalog, options);
+    const SimMillis start = engine.now();
+    auto result = baseline.Run(block);
+    *elapsed = engine.now() - start;
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : BestStaticResult();
+  }
+
+  Dfs dfs;
+  Catalog catalog;
+  MapReduceEngine engine;
+};
+
+void ExpectSameRows(std::vector<Value> got, std::vector<Value> want) {
+  SortRowsForComparison(&got);
+  SortRowsForComparison(&want);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].Compare(want[i]), 0) << "row " << i;
+  }
+}
+
+TEST(BestStaticReplayTest, ReplayMatchesExecutingEveryUnit) {
+  // The reference twin has identical data and config, but a pass-through
+  // submit gate, so it executes every unit of every candidate.
+  PaperScenario replaying;
+  PaperScenario reference;
+  MapReduceEngine* ref_engine = &reference.engine;
+  ref_engine->set_submit_gate([ref_engine](std::vector<JobSpec> specs) {
+    return ref_engine->SubmitAllDirect(specs);
+  });
+  struct Case {
+    const char* name;
+    JoinBlock block;
+    bool shares_units;  ///< Whether its top 5 candidates share a unit.
+  };
+  // Q2's top 5 share no unit at this scale. Every unit Q9' replays starts
+  // with the broadcast of its filtered supplier.
+  const std::vector<Case> cases = {
+      {"Q2", MakeTpchQ2().join_block, false},
+      {"Q10", MakeTpchQ10().join_block, true},
+      {"Q9'", MakeTpchQ9Prime().join_block, true}};
+  for (bool hive : {false, true}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(hive ? "hive " : "jaql ") + c.name);
+      SimMillis replay_ms = 0;
+      SimMillis ref_ms = 0;
+      BestStaticResult got =
+          replaying.RunBestStatic(c.block, hive, &replay_ms);
+      BestStaticResult want = reference.RunBestStatic(c.block, hive, &ref_ms);
+      ASSERT_NE(got.output, nullptr);
+      ASSERT_NE(want.output, nullptr);
+      EXPECT_EQ(got.units_replayed > 0, c.shares_units);
+      EXPECT_EQ(want.units_replayed, 0);
+      EXPECT_EQ(got.best_time_ms, want.best_time_ms);
+      EXPECT_EQ(got.best_plan, want.best_plan);
+      EXPECT_EQ(replay_ms, ref_ms);
+      ExpectSameRows(MustReadAll(*got.output), MustReadAll(*want.output));
+    }
+  }
+}
+
+TEST(BestStaticReplayTest, FaultInjectionDisablesReplay) {
+  ClusterConfig task_faults = PaperScenario::Cluster();
+  task_faults.faults.task_failure_rate = 0.05;
+  ClusterConfig node_crash = PaperScenario::Cluster();
+  node_crash.faults.scripted_node_crashes = {{/*at_ms=*/20000, /*node=*/0}};
+  for (const ClusterConfig& cluster : {task_faults, node_crash}) {
+    PaperScenario scenario(cluster);
+    JoinBlock block = MakeTpchQ10().join_block;
+    SimMillis elapsed = 0;
+    BestStaticResult result =
+        scenario.RunBestStatic(block, /*hive=*/false, &elapsed);
+    ASSERT_NE(result.output, nullptr);
+    EXPECT_EQ(result.units_replayed, 0);
+    auto oracle = NaiveEvaluateJoinBlock(&scenario.catalog, block);
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameRows(MustReadAll(*result.output), std::move(oracle).value());
+  }
+}
+
 }  // namespace
 }  // namespace dyno
