@@ -2,29 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "common/string_util.h"
 
 namespace dyno::bench {
-
-namespace {
-
-/// Worker threads for task execution: DYNO_EXECUTION_THREADS when set
-/// (malformed values are fatal, like every DYNO_* knob), otherwise every
-/// hardware thread. Simulated results are identical either way; only bench
-/// wall-clock changes.
-int ExecutionThreads() {
-  const char* env = std::getenv("DYNO_EXECUTION_THREADS");
-  if (env != nullptr) {
-    return static_cast<int>(
-        EnvInt64OrDie("DYNO_EXECUTION_THREADS", env, 1, 4096));
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
-}
-
-}  // namespace
 
 Scenario::~Scenario() {
   if (trace == nullptr || trace_path.empty()) return;
@@ -84,7 +65,6 @@ std::unique_ptr<Scenario> MakeScenario(const std::string& sf_name,
   scenario->cluster.reduce_write_bytes_per_ms = 4.0;
   scenario->cluster.side_load_bytes_per_ms = 100.0;
   scenario->cluster.cpu_units_per_ms = 500.0;
-  scenario->cluster.execution_threads = ExecutionThreads();
   // Failure-regime runs: DYNO_FAULT_SEED / DYNO_TASK_FAILURE_RATE /
   // DYNO_STRAGGLER_RATE / DYNO_MAX_TASK_ATTEMPTS / DYNO_NODE_FAILURE_RATE /
   // DYNO_NODE_RECOVERY_MS / DYNO_BLOCK_CORRUPTION_RATE /

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fails when the checked-in golden traces (and the traces embedded in the
-# service fingerprints) and the trace schema version in src/obs/trace.h
-# drift apart — the no-build counterpart of
+# fingerprints) and the trace schema version in src/obs/trace.h drift
+# apart — the no-build counterpart of
 # TraceGoldenTest.GoldenHeadersCarryCurrentSchemaVersion, so CI (or a
 # pre-commit hook) can catch a schema bump whose goldens were not
 # regenerated before anything compiles.
@@ -40,11 +40,12 @@ for golden in "${goldens[@]}"; do
   fi
 done
 
-# The service fingerprints (engine_determinism_test) embed a serialized
-# trace after their "trace:" line; its header must carry the schema too.
+# The fingerprints (engine_determinism_test, mr_fault_test) embed a
+# serialized trace after their "trace:" line; its header must carry the
+# schema too.
 fingerprints=("$golden_dir"/*.fp)
 if [ ! -e "${fingerprints[0]}" ]; then
-  echo "check_goldens: no service fingerprints under $golden_dir" >&2
+  echo "check_goldens: no fingerprints under $golden_dir" >&2
   echo "  regenerate with: DYNO_UPDATE_GOLDEN=1 build/tests/engine_determinism_test" >&2
   status=1
   fingerprints=()
@@ -79,6 +80,6 @@ fi
 
 if [ "$status" -eq 0 ]; then
   echo "check_goldens: ${#goldens[@]} trace golden(s) and" \
-    "${#fingerprints[@]} service fingerprint(s) match trace schema v$schema"
+    "${#fingerprints[@]} fingerprint(s) match trace schema v$schema"
 fi
 exit $status

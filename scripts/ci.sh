@@ -2,8 +2,9 @@
 # The full local CI gauntlet, one command:
 #
 #   tier-1      every test, default build (catches functional regressions)
-#   tsan        engine/obs suites under ThreadSanitizer (catches data races
-#               in the multi-threaded task executor)
+#   tsan        the suites that start threads, under ThreadSanitizer
+#               (catches data races in the service's session threads,
+#               StatsStore and SubtreeCache)
 #   asan-ubsan  engine/driver/integrity suites under Address+UBSanitizer
 #               (catches memory and undefined-behavior bugs)
 #   faults      engine/driver suites with 5% injected task failures

@@ -57,7 +57,7 @@ struct SubtreeCacheOptions {
 /// atomics readable without the lock. Determinism: the service's baton
 /// protocol serializes sessions, so lookup/publish order — and therefore
 /// hit patterns and eviction decisions — is a deterministic function of
-/// admission order, independent of engine thread count.
+/// admission order.
 class SubtreeCache {
  public:
   /// A valid cache hit: the pinned result file plus the statistics observed

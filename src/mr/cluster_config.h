@@ -10,10 +10,9 @@
 namespace dyno {
 
 /// Deterministic fault model for the simulated cluster. Every draw is made
-/// on the scheduler thread at task-launch time from a per-job stream seeded
-/// by `seed` and the job name — never from the wall clock — so a given
-/// (config, workload) pair produces bit-identical simulated results for any
-/// `execution_threads` value (DESIGN.md §6.2).
+/// at task-launch time from a per-job stream seeded by `seed` and the job
+/// name — never from the wall clock — so two runs of the same (config,
+/// workload) pair produce byte-identical simulated results (DESIGN.md §6.2).
 struct FaultConfig {
   /// Base seed. Each job derives its own stream from this and the job name,
   /// so concurrent jobs draw independently of scheduling interleavings.
@@ -246,13 +245,10 @@ struct ClusterConfig {
   /// count: one reduce task per this many bytes of map output (Hive-like).
   uint64_t bytes_per_reduce_task = 64 * 1024;
 
-  /// Number of OS worker threads the engine uses to execute task data flows
-  /// (map/reduce functions over real records). Purely a wall-clock knob:
-  /// tasks are dispatched when the event loop launches them and their
-  /// results are committed back in deterministic launch order, so simulated
-  /// timestamps, counters and DFS outputs are bit-identical for every value
-  /// of this setting. <= 1 runs task data flows inline on the caller's
-  /// thread (no pool).
+  /// Read by nothing: one thread runs every task data flow. The field
+  /// stays only because dynobench/src/harness.cc assigns it, and
+  /// dynobench/ changes only together with the benchmark itself. The next
+  /// benchmark change (ROADMAP item 5) deletes this field and that line.
   int execution_threads = 1;
 
   /// Fault injection and recovery knobs (off by default).

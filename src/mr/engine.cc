@@ -15,7 +15,6 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "mr/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -275,9 +274,9 @@ struct EventLater {
   }
 };
 
-/// Everything one task's data flow produces. Filled on a worker thread,
-/// then committed into the RunningJob on the scheduler thread in
-/// deterministic launch order — the worker never touches shared job state.
+/// Everything one task's data flow produces. Filled by Execute, then
+/// committed into the RunningJob in deterministic launch order — the data
+/// flow never touches shared job state.
 /// counters.map_input_bytes is the row-encoded size scanned, so statistics
 /// are format-independent.
 struct TaskOutcome : TaskStaged {
@@ -310,7 +309,7 @@ struct MemoryPlan {
 };
 
 /// One launched task: the inputs decided by the scheduler plus the outcome
-/// produced by the worker.
+/// its data flow produced.
 struct TaskLaunch {
   RunningJob* job = nullptr;
   TaskKind kind = kMapTask;
@@ -322,19 +321,18 @@ struct TaskLaunch {
   std::vector<std::pair<Value, Value>> bucket;  ///< Reduce input.
   /// Node the attempt was placed on (always >= 0 once launched).
   int node = 0;
-  /// Fault draws, decided at launch on the scheduler thread. An attempt
-  /// marked `inject_failure` never runs its data flow (the simulated
-  /// container dies `fail_fraction` of the way through); `slowdown` > 1
-  /// stretches the attempt's simulated duration. `crash_node` schedules a
-  /// crash of the hosting node `crash_fraction` of the way through the
-  /// attempt (the commit computes the absolute time once the duration is
-  /// known).
+  /// Fault draws, decided at launch. An attempt marked `inject_failure`
+  /// never runs its data flow (the simulated container dies `fail_fraction`
+  /// of the way through); `slowdown` > 1 stretches the attempt's simulated
+  /// duration. `crash_node` schedules a crash of the hosting node
+  /// `crash_fraction` of the way through the attempt (the commit computes
+  /// the absolute time once the duration is known).
   bool inject_failure = false;
   double fail_fraction = 0.0;
   double slowdown = 1.0;
   bool crash_node = false;
   double crash_fraction = 0.0;
-  /// Data-integrity draws (also decided at launch on the scheduler thread).
+  /// Data-integrity draws (also decided at launch).
   /// A map attempt re-reads its input block once per corrupt replica; all
   /// `replicas` copies corrupt is `block_data_loss` (no data flow runs). A
   /// reduce attempt re-fetches its bucket once per corrupt fetch; more
@@ -348,10 +346,10 @@ struct TaskLaunch {
   /// task's TaskRunState, stable for the wave's lifetime).
   const std::vector<uint64_t>* poison = nullptr;
   bool skip_mode = false;
-  /// Reduce-memory plan, decided at launch on the scheduler thread; the
-  /// commit bills a spill's pass I/O from `bucket_bytes`. `corrupt_spill`
-  /// (drawn like the other corruption faults) makes run 0 read back
-  /// corrupt, failing the attempt with DataLoss.
+  /// Reduce-memory plan, decided at launch; the commit bills a spill's pass
+  /// I/O from `bucket_bytes`. `corrupt_spill` (drawn like the other
+  /// corruption faults) makes run 0 read back corrupt, failing the attempt
+  /// with DataLoss.
   MemoryPlan memory;
   /// Encoded bytes of the partition bucket (its `partition_bytes` total);
   /// every byte figure of a reduce attempt is billed from it.
@@ -400,9 +398,9 @@ SimMillis CeilDiv(double amount, double rate) {
   return static_cast<SimMillis>(std::ceil(amount / rate));
 }
 
-/// Runs one map task's data flow. Worker-thread safe: reads only the
-/// immutable spec/split and writes only the task-local outcome; the map
-/// functions it calls mutate no shared state.
+/// Runs one map task's data flow. Reads only the immutable spec/split and
+/// writes only the task-local outcome; the map functions it calls mutate no
+/// shared state.
 void ExecuteMapTask(const MapInput& input, const Split& split,
                     int task_index, const std::vector<uint64_t>* poison,
                     bool skip_mode, TaskOutcome* out) {
@@ -685,8 +683,6 @@ MapReduceEngine::MapReduceEngine(Dfs* dfs, ClusterConfig config)
   node_states_.assign(std::max(1, config_.num_nodes), NodeState{});
 }
 
-MapReduceEngine::~MapReduceEngine() = default;
-
 Result<JobResult> MapReduceEngine::Submit(const JobSpec& spec) {
   DYNO_ASSIGN_OR_RETURN(std::vector<JobResult> results, SubmitAll({spec}));
   return results[0];
@@ -742,17 +738,6 @@ class MapReduceEngine::Simulation {
       }
     }
 
-    // Size the worker pool to the configured thread count. The pool
-    // persists across submissions and is resized lazily when the config
-    // changes.
-    const int want_threads = config_.execution_threads;
-    std::unique_ptr<WorkerPool>& pool = engine_->pool_;
-    if (want_threads <= 1) {
-      pool.reset();
-    } else if (pool == nullptr || pool->size() != want_threads) {
-      pool = std::make_unique<WorkerPool>(want_threads);
-    }
-
     for (RunningJob& job : jobs_) {
       events_.push(
           {job.ready_time, seq_++, EventKind::kJobReady, job.job_index});
@@ -774,7 +759,7 @@ class MapReduceEngine::Simulation {
       HandleEvent(ev);
       // Drain every event at this same timestamp before rescheduling, so
       // all slots freed at one simulated instant are refilled as a single
-      // wave — that wave is what the worker pool executes in parallel.
+      // wave.
       while (!events_.empty() && events_.top().time <= now_) {
         Event next = events_.top();
         events_.pop();
@@ -1164,9 +1149,8 @@ class MapReduceEngine::Simulation {
                    config_.side_load_bytes_per_ms);
   }
 
-  /// Launch-time fault draws, on the scheduler thread, from the job's own
-  /// stream — the order of draws depends only on the (deterministic) launch
-  /// order, never on worker timing.
+  /// Launch-time fault draws from the job's own stream — the order of draws
+  /// depends only on the (deterministic) launch order.
   void DrawFaults(RunningJob* job, TaskLaunch* launch) {
     if (!job->fault_rng.has_value()) return;
     const FaultConfig& f = config_.faults;
@@ -1267,9 +1251,8 @@ class MapReduceEngine::Simulation {
 
   /// Capped + jittered exponential backoff before re-queueing a failed
   /// attempt (the legacy retry_backoff_ms * 2^n grew unbounded). The jitter
-  /// is drawn from the job's fault stream on the scheduler thread, so it
-  /// de-synchronizes concurrent retries while staying bit-identical across
-  /// execution thread counts.
+  /// is drawn from the job's fault stream, so it de-synchronizes concurrent
+  /// retries while two runs of one configuration stay byte-identical.
   SimMillis RetryBackoff(RunningJob* job, int failures) {
     const FaultConfig& f = config_.faults;
     SimMillis backoff =
@@ -1415,8 +1398,7 @@ class MapReduceEngine::Simulation {
   }
 
   /// Applies a logical task's durable completion: replays its staged output
-  /// records through the job's output observer (scheduler thread only, so
-  /// observer state is never updated concurrently; observers must be
+  /// records through the job's output observer (observers must be
   /// commutative across tasks, which the stats collectors are) and, for
   /// reduce tasks, releases the partition bucket retained for retries. Runs
   /// at *completion* rather than commit so an attempt killed by a node
@@ -1538,7 +1520,7 @@ class MapReduceEngine::Simulation {
 
   /// Commits one finished task attempt back into its job: simulated
   /// duration, per-task staged data (TaskData), in-flight registration and
-  /// completion event. Runs on the scheduler thread in launch order.
+  /// completion event. Runs in launch order.
   /// Nothing is merged into job-level counters or outputs here — that
   /// happens at completion/finish time — so an attempt later killed by a
   /// node crash leaves no residue in the job.
@@ -1860,12 +1842,10 @@ class MapReduceEngine::Simulation {
   }
 
   /// Assigns free slots to pending tasks (FIFO across jobs), executes the
-  /// resulting wave of task data flows — in parallel on the worker pool
-  /// when one is configured — and commits the outcomes in launch order. All
-  /// launch decisions, including stop-condition checks and fault draws,
-  /// observe only *committed* state: no task is in flight while they are
-  /// made, which is what makes the simulation bit-identical for any thread
-  /// count.
+  /// resulting wave of task data flows and then commits the outcomes in
+  /// launch order. All launch decisions, including stop-condition checks and
+  /// fault draws, observe only *committed* state: no launched task's outcome
+  /// is visible while they are made.
   void Schedule() {
     std::vector<TaskLaunch> wave;
     for (RunningJob& job : jobs_) {
@@ -1901,15 +1881,7 @@ class MapReduceEngine::Simulation {
     }
     if (wave.empty()) return;
 
-    WorkerPool* pool = engine_->pool_.get();
-    if (pool != nullptr && wave.size() > 1) {
-      std::vector<std::function<void()>> closures;
-      closures.reserve(wave.size());
-      for (TaskLaunch& t : wave) closures.push_back([&t] { Execute(t); });
-      pool->RunBatch(std::move(closures));
-    } else {
-      for (TaskLaunch& t : wave) Execute(t);
-    }
+    for (TaskLaunch& t : wave) Execute(t);
     for (TaskLaunch& t : wave) CommitTask(t);
     // New launches can only cross the speculation cutoff later; make sure
     // a pass happens when the earliest one does.
@@ -2025,8 +1997,8 @@ class MapReduceEngine::Simulation {
     return plan;
   }
 
-  /// Runs one launched task's data flow. Worker-thread safe: touches only
-  /// the launch itself and immutable job inputs.
+  /// Runs one launched task's data flow. Touches only the launch itself and
+  /// immutable job inputs.
   static void Execute(TaskLaunch& t) {
     // Attempts with an injected failure never run their data flow: the
     // simulated container dies, and CommitTask keeps nothing of it.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,8 +15,6 @@
 #include "storage/dfs.h"
 
 namespace dyno {
-
-class WorkerPool;
 
 namespace obs {
 class MetricsRegistry;
@@ -50,16 +47,17 @@ Result<std::vector<std::pair<Value, Value>>> DecodeSpillRun(
 /// The cluster clock persists across submissions, so end-to-end query time
 /// is simply the clock delta around a sequence of Submit/SubmitAll calls.
 ///
-/// When ClusterConfig::execution_threads > 1, task data flows execute on a
-/// worker pool: each scheduling pass dispatches the whole wave of launched
-/// tasks to the pool, joins, and commits their buffered results in launch
-/// order on the scheduler thread. Simulated timestamps, counters and DFS
-/// outputs are therefore bit-identical regardless of thread count.
+/// One thread runs the simulation: each scheduling pass executes the
+/// wave of launched tasks' data flows into buffered outcomes, then commits
+/// them in launch order. Simulated timestamps, counters and DFS outputs
+/// depend only on the configuration and the workload, so two runs of the
+/// same configuration are byte-identical.
 ///
 /// ClusterConfig::faults enables a deterministic fault model — transient
 /// task failures with retry/backoff, straggler slowdowns, and speculative
-/// execution — whose draws all happen on the scheduler thread at launch
-/// time, preserving the bit-identical guarantee (DESIGN.md §6.2).
+/// execution — whose draws all happen at launch time from per-job streams
+/// seeded by the configuration, so the guarantee holds under faults too
+/// (DESIGN.md §6.2).
 ///
 /// The cluster's nodes are fault domains (DESIGN.md §6.4): slots are
 /// divided across ClusterConfig::num_nodes, completed map outputs of
@@ -79,7 +77,6 @@ class MapReduceEngine {
   };
 
   MapReduceEngine(Dfs* dfs, ClusterConfig config);
-  ~MapReduceEngine();
 
   /// Runs one job to completion. The returned JobResult carries a non-OK
   /// status if the job failed (e.g. a broadcast build side exceeded task
@@ -137,9 +134,9 @@ class MapReduceEngine {
 
   /// Attaches an observability sink/registry (non-owning, may be null).
   /// The engine records job/phase/attempt spans into the sink and bumps
-  /// counters and latency histograms in the registry. All recording happens
-  /// on the scheduler thread, so trace order inherits the simulator's
-  /// bit-identical-across-thread-counts guarantee. Components driving the
+  /// counters and latency histograms in the registry. Recording follows the
+  /// simulation's deterministic event order, so two runs of the same
+  /// configuration serialize byte-identical traces. Components driving the
   /// engine (pilot, optimizer, driver) reach the same sink through the
   /// accessors.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
@@ -185,8 +182,6 @@ class MapReduceEngine {
   std::vector<NodeState> node_states_;
   /// How many FaultConfig::scripted_node_crashes already fired.
   size_t scripted_crashes_consumed_ = 0;
-  /// Lazily created when execution_threads > 1; resized on config change.
-  std::unique_ptr<WorkerPool> pool_;
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   SubmitGate submit_gate_;

@@ -49,8 +49,8 @@ enum class TraceLane : int {
 };
 
 /// One typed span (or instant, when dur_ms < 0) event, stamped exclusively
-/// with simulated time so serialized traces are bit-identical across host
-/// machines and execution thread counts.
+/// with simulated time so serialized traces are byte-identical across host
+/// machines and runs.
 struct TraceEvent {
   SimMillis start_ms = 0;
   SimMillis dur_ms = -1;  ///< < 0 renders as an instant event.

@@ -188,22 +188,22 @@ struct QueryOutcome {
 /// Concurrency model: each session runs on its own thread, but the threads
 /// are strictly baton-serialized — at any instant at most one of {service
 /// scheduler, one session} executes, and every handoff is a mutex/condvar
-/// edge. Session threads are coroutines in all but name; real parallelism
-/// lives only inside the engine's worker pool, which already guarantees
-/// bit-identical results across thread counts. Every driver Submit/
-/// SubmitAll is intercepted by an engine submit gate: the session parks,
-/// and once every runnable session has quiesced the scheduler concatenates
-/// the parked batches of all waiting sessions — ordered by fair share:
-/// least attained committed slot time first, ties broken by admission
-/// sequence — into one combined SubmitAllDirect wave, so jobs of different
-/// queries genuinely share cluster slots in simulated time. Results are
-/// split back per session and sessions are resumed in the same order.
+/// edge. Session threads are coroutines in all but name: nothing runs in
+/// parallel, and the engine runs every wave on the scheduler's thread.
+/// Every driver Submit/SubmitAll is intercepted by an engine submit gate:
+/// the session parks, and once every runnable session has quiesced the
+/// scheduler concatenates the parked batches of all waiting sessions —
+/// ordered by fair share: least attained committed slot time first, ties
+/// broken by admission sequence — into one combined SubmitAllDirect wave,
+/// so jobs of different queries genuinely share cluster slots in simulated
+/// time. Results are split back per session and sessions are resumed in
+/// the same order.
 ///
 /// Determinism: scheduling state is touched only between handoffs, arrival
 /// times come from a seeded service RNG stream in Enqueue order, and waves
-/// execute on the scheduler thread. Per-query results, checkpoint stats
-/// and serialized traces are therefore bit-identical at any
-/// ClusterConfig::execution_threads.
+/// execute on the scheduler thread. Two runs of the same configuration
+/// therefore give byte-identical per-query results, checkpoint stats and
+/// serialized traces.
 class QueryService {
  public:
   QueryService(MapReduceEngine* engine, Catalog* catalog, StatsStore* store,

@@ -1,13 +1,14 @@
-// The engine's contract for ClusterConfig::execution_threads: it is purely
-// a wall-clock knob. Simulated timestamps, counters, DFS outputs and every
-// derived statistic must be bit-identical for any thread count. This test
-// runs one multi-job workload — concurrent map-only and map-reduce jobs
-// with an output observer, followed by a PILR_MT pilot with an active stop
-// condition — at 1, 4 and 8 execution threads and compares full-state
-// fingerprints. The query-service fingerprints are also compared byte for
-// byte with checked-in goldens (tests/golden/*.fp), so a change that moved
-// them at every thread count still fails; regenerate after an intended
-// change with DYNO_UPDATE_GOLDEN=1 ./engine_determinism_test.
+// The engine's determinism contract: simulated timestamps, counters, DFS
+// outputs and every derived statistic depend only on the configuration and
+// the workload, so two runs of the same configuration are byte-identical.
+// This test runs one multi-job workload — concurrent map-only and
+// map-reduce jobs with an output observer, followed by a PILR_MT pilot with
+// an active stop condition — and the service workloads twice each, and
+// compares full-state fingerprints. The clean, faulty and spilling engine
+// fingerprints and the query-service fingerprints are also compared byte
+// for byte with checked-in goldens (tests/golden/*.fp), so a change that
+// moves them fails even though both runs agree; regenerate after an
+// intended change with DYNO_UPDATE_GOLDEN=1 ./engine_determinism_test.
 
 #include <cstdint>
 #include <string>
@@ -112,7 +113,7 @@ std::string FingerprintStats(const TableStats& stats,
 /// observable outcome into one string. `faults` (optional) switches on the
 /// deterministic fault model; `totals` (optional) folds every job's
 /// counters, so tests can assert the fault path was genuinely exercised.
-std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
+std::string RunWorkload(const FaultConfig* faults = nullptr,
                         JobTotals* totals = nullptr) {
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -120,7 +121,6 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
   config.map_slots = 8;
   config.reduce_slots = 4;
   config.job_startup_ms = 500;
-  config.execution_threads = threads;
   // Pin the fault settings so the ctest fault preset's env vars cannot
   // perturb these fingerprint comparisons.
   config.faults.use_env_defaults = false;
@@ -130,7 +130,7 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
   }
   MapReduceEngine engine(&dfs, config);
   // The serialized trace is part of the fingerprint: event content AND
-  // buffer order must be bit-identical across thread counts, since the
+  // buffer order must be byte-identical from run to run, since the
   // golden-trace tests rely on exactly that.
   obs::TraceSink trace;
   engine.set_trace(&trace);
@@ -208,7 +208,7 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
   auto results = engine.SubmitAll({copy, group});
   EXPECT_TRUE(results.ok());
 
-  std::string fp = StrFormat("threads=? now0=%lld\n",
+  std::string fp = StrFormat("now0=%lld\n",
                              static_cast<long long>(engine.now()));
   for (const JobResult& job : *results) {
     fp += FingerprintJob(job) + "\n";
@@ -257,29 +257,22 @@ std::string RunWorkload(int threads, const FaultConfig* faults = nullptr,
   return fp;
 }
 
-TEST(EngineDeterminismTest, IdenticalResultsAcrossThreadCounts) {
-  ScopedEnv row_mode = RowMode();
-  std::string one = RunWorkload(1);
-  std::string four = RunWorkload(4);
-  std::string eight = RunWorkload(8);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread runs diverged";
+TEST(EngineDeterminismTest, RepeatedRunsAreStable) {
+  ScopedEnv env = GoldenEnv();
+  // Two runs guard against hidden global state (RNG, clock,
+  // allocation-order dependence); the golden pins the bytes across commits.
+  std::string one = RunWorkload();
+  EXPECT_EQ(one, RunWorkload()) << "two clean runs diverged";
+  CompareWithGolden("engine_clean.fp", one);
   // Sanity: the workload actually did something.
   EXPECT_NE(one.find("maps="), std::string::npos);
 }
 
-TEST(EngineDeterminismTest, RepeatedRunsAreStable) {
-  ScopedEnv row_mode = RowMode();
-  // Same thread count twice: guards against hidden global state (RNG,
-  // clock, allocation-order dependence) rather than threading.
-  EXPECT_EQ(RunWorkload(4), RunWorkload(4));
-}
-
 TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {
-  ScopedEnv row_mode = RowMode();
+  ScopedEnv env = GoldenEnv();
   // The fault model's draws (injected failures, straggler slowdowns,
-  // speculative races) all happen on the scheduler thread at launch time,
-  // so the thread-count contract must survive a failure-heavy run.
+  // speculative races) all happen at launch time from seeded per-job
+  // streams, so the contract must survive a failure-heavy run.
   FaultConfig faults;
   faults.seed = 42;
   faults.task_failure_rate = 0.12;
@@ -289,11 +282,9 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {
   faults.retry_backoff_ms = 200;
 
   JobTotals totals;
-  std::string one = RunWorkload(1, &faults, &totals);
-  std::string four = RunWorkload(4, &faults);
-  std::string eight = RunWorkload(8, &faults);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread faulty runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread faulty runs diverged";
+  std::string one = RunWorkload(&faults, &totals);
+  EXPECT_EQ(one, RunWorkload(&faults)) << "two faulty runs diverged";
+  CompareWithGolden("engine_faults.fp", one);
 
   // The comparison is only meaningful if faults actually fired.
   EXPECT_GT(totals.task_failures_injected, 0);
@@ -301,14 +292,14 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {
   EXPECT_GT(totals.speculative_launches, 0);
 
   // And a faulty run is genuinely different from a clean one.
-  EXPECT_NE(one, RunWorkload(1));
+  EXPECT_NE(one, RunWorkload());
 }
 
 TEST(EngineDeterminismTest, IdenticalResultsUnderNodeCrashes) {
   ScopedEnv row_mode = RowMode();
   // Node crashes kill in-flight attempts, invalidate resident map outputs
-  // and trigger shuffle re-fetches — all decided on the scheduler thread,
-  // so a crash-heavy run must also be bit-identical across thread counts.
+  // and trigger shuffle re-fetches — all drawn from seeded per-job streams,
+  // so two crash-heavy runs must also be byte-identical.
   FaultConfig faults;
   faults.seed = 99;
   faults.node_failure_rate = 0.2;
@@ -316,26 +307,22 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderNodeCrashes) {
   faults.retry_backoff_ms = 100;
 
   JobTotals totals;
-  std::string one = RunWorkload(1, &faults, &totals);
-  std::string four = RunWorkload(4, &faults);
-  std::string eight = RunWorkload(8, &faults);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread crashy runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread crashy runs diverged";
+  std::string one = RunWorkload(&faults, &totals);
+  EXPECT_EQ(one, RunWorkload(&faults)) << "two crashy runs diverged";
 
   EXPECT_GT(totals.node_crashes_observed, 0)
       << "no node crash fired at this rate";
   EXPECT_GT(totals.maps_invalidated, 0)
       << "no crash ever caught a completed map output";
-  EXPECT_NE(one, RunWorkload(1));
+  EXPECT_NE(one, RunWorkload());
 }
 
 TEST(EngineDeterminismTest, IdenticalResultsUnderDataCorruption) {
   ScopedEnv row_mode = RowMode();
   // Corruption draws (bad replica reads, corrupt shuffle fetches, poison
-  // record positions) are all made on the scheduler thread from the per-job
-  // fault stream, so a corruption-heavy run — skip-mode re-runs, quarantine
-  // files and integrity trace events included — must be bit-identical
-  // across thread counts.
+  // record positions) are all made at launch from the per-job fault stream,
+  // so two corruption-heavy runs — skip-mode re-runs, quarantine files and
+  // integrity trace events included — must be byte-identical.
   FaultConfig faults;
   faults.seed = 77;
   faults.block_corruption_rate = 0.15;
@@ -345,28 +332,24 @@ TEST(EngineDeterminismTest, IdenticalResultsUnderDataCorruption) {
   faults.retry_backoff_ms = 100;
 
   JobTotals totals;
-  std::string one = RunWorkload(1, &faults, &totals);
-  std::string four = RunWorkload(4, &faults);
-  std::string eight = RunWorkload(8, &faults);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread corrupt runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread corrupt runs diverged";
+  std::string one = RunWorkload(&faults, &totals);
+  EXPECT_EQ(one, RunWorkload(&faults)) << "two corrupt runs diverged";
 
   // The comparison only means something if each corruption path fired.
   EXPECT_GT(totals.block_corruptions, 0);
   EXPECT_GT(totals.checksum_refetches, 0);
   EXPECT_GT(totals.records_quarantined, 0u);
-  EXPECT_NE(one, RunWorkload(1));
+  EXPECT_NE(one, RunWorkload());
 }
 
 /// Spill-heavy memory-pressure workload: a tight per-task budget in kSpill
 /// mode plus fault injection (task failures and corruption draws, which
 /// also arm random spill-run rot), so run formation, bounded-memory merge
 /// passes, corrupt-run retries and the billed spill I/O all fire under
-/// slot contention. Every draw happens on the scheduler thread at launch,
-/// so the digest — job accounting, spill counters, output bytes and the
-/// serialized trace — must be bit-identical across thread counts.
-std::string RunMemoryPressureWorkload(int threads,
-                                      JobTotals* totals = nullptr,
+/// slot contention. Every draw happens at launch from seeded per-job
+/// streams, so the digest — job accounting, spill counters, output bytes
+/// and the serialized trace — must be byte-identical from run to run.
+std::string RunMemoryPressureWorkload(JobTotals* totals = nullptr,
                                       int* spilled_tasks = nullptr) {
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -374,7 +357,6 @@ std::string RunMemoryPressureWorkload(int threads,
   config.map_slots = 8;
   config.reduce_slots = 4;
   config.job_startup_ms = 500;
-  config.execution_threads = threads;
   config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kSpill;
   config.memory_per_task_bytes = 2048;
   config.spill_merge_fan_in = 4;
@@ -464,16 +446,13 @@ std::string RunMemoryPressureWorkload(int threads,
   return fp;
 }
 
-TEST(EngineDeterminismTest,
-     MemoryPressureSpillsDeterministicAcrossThreadCounts) {
-  ScopedEnv row_mode = RowMode();
+TEST(EngineDeterminismTest, MemoryPressureSpillsDeterministic) {
+  ScopedEnv env = GoldenEnv();
   JobTotals totals;
   int spilled_tasks = 0;
-  std::string one = RunMemoryPressureWorkload(1, &totals, &spilled_tasks);
-  std::string four = RunMemoryPressureWorkload(4);
-  std::string eight = RunMemoryPressureWorkload(8);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread spill runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread spill runs diverged";
+  std::string one = RunMemoryPressureWorkload(&totals, &spilled_tasks);
+  EXPECT_EQ(one, RunMemoryPressureWorkload()) << "two spill runs diverged";
+  CompareWithGolden("engine_spill.fp", one);
 
   // The comparison only means something if the memory model engaged.
   EXPECT_GT(spilled_tasks, 0) << "no reducer spilled at this budget";
@@ -487,7 +466,7 @@ TEST(EngineDeterminismTest,
 /// job accounting and the checkpointed (signature, stats) pairs. DFS paths
 /// and the trace are excluded on purpose — they embed process-global
 /// instance ids that legitimately differ between runs in one process.
-std::string RunResumeWorkload(int threads) {
+std::string RunResumeWorkload() {
   Dfs dfs;
   Catalog catalog(&dfs);
   ClusterConfig config;
@@ -495,7 +474,6 @@ std::string RunResumeWorkload(int threads) {
   config.map_slots = 20;
   config.reduce_slots = 10;
   config.memory_per_task_bytes = 64 * 1024;
-  config.execution_threads = threads;
   config.faults.use_env_defaults = false;
   MapReduceEngine engine(&dfs, config);
   TpchConfig tpch;
@@ -546,9 +524,8 @@ std::string RunResumeWorkload(int threads) {
 /// with task faults AND data corruption switched on. The fingerprint
 /// digests every per-query outcome (status, admission/finish times, result
 /// bytes, slot accounting, fault totals), the service metrics and the full
-/// serialized trace — all of which must be bit-identical across execution
-/// thread counts.
-std::string RunConcurrentWorkload(int threads, JobTotals* totals = nullptr,
+/// serialized trace — all of which must be byte-identical from run to run.
+std::string RunConcurrentWorkload(JobTotals* totals = nullptr,
                                   bool with_cache = false) {
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -557,7 +534,6 @@ std::string RunConcurrentWorkload(int threads, JobTotals* totals = nullptr,
   config.map_slots = 20;
   config.reduce_slots = 10;
   config.memory_per_task_bytes = 64 * 1024;
-  config.execution_threads = threads;
   config.faults.use_env_defaults = false;
   config.faults.seed = 11;
   config.faults.task_failure_rate = 0.03;
@@ -637,14 +613,11 @@ std::string RunConcurrentWorkload(int threads, JobTotals* totals = nullptr,
   return fp;
 }
 
-TEST(EngineDeterminismTest, ConcurrentQueriesDeterministicAcrossThreadCounts) {
+TEST(EngineDeterminismTest, ConcurrentQueriesDeterministic) {
   ScopedEnv row_mode = RowMode();
   JobTotals totals;
-  std::string one = RunConcurrentWorkload(1, &totals);
-  std::string four = RunConcurrentWorkload(4);
-  std::string eight = RunConcurrentWorkload(8);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread concurrent runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread concurrent runs diverged";
+  std::string one = RunConcurrentWorkload(&totals);
+  EXPECT_EQ(one, RunConcurrentWorkload()) << "two concurrent runs diverged";
   // Every session must actually have completed.
   for (int i = 0; i < 8; ++i) {
     EXPECT_NE(one.find(StrFormat("q%02d tenant=", i)), std::string::npos);
@@ -664,25 +637,22 @@ TEST(EngineDeterminismTest, ConcurrentQueriesDeterministicAcrossThreadCounts) {
 // The same concurrent workload with the cross-query subtree cache enabled:
 // hit patterns depend only on admission order (lookups and publishes happen
 // on baton-serialized session threads), so the fingerprint — per-query
-// result bytes, cache metrics, the full trace — must stay bit-identical
-// across engine thread counts.
-TEST(EngineDeterminismTest,
-     ConcurrentQueriesWithSubtreeCacheDeterministicAcrossThreadCounts) {
+// result bytes, cache metrics, the full trace — must stay byte-identical
+// from run to run.
+TEST(EngineDeterminismTest, ConcurrentQueriesWithSubtreeCacheDeterministic) {
   {
-    // Pinned to the checked-in fingerprint, not only across thread counts: a
-    // service refactor that moved the bytes at every count would pass the
-    // comparisons below. The golden run fixes the recovery knobs a ctest
-    // preset may export; the cross-thread runs keep the inherited ones.
+    // Pinned to the checked-in fingerprint, not only run against run: a
+    // service refactor that moved the bytes of every run would pass the
+    // comparison below. The golden run fixes the recovery knobs a ctest
+    // preset may export; the repeated runs keep the inherited ones.
     ScopedEnv env = GoldenEnv();
     CompareWithGolden("service_concurrent_cached.fp",
-                      RunConcurrentWorkload(1, nullptr, /*with_cache=*/true));
+                      RunConcurrentWorkload(nullptr, /*with_cache=*/true));
   }
   ScopedEnv row_mode = RowMode();
-  std::string one = RunConcurrentWorkload(1, nullptr, /*with_cache=*/true);
-  std::string four = RunConcurrentWorkload(4, nullptr, /*with_cache=*/true);
-  std::string eight = RunConcurrentWorkload(8, nullptr, /*with_cache=*/true);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread cached runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread cached runs diverged";
+  std::string one = RunConcurrentWorkload(nullptr, /*with_cache=*/true);
+  EXPECT_EQ(one, RunConcurrentWorkload(nullptr, /*with_cache=*/true))
+      << "two cached runs diverged";
   for (int i = 0; i < 8; ++i) {
     EXPECT_NE(one.find(StrFormat("q%02d tenant=%s status=0", i,
                                  i % 2 == 0 ? "alpha" : "beta")),
@@ -703,9 +673,8 @@ TEST(EngineDeterminismTest,
 /// re-queued and resumed from their checkpoint manifests; every one of
 /// those decisions happens on the scheduler thread, so the complete
 /// fingerprint (per-query outcomes with priorities/preemption counts,
-/// service metrics, the full trace) must be bit-identical at any engine
-/// thread count.
-std::string RunOverloadWorkload(int threads) {
+/// service metrics, the full trace) must be byte-identical from run to run.
+std::string RunOverloadWorkload() {
   Dfs dfs;
   Catalog catalog(&dfs);
   ClusterConfig config;
@@ -713,7 +682,6 @@ std::string RunOverloadWorkload(int threads) {
   config.map_slots = 20;
   config.reduce_slots = 10;
   config.memory_per_task_bytes = 64 * 1024;
-  config.execution_threads = threads;
   config.faults.use_env_defaults = false;
   config.faults.seed = 11;
   config.faults.task_failure_rate = 0.03;
@@ -806,19 +774,16 @@ std::string RunOverloadWorkload(int threads) {
   return fp;
 }
 
-TEST(EngineDeterminismTest, OverloadRegimeDeterministicAcrossThreadCounts) {
+TEST(EngineDeterminismTest, OverloadRegimeDeterministic) {
   {
     // The golden run fixes the recovery knobs a ctest preset may export;
-    // the cross-thread runs keep the inherited ones.
+    // the repeated runs keep the inherited ones.
     ScopedEnv env = GoldenEnv();
-    CompareWithGolden("service_overload.fp", RunOverloadWorkload(1));
+    CompareWithGolden("service_overload.fp", RunOverloadWorkload());
   }
   ScopedEnv row_mode = RowMode();
-  std::string one = RunOverloadWorkload(1);
-  std::string four = RunOverloadWorkload(4);
-  std::string eight = RunOverloadWorkload(8);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread overload runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread overload runs diverged";
+  std::string one = RunOverloadWorkload();
+  EXPECT_EQ(one, RunOverloadWorkload()) << "two overload runs diverged";
   // The regime's distinguishing paths genuinely fired: at least one
   // preemption (the pinned priority-5 arrival against two busy slots) and
   // the hopeless deadline.
@@ -843,7 +808,7 @@ TEST(EngineDeterminismTest, OverloadRegimeDeterministicAcrossThreadCounts) {
 /// The fingerprint holds each outcome (with its full status message), the
 /// checkpoint-root DFS listing after each instance, the service metrics and
 /// the full trace.
-std::string RunStopWorkload(int threads) {
+std::string RunStopWorkload() {
   Dfs dfs;
   Catalog catalog(&dfs);
   ClusterConfig config;
@@ -851,7 +816,6 @@ std::string RunStopWorkload(int threads) {
   config.map_slots = 20;
   config.reduce_slots = 10;
   config.memory_per_task_bytes = 64 * 1024;
-  config.execution_threads = threads;
   config.faults.use_env_defaults = false;
   MapReduceEngine engine(&dfs, config);
   obs::TraceSink trace;
@@ -991,11 +955,11 @@ std::string RunStopWorkload(int threads) {
   return fp;
 }
 
-TEST(EngineDeterminismTest, StopPathsMatchGoldenAcrossThreadCounts) {
+TEST(EngineDeterminismTest, StopPathsMatchGolden) {
   ScopedEnv env = GoldenEnv();
-  std::string one = RunStopWorkload(1);
-  std::string four = RunStopWorkload(4);
-  EXPECT_TRUE(one == four) << DescribeFirstDivergence(one, four);
+  std::string one = RunStopWorkload();
+  std::string two = RunStopWorkload();
+  EXPECT_TRUE(one == two) << DescribeFirstDivergence(one, two);
   CompareWithGolden("service_stop.fp", one);
   // Every stop path genuinely fired.
   for (const char* needle :
@@ -1009,13 +973,10 @@ TEST(EngineDeterminismTest, StopPathsMatchGoldenAcrossThreadCounts) {
   }
 }
 
-TEST(EngineDeterminismTest, ResumedQueryIsDeterministicAcrossThreadCounts) {
+TEST(EngineDeterminismTest, ResumedQueryIsDeterministic) {
   ScopedEnv row_mode = RowMode();
-  std::string one = RunResumeWorkload(1);
-  std::string four = RunResumeWorkload(4);
-  std::string eight = RunResumeWorkload(8);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread resumed runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread resumed runs diverged";
+  std::string one = RunResumeWorkload();
+  EXPECT_EQ(one, RunResumeWorkload()) << "two resumed runs diverged";
   EXPECT_NE(one.find("resumed="), std::string::npos);
   EXPECT_EQ(one.find("resumed=0"), std::string::npos)
       << "the resume must actually reuse a checkpointed step:\n" << one;
@@ -1026,18 +987,14 @@ TEST(EngineDeterminismTest, ResumedQueryIsDeterministicAcrossThreadCounts) {
 // columnar data plane and zone maps switched on. Base tables are written
 // as columnar splits, leaf scans push their filters into the batch
 // evaluator and skip splits via zone maps; every one of those decisions is
-// made on the scheduler thread from per-job state, so the complete
-// fingerprint (results, metrics, trace) must stay bit-identical across
-// 1, 4 and 8 execution threads.
-TEST(EngineDeterminismTest,
-     ColumnarConcurrentFaultyCachedDeterministicAcrossThreadCounts) {
+// made from per-job state, so the complete fingerprint (results, metrics,
+// trace) must stay byte-identical from run to run.
+TEST(EngineDeterminismTest, ColumnarConcurrentFaultyCachedDeterministic) {
   ScopedEnv columnar({{"DYNO_COLUMNAR", "1"}, {"DYNO_ZONE_MAPS", "1"}});
   JobTotals totals;
-  std::string one = RunConcurrentWorkload(1, &totals, /*with_cache=*/true);
-  std::string four = RunConcurrentWorkload(4, nullptr, /*with_cache=*/true);
-  std::string eight = RunConcurrentWorkload(8, nullptr, /*with_cache=*/true);
-  EXPECT_EQ(one, four) << "1-thread and 4-thread columnar runs diverged";
-  EXPECT_EQ(one, eight) << "1-thread and 8-thread columnar runs diverged";
+  std::string one = RunConcurrentWorkload(&totals, /*with_cache=*/true);
+  EXPECT_EQ(one, RunConcurrentWorkload(nullptr, /*with_cache=*/true))
+      << "two columnar runs diverged";
   for (int i = 0; i < 8; ++i) {
     EXPECT_NE(one.find(StrFormat("q%02d tenant=%s status=0", i,
                                  i % 2 == 0 ? "alpha" : "beta")),

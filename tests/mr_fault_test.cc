@@ -599,7 +599,7 @@ uint64_t Fnv1a(uint64_t h, const std::string& bytes) {
 /// The seed is one whose schedule separates the
 /// upper from the lower median of an even count and, at both thresholds,
 /// has two equally slow candidates whose lower task id launched later.
-std::string SpeculationScheduleFingerprint(int threads, JobTotals* totals) {
+std::string SpeculationScheduleFingerprint(JobTotals* totals) {
   constexpr int kJobs = 3;
   std::string fp;
   for (double threshold : {1.5, 2.0}) {
@@ -608,7 +608,6 @@ std::string SpeculationScheduleFingerprint(int threads, JobTotals* totals) {
     c.num_nodes = 4;
     c.map_slots = 12;
     c.reduce_slots = 4;
-    c.execution_threads = threads;
     c.faults.seed = 21;
     c.faults.task_failure_rate = 0.08;
     c.faults.max_task_attempts = 8;
@@ -677,12 +676,12 @@ TEST(MrFaultTest, SpeculationScheduleMatchesGolden) {
   // order) and the wakeup time are all visible in these lines. Regenerate
   // with DYNO_UPDATE_GOLDEN=1 only for an intended schedule change.
   JobTotals totals;
-  const std::string one = SpeculationScheduleFingerprint(1, &totals);
+  const std::string one = SpeculationScheduleFingerprint(&totals);
   EXPECT_GT(totals.speculative_launches, 0);
   EXPECT_GT(totals.speculative_wins, 0);
   EXPECT_GT(totals.task_retries, 0);
   EXPECT_GT(totals.attempts_killed_by_node, 0);
-  EXPECT_EQ(one, SpeculationScheduleFingerprint(4, nullptr));
+  EXPECT_EQ(one, SpeculationScheduleFingerprint(nullptr));
   CompareWithGolden("speculation.fp", one);
 }
 

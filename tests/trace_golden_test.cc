@@ -1,8 +1,8 @@
 // Golden-trace regression harness. One canonical DYNOPT run — TPC-H Q10,
 // a 3-join star over customer/orders/lineitem/nation, pilot runs plus
-// re-optimization — is traced end to end and the serialized JSONL trace is
-// diffed byte-for-byte against a checked-in golden, at 1, 4 and 8 engine
-// execution threads, with fault injection off and on. Any change to event
+// re-optimization — is traced end to end, twice, and the serialized JSONL
+// trace is diffed byte-for-byte against the other run and against a
+// checked-in golden, with fault injection off and on. Any change to event
 // ordering, span timing, cost numbers or the schema shows up as an
 // event-level diff naming the first divergent span.
 //
@@ -42,8 +42,7 @@ struct TracedRun {
 /// returns every serialized observation. `c_probe_scale` perturbs the cost
 /// model's broadcast probe constant (used to prove the harness catches
 /// cost-model drift).
-TracedRun RunCanonicalQuery(int threads, bool faults,
-                            double c_probe_scale = 1.0,
+TracedRun RunCanonicalQuery(bool faults, double c_probe_scale = 1.0,
                             bool corruption = false) {
   TracedRun out;
   Dfs dfs;
@@ -53,7 +52,6 @@ TracedRun RunCanonicalQuery(int threads, bool faults,
   config.map_slots = 20;
   config.reduce_slots = 10;
   config.memory_per_task_bytes = 64 * 1024;
-  config.execution_threads = threads;
   // Pin the fault model so the ctest `faults` preset's env vars cannot
   // perturb the golden comparison.
   config.faults.use_env_defaults = false;
@@ -110,48 +108,35 @@ TracedRun RunCanonicalQuery(int threads, bool faults,
   return out;
 }
 
-TEST(TraceGoldenTest, CleanTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
-  TracedRun one = RunCanonicalQuery(1, /*faults=*/false);
-  TracedRun four = RunCanonicalQuery(4, /*faults=*/false);
-  TracedRun eight = RunCanonicalQuery(8, /*faults=*/false);
-  EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
-  EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, eight.trace_jsonl);
-  EXPECT_EQ(one.metrics_text, four.metrics_text);
-  EXPECT_EQ(one.metrics_text, eight.metrics_text);
+TEST(TraceGoldenTest, CleanTraceRepeatsAndMatchesGolden) {
+  TracedRun one = RunCanonicalQuery(/*faults=*/false);
+  TracedRun two = RunCanonicalQuery(/*faults=*/false);
+  EXPECT_TRUE(one.trace_jsonl == two.trace_jsonl)
+      << DescribeFirstDivergence(one.trace_jsonl, two.trace_jsonl);
+  EXPECT_EQ(one.metrics_text, two.metrics_text);
   CompareWithGolden("q10_clean.jsonl", one.trace_jsonl);
 }
 
-TEST(TraceGoldenTest, FaultyTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
-  TracedRun one = RunCanonicalQuery(1, /*faults=*/true);
-  TracedRun four = RunCanonicalQuery(4, /*faults=*/true);
-  TracedRun eight = RunCanonicalQuery(8, /*faults=*/true);
-  EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
-  EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, eight.trace_jsonl);
-  EXPECT_EQ(one.metrics_text, four.metrics_text);
+TEST(TraceGoldenTest, FaultyTraceRepeatsAndMatchesGolden) {
+  TracedRun one = RunCanonicalQuery(/*faults=*/true);
+  TracedRun two = RunCanonicalQuery(/*faults=*/true);
+  EXPECT_TRUE(one.trace_jsonl == two.trace_jsonl)
+      << DescribeFirstDivergence(one.trace_jsonl, two.trace_jsonl);
+  EXPECT_EQ(one.metrics_text, two.metrics_text);
   // The golden is only interesting if the fault path genuinely fired.
   EXPECT_GT(one.report.task_failures_injected, 0);
   EXPECT_GT(one.report.task_retries, 0);
   CompareWithGolden("q10_faults.jsonl", one.trace_jsonl);
 }
 
-TEST(TraceGoldenTest,
-     CorruptionTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
+TEST(TraceGoldenTest, CorruptionTraceRepeatsAndMatchesGolden) {
   TracedRun one =
-      RunCanonicalQuery(1, /*faults=*/false, 1.0, /*corruption=*/true);
-  TracedRun four =
-      RunCanonicalQuery(4, /*faults=*/false, 1.0, /*corruption=*/true);
-  TracedRun eight =
-      RunCanonicalQuery(8, /*faults=*/false, 1.0, /*corruption=*/true);
-  EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
-  EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
-      << DescribeFirstDivergence(one.trace_jsonl, eight.trace_jsonl);
-  EXPECT_EQ(one.metrics_text, four.metrics_text);
-  EXPECT_EQ(one.metrics_text, eight.metrics_text);
+      RunCanonicalQuery(/*faults=*/false, 1.0, /*corruption=*/true);
+  TracedRun two =
+      RunCanonicalQuery(/*faults=*/false, 1.0, /*corruption=*/true);
+  EXPECT_TRUE(one.trace_jsonl == two.trace_jsonl)
+      << DescribeFirstDivergence(one.trace_jsonl, two.trace_jsonl);
+  EXPECT_EQ(one.metrics_text, two.metrics_text);
   // The golden is only interesting if every integrity path genuinely fired
   // (this also guarantees scripts/check_goldens.sh can grep the events).
   EXPECT_GT(one.report.block_corruptions, 0);
@@ -166,7 +151,7 @@ TEST(TraceGoldenTest,
 }
 
 TEST(TraceGoldenTest, TraceCoversTheWholeQueryLifecycle) {
-  TracedRun run = RunCanonicalQuery(1, /*faults=*/false);
+  TracedRun run = RunCanonicalQuery(/*faults=*/false);
   for (const char* name :
        {"\"name\":\"pilot_leaf\"", "\"name\":\"pilot_batch\"",
         "\"name\":\"optimize\"", "\"name\":\"job_submit\"",
@@ -187,9 +172,9 @@ TEST(TraceGoldenTest, CostModelPerturbationNamesFirstDivergentSpan) {
   // every broadcast join's cost, so the winner's cost must move) must fail
   // the golden comparison with a diff that names the optimizer span where
   // the costs first diverge — not merely "files differ".
-  TracedRun baseline = RunCanonicalQuery(1, /*faults=*/false);
+  TracedRun baseline = RunCanonicalQuery(/*faults=*/false);
   TracedRun perturbed =
-      RunCanonicalQuery(1, /*faults=*/false, /*c_probe_scale=*/1.3);
+      RunCanonicalQuery(/*faults=*/false, /*c_probe_scale=*/1.3);
   ASSERT_NE(baseline.trace_jsonl, perturbed.trace_jsonl)
       << "perturbing c_probe must alter traced optimizer costs";
   std::string diff =
