@@ -1,6 +1,6 @@
 #include "exec/row_ops.h"
 
-#include <set>
+#include <algorithm>
 
 #include "columnar/batch_eval.h"
 
@@ -40,11 +40,15 @@ Value JoinKeyValue(const Value& row,
 }
 
 Value MergeRows(const Value& left, const Value& right) {
-  StructFields merged = left.fields();
-  std::set<std::string> seen;
-  for (const auto& [name, value] : merged) seen.insert(name);
-  for (const auto& [name, value] : right.fields()) {
-    if (seen.insert(name).second) merged.emplace_back(name, value);
+  const StructFields& right_fields = right.fields();
+  StructFields merged;
+  merged.reserve(left.fields().size() + right_fields.size());
+  merged.assign(left.fields().begin(), left.fields().end());
+  for (const auto& field : right_fields) {
+    const bool present = std::any_of(
+        merged.begin(), merged.end(),
+        [&field](const auto& m) { return m.first == field.first; });
+    if (!present) merged.push_back(field);
   }
   return Value::Struct(std::move(merged));
 }

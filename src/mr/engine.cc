@@ -8,6 +8,8 @@
 #include <optional>
 #include <queue>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "columnar/batch_eval.h"
@@ -114,8 +116,8 @@ struct TaskRunState : AttemptState {
 struct TaskStaged {
   Counters counters;  ///< This task's contribution alone.
   Split output;       ///< Map-only or reduce output records.
-  std::vector<std::pair<Value, Value>> emissions;  ///< Map of a reduce job.
-  /// Encoded key + value bytes of each emission, sized once at Emit.
+  std::vector<Emission> emissions;  ///< Map of a reduce job.
+  /// Encoded key + payload bytes of each emission, sized once at Emit.
   std::vector<uint32_t> emission_bytes;
   Split quarantine;   ///< Poison records skipped by this (map) task.
   std::vector<uint64_t> quarantine_indexes;  ///< Their record indexes.
@@ -200,7 +202,7 @@ struct RunningJob {
 
   /// Reduce-side state. The reducer count, the size of
   /// tasks[kReduceTask], is fixed at the first shuffle.
-  std::vector<std::vector<std::pair<Value, Value>>> partitions;
+  std::vector<std::vector<Emission>> partitions;
   /// Encoded bytes of each partition bucket, summed as it is (re)built.
   std::vector<uint64_t> partition_bytes;
   bool reduce_opened = false;  ///< First shuffle completed at least once.
@@ -318,7 +320,7 @@ struct TaskLaunch {
   const Split* split = nullptr;  ///< Input split (map tasks).
   int task_index = 0;
   SimMillis setup_ms = 0;  ///< Side-data load charge, decided at launch.
-  std::vector<std::pair<Value, Value>> bucket;  ///< Reduce input.
+  std::vector<Emission> bucket;  ///< Reduce input.
   /// Node the attempt was placed on (always >= 0 once launched).
   int node = 0;
   /// Fault draws, decided at launch. An attempt marked `inject_failure`
@@ -368,11 +370,15 @@ class TaskContext : public MapContext, public ReduceContext {
       : out_(out), task_index_(task_index) {}
 
   void Emit(Value key, Value value) override {
-    size_t bytes = key.EncodedSize() + value.EncodedSize();
+    // Encoded into a reused buffer, so the staged payload is one exact-size
+    // copy rather than a string grown append by append.
+    encode_buffer_.clear();
+    value.EncodeTo(&encode_buffer_);
+    size_t bytes = key.EncodedSize() + encode_buffer_.size();
     out_->counters.map_output_records += 1;
     out_->counters.map_output_bytes += bytes;
     out_->emission_bytes.push_back(static_cast<uint32_t>(bytes));
-    out_->emissions.emplace_back(std::move(key), std::move(value));
+    out_->emissions.emplace_back(std::move(key), encode_buffer_);
   }
 
   void Output(Value record) override {
@@ -390,6 +396,7 @@ class TaskContext : public MapContext, public ReduceContext {
  private:
   TaskOutcome* out_;
   int task_index_;
+  std::string encode_buffer_;  ///< Emit's scratch encoding of a value.
   double extra_cpu_ = 0.0;
 };
 
@@ -522,8 +529,28 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   out->cpu_units += ctx.extra_cpu();
 }
 
+/// Decodes one emission's payload, which must hold exactly one value. A
+/// payload that does not is DataLoss: the reducer never skips a record.
+Status DecodePayload(const std::string& payload, Value* value) {
+  size_t offset = 0;
+  Result<Value> decoded = Value::Decode(payload, &offset);
+  if (!decoded.ok()) {
+    return Status::DataLoss("shuffle payload does not decode: " +
+                            decoded.status().ToString());
+  }
+  if (offset != payload.size()) {
+    return Status::DataLoss(StrFormat(
+        "shuffle payload holds %zu bytes past its value",
+        payload.size() - offset));
+  }
+  *value = std::move(*decoded);
+  return Status::OK();
+}
+
 /// Runs one reduce task's data flow over its (moved-in) partition bucket,
-/// whose encoded size the launch already knows (`bucket_bytes`).
+/// whose encoded size the launch already knows (`bucket_bytes`). Each key
+/// group's payloads are decoded into the values handed to the reduce
+/// function.
 /// `spill_runs` > 1 switches the sort to the bounded-memory external path:
 /// the bucket is cut input-order into that many chunks, each chunk is
 /// stable-sorted and round-tripped through the CRC-framed spill-run codec
@@ -534,13 +561,12 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
 /// models a flipped bit in run 0's stored bytes: the checksum must reject
 /// it and the attempt dies with DataLoss (never a wrong answer).
 void ExecuteReduceTask(const JobSpec& spec,
-                       std::vector<std::pair<Value, Value>> bucket,
+                       std::vector<Emission> bucket,
                        uint64_t bucket_bytes, int spill_runs,
                        bool corrupt_spill, TaskOutcome* out) {
   out->input_bytes = bucket_bytes;
   out->counters.reduce_input_records = bucket.size();
-  auto key_less = [](const std::pair<Value, Value>& a,
-                     const std::pair<Value, Value>& b) {
+  auto key_less = [](const Emission& a, const Emission& b) {
     return a.first.Compare(b.first) < 0;
   };
   if (spill_runs > 1 && !bucket.empty()) {
@@ -548,10 +574,10 @@ void ExecuteReduceTask(const JobSpec& spec,
     const size_t per_run =
         (n + static_cast<size_t>(spill_runs) - 1) /
         static_cast<size_t>(spill_runs);
-    std::vector<std::vector<std::pair<Value, Value>>> decoded;
+    std::vector<std::vector<Emission>> decoded;
     for (size_t start = 0; start < n; start += per_run) {
       const size_t end = std::min(n, start + per_run);
-      std::vector<std::pair<Value, Value>> run(
+      std::vector<Emission> run(
           std::make_move_iterator(bucket.begin() + start),
           std::make_move_iterator(bucket.begin() + end));
       std::stable_sort(run.begin(), run.end(), key_less);
@@ -572,7 +598,7 @@ void ExecuteReduceTask(const JobSpec& spec,
       return;
     }
     for (const Split& s : out->spill_runs) {
-      Result<std::vector<std::pair<Value, Value>>> run = DecodeSpillRun(s);
+      Result<std::vector<Emission>> run = DecodeSpillRun(s);
       if (!run.ok()) {
         out->status = run.status();
         return;
@@ -611,9 +637,11 @@ void ExecuteReduceTask(const JobSpec& spec,
            bucket[j].first.Compare(bucket[i].first) == 0) {
       ++j;
     }
-    std::vector<Value> values;
-    values.reserve(j - i);
-    for (size_t k = i; k < j; ++k) values.push_back(bucket[k].second);
+    std::vector<Value> values(j - i);
+    for (size_t k = i; k < j; ++k) {
+      out->status = DecodePayload(bucket[k].second, &values[k - i]);
+      if (!out->status.ok()) return;
+    }
     out->status = spec.reduce_fn(bucket[i].first, values, &ctx);
     if (!out->status.ok()) return;
     i = j;
@@ -629,11 +657,11 @@ void ExecuteReduceTask(const JobSpec& spec,
 
 }  // namespace
 
-Split EncodeSpillRun(const std::vector<std::pair<Value, Value>>& pairs) {
+Split EncodeSpillRun(const std::vector<Emission>& pairs) {
   Split run;
-  for (const auto& [key, value] : pairs) {
+  for (const auto& [key, payload] : pairs) {
     key.EncodeTo(&run.data);
-    value.EncodeTo(&run.data);
+    run.data += payload;
   }
   run.num_records = 2 * pairs.size();
   run.logical_bytes = run.data.size();
@@ -641,26 +669,37 @@ Split EncodeSpillRun(const std::vector<std::pair<Value, Value>>& pairs) {
   return run;
 }
 
-Result<std::vector<std::pair<Value, Value>>> DecodeSpillRun(
-    const Split& run) {
+Result<std::vector<Emission>> DecodeSpillRun(const Split& run) {
   DYNO_RETURN_IF_ERROR(VerifySplit(run));
   if (run.num_records % 2 != 0) {
     return Status::DataLoss(StrFormat(
         "spill run holds %llu records, not an even key/value count",
         (unsigned long long)run.num_records));
   }
-  std::vector<std::pair<Value, Value>> pairs;
+  auto malformed = [](const Status& s) {
+    return Status::DataLoss("spill run record does not decode: " +
+                            s.ToString());
+  };
+  const std::string_view data = run.data;
+  std::vector<Emission> pairs;
   pairs.reserve(run.num_records / 2);
-  SplitReader reader(&run);
-  while (!reader.AtEnd()) {
-    Result<Value> key = reader.Next();
-    if (!key.ok()) return key.status();
-    if (reader.AtEnd()) {
+  size_t offset = 0;
+  while (offset < data.size()) {
+    Result<Value> key = Value::Decode(data, &offset);
+    if (!key.ok()) return malformed(key.status());
+    if (offset >= data.size()) {
       return Status::DataLoss("spill run ends with a dangling key");
     }
-    Result<Value> value = reader.Next();
-    if (!value.ok()) return value.status();
-    pairs.emplace_back(std::move(*key), std::move(*value));
+    const size_t start = offset;
+    Status payload = Value::Skip(data, &offset);
+    if (!payload.ok()) return malformed(payload);
+    pairs.emplace_back(std::move(*key),
+                       std::string(data.substr(start, offset - start)));
+  }
+  if (2 * pairs.size() != run.num_records) {
+    return Status::DataLoss(StrFormat(
+        "spill run decoded %zu pairs, expected %llu", pairs.size(),
+        (unsigned long long)(run.num_records / 2)));
   }
   return pairs;
 }
@@ -1323,8 +1362,7 @@ class MapReduceEngine::Simulation {
         if (retain_emissions) {
           job->partitions[p].push_back(kv);
         } else {
-          job->partitions[p].emplace_back(std::move(kv.first),
-                                          std::move(kv.second));
+          job->partitions[p].push_back(std::move(kv));
         }
       }
       if (!retain_emissions) {
@@ -2021,7 +2059,7 @@ class MapReduceEngine::Simulation {
     if (t.corrupt_fetches > 0 && !t.bucket.empty()) {
       std::string frame;
       t.bucket.front().first.EncodeTo(&frame);
-      t.bucket.front().second.EncodeTo(&frame);
+      frame += t.bucket.front().second;
       const uint32_t sent = Crc32c(frame);
       frame[0] ^= 0x01;
       if (Crc32c(frame) == sent) {

@@ -23,19 +23,28 @@ class TraceSink;
 
 class Value;
 
-/// Encodes one sorted spill run — a sequence of (key, value) pairs — into a
-/// CRC-framed row-format Split (alternating encoded keys and values, so
-/// num_records == 2 * pairs). Spill runs live in DFS files next to the job
-/// output (`<output>.spill/t<task>`) while a spilling reduce task is the
-/// winning attempt, and are decoded back through the same checksum path as
-/// any other split: a flipped bit or truncation is DataLoss, never a wrong
-/// answer (DESIGN.md §6.10).
-Split EncodeSpillRun(const std::vector<std::pair<Value, Value>>& pairs);
+/// One staged map emission: the decoded key and the value's encoding. The
+/// shuffle hashes the key to pick a partition and the reduce sort orders
+/// keys by Value::Compare, so keys stay decoded; values wait as the bytes
+/// Value::EncodeTo wrote until the reducer decodes them per key group.
+using Emission = std::pair<Value, std::string>;
 
-/// Decodes a spill run back into (key, value) pairs. Verifies the CRC frame
-/// first; corruption or an odd record count returns DataLoss.
-Result<std::vector<std::pair<Value, Value>>> DecodeSpillRun(
-    const Split& run);
+/// Encodes one sorted spill run — a sequence of emissions — into a
+/// CRC-framed row-format Split: each key's encoding followed by its
+/// payload, so num_records == 2 * pairs and the bytes equal those of
+/// encoding each (key, value) pair in turn. Spill runs live in DFS files
+/// next to the job output (`<output>.spill/t<task>`) while a spilling
+/// reduce task is the winning attempt, and are decoded back through the
+/// same checksum path as any other split: a flipped bit or truncation is
+/// DataLoss, never a wrong answer (DESIGN.md §6.10).
+Split EncodeSpillRun(const std::vector<Emission>& pairs);
+
+/// Decodes a spill run back into emissions: keys are decoded, and each
+/// payload is checked with Value::Skip and copied out as bytes. Verifies
+/// the CRC frame first; corruption, a record count that is odd or
+/// disagrees with the pairs read, or a key or payload that does not decode
+/// after a clean CRC returns DataLoss.
+Result<std::vector<Emission>> DecodeSpillRun(const Split& run);
 
 /// The MapReduce cluster simulator. Jobs execute their *real* data flow
 /// (map functions run over decoded rows, emissions are partitioned, sorted

@@ -247,20 +247,59 @@ std::vector<std::pair<Value, Value>> RandomSpillPairs(Rng* rng,
   return pairs;
 }
 
+/// The emissions a map task stages for `pairs`: each key as is, each value
+/// as its encoding.
+std::vector<Emission> ToEmissions(
+    const std::vector<std::pair<Value, Value>>& pairs) {
+  std::vector<Emission> emissions;
+  for (const auto& [key, value] : pairs) {
+    std::string payload;
+    value.EncodeTo(&payload);
+    emissions.emplace_back(key, std::move(payload));
+  }
+  return emissions;
+}
+
+std::string Encoded(const Value& v) {
+  std::string out;
+  v.EncodeTo(&out);
+  return out;
+}
+
 TEST_P(SpillRunRotFuzzTest, SpillRunsRoundTripExactly) {
   Rng rng(GetParam() * 2713 + 5);
   const int iters = FuzzIters(80);
   for (int i = 0; i < iters; ++i) {
     auto pairs = RandomSpillPairs(&rng, 40);
-    Split run = EncodeSpillRun(pairs);
+    Split run = EncodeSpillRun(ToEmissions(pairs));
     ASSERT_TRUE(VerifySplit(run).ok());
     auto decoded = DecodeSpillRun(run);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ASSERT_EQ(decoded->size(), pairs.size());
     for (size_t p = 0; p < pairs.size(); ++p) {
       EXPECT_EQ((*decoded)[p].first.Compare(pairs[p].first), 0) << p;
-      EXPECT_EQ((*decoded)[p].second.Compare(pairs[p].second), 0) << p;
+      EXPECT_EQ(Encoded((*decoded)[p].first), Encoded(pairs[p].first)) << p;
+      EXPECT_EQ((*decoded)[p].second, Encoded(pairs[p].second)) << p;
     }
+  }
+}
+
+TEST_P(SpillRunRotFuzzTest, SpillRunBytesEqualTheKeyValueEncoding) {
+  // Staging values as payloads must not change a run's bytes: a run is
+  // each key's encoding followed by its value's, as when both were values.
+  Rng rng(GetParam() * 4111 + 3);
+  const int iters = FuzzIters(80);
+  for (int i = 0; i < iters; ++i) {
+    auto pairs = RandomSpillPairs(&rng, 40);
+    std::string expected;
+    for (const auto& [key, value] : pairs) {
+      key.EncodeTo(&expected);
+      value.EncodeTo(&expected);
+    }
+    Split run = EncodeSpillRun(ToEmissions(pairs));
+    EXPECT_EQ(run.data, expected);
+    EXPECT_EQ(run.num_records, 2 * pairs.size());
+    EXPECT_EQ(run.logical_bytes, expected.size());
   }
 }
 
@@ -268,7 +307,7 @@ TEST_P(SpillRunRotFuzzTest, BitFlippedSpillRunsAlwaysReadAsDataLoss) {
   Rng rng(GetParam() * 9973 + 11);
   const int iters = FuzzIters(120);
   for (int i = 0; i < iters; ++i) {
-    Split run = EncodeSpillRun(RandomSpillPairs(&rng, 30));
+    Split run = EncodeSpillRun(ToEmissions(RandomSpillPairs(&rng, 30)));
     if (run.data.empty()) continue;
     Split bad = run;
     bad.data[rng.Uniform(bad.data.size())] ^=
@@ -284,11 +323,40 @@ TEST_P(SpillRunRotFuzzTest, TruncatedSpillRunsAlwaysReadAsDataLoss) {
   Rng rng(GetParam() * 5861 + 23);
   const int iters = FuzzIters(120);
   for (int i = 0; i < iters; ++i) {
-    Split run = EncodeSpillRun(RandomSpillPairs(&rng, 30));
+    Split run = EncodeSpillRun(ToEmissions(RandomSpillPairs(&rng, 30)));
     if (run.data.empty()) continue;
     Split bad = run;
     bad.data.resize(rng.Uniform(bad.data.size()));
     auto decoded = DecodeSpillRun(bad);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << decoded.status().ToString();
+  }
+}
+
+TEST_P(SpillRunRotFuzzTest, MalformedPayloadUnderValidCrcIsDataLoss) {
+  // A run written from a payload that is not one value carries a CRC that
+  // verifies; decoding must still reject it rather than surface the bytes.
+  // The bad payload is either an unknown tag (anywhere in the run) or a
+  // strict prefix of a valid encoding (in the last pair, where nothing
+  // follows to be misread as the rest of it).
+  Rng rng(GetParam() * 3371 + 7);
+  const int iters = FuzzIters(120);
+  for (int i = 0; i < iters; ++i) {
+    std::vector<Emission> emissions =
+        ToEmissions(RandomSpillPairs(&rng, 20));
+    if (rng.Bernoulli(0.5)) {
+      Emission& victim = emissions[rng.Uniform(emissions.size())];
+      victim.second.insert(victim.second.begin(),
+                           static_cast<char>(7 + rng.Uniform(249)));
+    } else {
+      std::string& last = emissions.back().second;
+      last = Encoded(Value::String(std::string(1 + rng.Uniform(40), 'x')));
+      last.resize(rng.Uniform(last.size()));
+    }
+    Split run = EncodeSpillRun(emissions);
+    ASSERT_TRUE(VerifySplit(run).ok());
+    auto decoded = DecodeSpillRun(run);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
         << decoded.status().ToString();
@@ -301,10 +369,26 @@ TEST_P(SpillRunRotFuzzTest, OddRecordCountIsDataLossNotDanglingRead) {
   Rng rng(GetParam() * 769 + 1);
   const int iters = FuzzIters(60);
   for (int i = 0; i < iters; ++i) {
-    auto pairs = RandomSpillPairs(&rng, 20);
-    Split run = EncodeSpillRun(pairs);
+    Split run = EncodeSpillRun(ToEmissions(RandomSpillPairs(&rng, 20)));
     Split torn = run;
     torn.num_records = run.num_records - 1;  // CRC still matches data.
+    auto decoded = DecodeSpillRun(torn);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << decoded.status().ToString();
+  }
+}
+
+TEST_P(SpillRunRotFuzzTest, EvenRecordCountMismatchIsDataLoss) {
+  // An even record count that disagrees with the pairs the bytes hold
+  // (CRC still valid) is as torn as an odd one.
+  Rng rng(GetParam() * 1217 + 9);
+  const int iters = FuzzIters(60);
+  for (int i = 0; i < iters; ++i) {
+    Split run = EncodeSpillRun(ToEmissions(RandomSpillPairs(&rng, 20)));
+    Split torn = run;
+    torn.num_records = rng.Bernoulli(0.5) ? run.num_records + 2
+                                          : run.num_records - 2;
     auto decoded = DecodeSpillRun(torn);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
