@@ -277,6 +277,8 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
   // is replayed for the next, at the clock cost it had.
   UnitReplayLog replay;
   SimMillis best = -1;
+  const std::vector<std::string> existing =
+      ListQueryTemp(*engine_->dfs(), options_.exec.query_id);
   for (size_t i = 0; i < top_k; ++i) {
     PlanExecutor executor(engine_, options_.exec);
     DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
@@ -297,6 +299,12 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
       result.output = run->output;
     }
   }
+  // Every candidate has run (a binding failure can only stop the first,
+  // before anything ran): all but the winner's output is reclaimed, the
+  // losing candidates' outputs included.
+  ReclaimQueryTemp(engine_->dfs(), options_.exec.query_id,
+                   result.output != nullptr ? result.output->path() : "",
+                   existing);
   if (best < 0) {
     return Status::Internal("no static candidate executed successfully");
   }

@@ -205,10 +205,17 @@ Result<RelOptBaseline::RunResult> RelOptBaseline::PlanAndExecute(
   std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
   PlanExecutor executor(engine_, exec_options);
   DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
+  const std::vector<std::string> existing =
+      ListQueryTemp(*engine_->dfs(), exec_options.query_id);
   SimMillis start = engine_->now();
   auto run = RunStaticPlan(&executor, *plan, /*parallel_waves=*/true,
                            block.output_columns);
   result.elapsed_ms = engine_->now() - start;
+  // Whether the plan ran or failed, only its output outlives it.
+  ReclaimQueryTemp(engine_->dfs(), exec_options.query_id,
+                   run.ok() && run->output != nullptr ? run->output->path()
+                                                      : "",
+                   existing);
   if (obs::TraceSink* trace = engine_->trace()) {
     trace->Record(obs::TraceEvent(start, result.elapsed_ms,
                                   obs::TraceLane::kDriver, "baseline",

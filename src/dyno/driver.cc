@@ -266,6 +266,8 @@ Result<QueryRunReport> DynoDriver::ExecuteInternal(
   // Seeding with the resume manifest keeps the already-applied entries
   // available should this run itself be killed and resumed again.
   manifest_ = resume != nullptr ? *resume : CheckpointManifest{};
+  const std::vector<std::string> existing =
+      ListQueryTemp(*engine_->dfs(), options_.exec.query_id);
   QueryRunReport report;
   SimMillis start = engine_->now();
   DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> joined,
@@ -276,6 +278,10 @@ Result<QueryRunReport> DynoDriver::ExecuteInternal(
   report.result = current;
   report.result_records = current ? current->num_records() : 0;
   report.total_ms = engine_->now() - start;
+  // Only a run that returns its result gives up its intermediates: a
+  // failed or killed one keeps them for Resume.
+  ReclaimQueryTemp(engine_->dfs(), options_.exec.query_id,
+                   current ? current->path() : "", existing);
   return report;
 }
 
@@ -285,6 +291,8 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
     return Status::InvalidArgument("multi-block query has no blocks");
   }
   manifest_ = CheckpointManifest{};
+  const std::vector<std::string> existing =
+      ListQueryTemp(*engine_->dfs(), options_.exec.query_id);
   QueryRunReport report;
   SimMillis start = engine_->now();
 
@@ -384,6 +392,10 @@ Result<QueryRunReport> DynoDriver::ExecuteMultiBlock(
   report.result = last_output;
   report.result_records = last_output ? last_output->num_records() : 0;
   report.total_ms = engine_->now() - start;
+  // The "@block:" tables point into the temp directory too: a later run
+  // re-points each before it reads it.
+  ReclaimQueryTemp(engine_->dfs(), options_.exec.query_id,
+                   last_output ? last_output->path() : "", existing);
   return report;
 }
 

@@ -272,8 +272,7 @@ Result<int> QueryService::RecoverPending(
   obs::MetricsRegistry* metrics = engine_->metrics();
   obs::TraceSink* trace = engine_->trace();
   int recovered = 0;
-  for (const std::string& path : engine_->dfs()->List()) {
-    if (!StartsWith(path, prefix)) continue;
+  for (const std::string& path : engine_->dfs()->List(prefix)) {
     const std::string query_id = path.substr(prefix.size());
     const QuerySubmission* match = nullptr;
     for (const QuerySubmission& sub : submissions) {
@@ -494,18 +493,11 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     if (session->stop == Session::Stop::kHalt) return;
     Dfs* dfs = engine_->dfs();
     if (session->admit_ms >= 0) {
-      const std::string temp_dir =
-          QueryTempDir(session->scoped_options.exec.query_id) + "/";
       const Result<QueryRunReport>& result = *session->driver_result;
-      const std::string keep = result.ok() && result->result != nullptr
-                                   ? result->result->path()
-                                   : "";
-      for (const std::string& path : dfs->List()) {
-        if (StartsWith(path, temp_dir) && path != keep &&
-            !EndsWith(path, ".quarantine")) {
-          dfs->Delete(path).ok();
-        }
-      }
+      ReclaimQueryTemp(dfs, session->scoped_options.exec.query_id,
+                       result.ok() && result->result != nullptr
+                           ? result->result->path()
+                           : "");
     }
     if (options_.checkpoint_root.empty()) return;
     dfs->Delete(pending_marker_path(session)).ok();

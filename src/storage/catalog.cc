@@ -25,20 +25,25 @@ Status Catalog::ReplaceTable(const std::string& name,
   return Status::OK();
 }
 
-Status Catalog::CreateTable(const std::string& name,
-                            const std::vector<Value>& rows) {
-  return CreateTable(name, rows, TableWriter::kDefaultSplitBytes);
+Status Catalog::WriteTable(const std::string& name,
+                           uint64_t target_split_bytes,
+                           const std::function<void(TableWriter&)>& fill) {
+  const std::string path = "/tables/" + name;
+  SplitFormat format = columnar::ColumnarEnabled() ? SplitFormat::kColumnar
+                                                   : SplitFormat::kRow;
+  DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file, dfs_->Create(path));
+  TableWriter writer(std::move(file), target_split_bytes, format);
+  fill(writer);
+  writer.Close();
+  return RegisterTable(name, path);
 }
 
 Status Catalog::CreateTable(const std::string& name,
                             const std::vector<Value>& rows,
                             uint64_t target_split_bytes) {
-  std::string path = "/tables/" + name;
-  SplitFormat format = columnar::ColumnarEnabled() ? SplitFormat::kColumnar
-                                                   : SplitFormat::kRow;
-  auto file = WriteRows(dfs_, path, rows, target_split_bytes, format);
-  if (!file.ok()) return file.status();
-  return RegisterTable(name, path);
+  return WriteTable(name, target_split_bytes, [&](TableWriter& out) {
+    for (const Value& row : rows) out.Append(row);
+  });
 }
 
 Result<TableEntry> Catalog::Lookup(const std::string& name) const {

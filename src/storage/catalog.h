@@ -1,6 +1,7 @@
 #ifndef DYNO_STORAGE_CATALOG_H_
 #define DYNO_STORAGE_CATALOG_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,13 +36,19 @@ class Catalog {
   /// live at the old path.
   Status ReplaceTable(const std::string& name, const std::string& dfs_path);
 
-  /// Creates a DFS file from `rows` and registers it under `name`. Base
-  /// tables are written columnar when DYNO_COLUMNAR=1, row format otherwise;
-  /// either way every split carries a zone map. `target_split_bytes` lets
-  /// tests script exact split layouts (pinned pruning counts).
-  Status CreateTable(const std::string& name, const std::vector<Value>& rows);
-  Status CreateTable(const std::string& name, const std::vector<Value>& rows,
-                     uint64_t target_split_bytes);
+  /// Streams a new table into "/tables/<name>": `fill` appends its rows one
+  /// at a time, then the last split is sealed and the table registered, so
+  /// no more than one split's rows are ever buffered. Base tables are
+  /// written columnar when DYNO_COLUMNAR=1, row format otherwise; either
+  /// way every split carries a zone map.
+  Status WriteTable(const std::string& name, uint64_t target_split_bytes,
+                    const std::function<void(TableWriter&)>& fill);
+
+  /// WriteTable over `rows`. `target_split_bytes` lets tests script exact
+  /// split layouts (pinned pruning counts).
+  Status CreateTable(
+      const std::string& name, const std::vector<Value>& rows,
+      uint64_t target_split_bytes = TableWriter::kDefaultSplitBytes);
 
   Result<TableEntry> Lookup(const std::string& name) const;
 

@@ -1,5 +1,6 @@
 #include "storage/dfs.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "columnar/column.h"
@@ -86,10 +87,12 @@ int Dfs::DeleteWithPrefix(const std::string& prefix) {
   return n;
 }
 
-std::vector<std::string> Dfs::List() const {
+std::vector<std::string> Dfs::List(const std::string& prefix) const {
   std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, file] : files_) out.push_back(path);
+  for (auto it = files_.lower_bound(prefix);
+       it != files_.end() && StartsWith(it->first, prefix); ++it) {
+    out.push_back(it->first);
+  }
   return out;
 }
 
@@ -101,6 +104,22 @@ uint64_t Dfs::WriteEpoch(const std::string& path) const {
 std::string QueryTempDir(const std::string& query_id) {
   const std::string root = "/tmp/dyno";
   return query_id.empty() ? root : root + "/q/" + query_id;
+}
+
+std::vector<std::string> ListQueryTemp(const Dfs& dfs,
+                                       const std::string& query_id) {
+  return dfs.List(QueryTempDir(query_id) + "/");
+}
+
+void ReclaimQueryTemp(Dfs* dfs, const std::string& query_id,
+                      const std::string& result,
+                      const std::vector<std::string>& existing) {
+  for (const std::string& path : ListQueryTemp(*dfs, query_id)) {
+    if (path != result && !EndsWith(path, ".quarantine") &&
+        !std::binary_search(existing.begin(), existing.end(), path)) {
+      dfs->Delete(path).ok();
+    }
+  }
 }
 
 TableWriter::TableWriter(std::shared_ptr<DfsFile> file,
@@ -149,7 +168,11 @@ void TableWriter::Seal() {
 
 Result<Value> SplitReader::Next() {
   if (AtEnd()) return Status::NotFound("end of split");
-  return Value::Decode(split_->data, &offset_);
+  Result<Value> row = Value::Decode(split_->data, &offset_);
+  // Stored bytes that do not decode are lost data, whatever the codec
+  // calls the failure.
+  if (!row.ok()) return Status::DataLoss(row.status().message());
+  return row;
 }
 
 namespace {

@@ -125,8 +125,9 @@ class Dfs {
   /// Removes every file whose path starts with `prefix`; returns the count.
   int DeleteWithPrefix(const std::string& prefix);
 
-  /// All paths in lexicographic order.
-  std::vector<std::string> List() const;
+  /// The paths that start with `prefix` (all paths by default), in
+  /// lexicographic order.
+  std::vector<std::string> List(const std::string& prefix = "") const;
 
   /// Monotone per-path write epoch: bumped every time `path` is created or
   /// deleted. Two opens of the same path with equal epochs are guaranteed to
@@ -142,9 +143,23 @@ class Dfs {
 
 /// DFS directory of one query's intermediates: "/tmp/dyno", extended with
 /// "/q/<query_id>" when `query_id` is non-empty. Executor, driver and pilot
-/// outputs all land under it, so the service reclaims everything a
-/// finished query wrote by this one prefix.
+/// outputs all land under it, so everything a finished query wrote is
+/// reclaimed by this one prefix.
 std::string QueryTempDir(const std::string& query_id);
+
+/// The files under `QueryTempDir(query_id)`, sorted: the snapshot a run
+/// takes at entry and hands to ReclaimQueryTemp.
+std::vector<std::string> ListQueryTemp(const Dfs& dfs,
+                                       const std::string& query_id);
+
+/// Reclaims a finished query's intermediates, as Hadoop removes a job's
+/// temporary files once the query ends: deletes every file under
+/// `QueryTempDir(query_id)` except `result`, the `<output>.quarantine` files
+/// (poison records are kept, like results) and the sorted `existing` paths
+/// (files that were there before the run).
+void ReclaimQueryTemp(Dfs* dfs, const std::string& query_id,
+                      const std::string& result,
+                      const std::vector<std::string>& existing = {});
 
 /// Buffers rows and seals them into splits of roughly `target_split_bytes`.
 /// The default mirrors an HDFS block: at simulator scale we use 64 KiB so a
@@ -185,7 +200,8 @@ class SplitReader {
  public:
   explicit SplitReader(const Split* split) : split_(split) {}
 
-  /// Returns the next row, or NotFound at end of split.
+  /// Returns the next row, NotFound at end of split, or DataLoss when the
+  /// bytes at the current offset do not decode.
   Result<Value> Next();
 
   bool AtEnd() const { return offset_ >= split_->data.size(); }

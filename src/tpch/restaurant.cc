@@ -1,9 +1,7 @@
 #include "tpch/restaurant.h"
 
-#include "columnar/knobs.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "storage/dfs.h"
 #include "tpch/queries.h"
 
 namespace dyno {
@@ -12,88 +10,78 @@ namespace {
 
 constexpr const char* kStates[6] = {"CA", "NY", "TX", "WA", "IL", "MA"};
 
-Status WriteTable(Catalog* catalog, const std::string& name,
-                  const std::vector<Value>& rows, uint64_t split_bytes) {
-  std::string path = "/tables/" + name;
-  SplitFormat format = columnar::ColumnarEnabled() ? SplitFormat::kColumnar
-                                                   : SplitFormat::kRow;
-  auto file = WriteRows(catalog->dfs(), path, rows, split_bytes, format);
-  if (!file.ok()) return file.status();
-  return catalog->RegisterTable(name, path);
-}
-
 }  // namespace
 
 Status GenerateRestaurantData(Catalog* catalog,
                               const RestaurantConfig& config) {
   Rng rng(config.seed);
 
-  std::vector<Value> restaurants;
-  for (uint64_t i = 0; i < config.num_restaurants; ++i) {
-    // ~8% of restaurants are in Palo Alto's 94301, and 94301 implies CA —
-    // the paper's correlated pair: P(zip)·P(state) badly underestimates
-    // P(zip AND state).
-    bool palo_alto = rng.Bernoulli(0.08);
-    int64_t zip = palo_alto ? 94301 : rng.UniformInt(10000, 99999);
-    const char* state = palo_alto ? "CA" : kStates[rng.Uniform(6)];
-    ArrayElements addrs;
-    addrs.push_back(Value::Struct({
-        {"city", Value::String(palo_alto ? "Palo Alto"
-                                         : StrFormat("city-%llu",
-                                                     (unsigned long long)(
-                                                         rng.Next() % 300)))},
-        {"state", Value::String(state)},
-        {"zip", Value::Int(zip)},
-    }));
-    if (rng.Bernoulli(0.3)) {
-      addrs.push_back(Value::Struct({
-          {"city", Value::String("secondary")},
-          {"state", Value::String(kStates[rng.Uniform(6)])},
-          {"zip", Value::Int(rng.UniformInt(10000, 99999))},
+  DYNO_RETURN_IF_ERROR(catalog->WriteTable(
+      "restaurant", config.split_bytes, [&](TableWriter& out) {
+        for (uint64_t i = 0; i < config.num_restaurants; ++i) {
+          // ~8% of restaurants are in Palo Alto's 94301, and 94301 implies
+          // CA — the paper's correlated pair: P(zip)·P(state) badly
+          // underestimates P(zip AND state).
+          bool palo_alto = rng.Bernoulli(0.08);
+          int64_t zip = palo_alto ? 94301 : rng.UniformInt(10000, 99999);
+          const char* state = palo_alto ? "CA" : kStates[rng.Uniform(6)];
+          ArrayElements addrs;
+          addrs.push_back(Value::Struct({
+              {"city", Value::String(
+                           palo_alto ? "Palo Alto"
+                                     : StrFormat("city-%llu",
+                                                 (unsigned long long)(
+                                                     rng.Next() % 300)))},
+              {"state", Value::String(state)},
+              {"zip", Value::Int(zip)},
+          }));
+          if (rng.Bernoulli(0.3)) {
+            addrs.push_back(Value::Struct({
+                {"city", Value::String("secondary")},
+                {"state", Value::String(kStates[rng.Uniform(6)])},
+                {"zip", Value::Int(rng.UniformInt(10000, 99999))},
+            }));
+          }
+          out.Append(MakeRow({
+              {"rs_id", Value::Int(static_cast<int64_t>(i))},
+              {"rs_name", Value::String(StrFormat("restaurant-%llu",
+                                                  (unsigned long long)i))},
+              {"rs_addr", Value::Array(std::move(addrs))},
+          }));
+        }
       }));
-    }
-    restaurants.push_back(MakeRow({
-        {"rs_id", Value::Int(static_cast<int64_t>(i))},
-        {"rs_name", Value::String(StrFormat("restaurant-%llu",
-                                            (unsigned long long)i))},
-        {"rs_addr", Value::Array(std::move(addrs))},
-    }));
-  }
-  DYNO_RETURN_IF_ERROR(WriteTable(catalog, "restaurant", restaurants,
-                                  config.split_bytes));
 
-  std::vector<Value> reviews;
-  for (uint64_t i = 0; i < config.num_reviews; ++i) {
-    reviews.push_back(MakeRow({
-        {"rv_id", Value::Int(static_cast<int64_t>(i))},
-        {"rv_rsid",
-         Value::Int(rng.UniformInt(
-             0, static_cast<int64_t>(config.num_restaurants) - 1))},
-        {"rv_tid",
-         Value::Int(rng.UniformInt(
-             0, static_cast<int64_t>(config.num_tweets) - 1))},
-        {"rv_stars", Value::Int(rng.UniformInt(1, 5))},
-        {"rv_text", Value::String(StrFormat("review text %llu",
-                                            (unsigned long long)i))},
-    }));
-  }
-  DYNO_RETURN_IF_ERROR(
-      WriteTable(catalog, "review", reviews, config.split_bytes));
+  DYNO_RETURN_IF_ERROR(catalog->WriteTable(
+      "review", config.split_bytes, [&](TableWriter& out) {
+        for (uint64_t i = 0; i < config.num_reviews; ++i) {
+          out.Append(MakeRow({
+              {"rv_id", Value::Int(static_cast<int64_t>(i))},
+              {"rv_rsid",
+               Value::Int(rng.UniformInt(
+                   0, static_cast<int64_t>(config.num_restaurants) - 1))},
+              {"rv_tid",
+               Value::Int(rng.UniformInt(
+                   0, static_cast<int64_t>(config.num_tweets) - 1))},
+              {"rv_stars", Value::Int(rng.UniformInt(1, 5))},
+              {"rv_text", Value::String(StrFormat("review text %llu",
+                                                  (unsigned long long)i))},
+          }));
+        }
+      }));
 
-  std::vector<Value> tweets;
-  for (uint64_t i = 0; i < config.num_tweets; ++i) {
-    tweets.push_back(MakeRow({
-        {"t_id", Value::Int(static_cast<int64_t>(i))},
-        {"t_user", Value::String(StrFormat("user-%llu",
-                                           (unsigned long long)(
-                                               rng.Next() % 5000)))},
-        {"t_text", Value::String(StrFormat("tweet %llu",
-                                           (unsigned long long)i))},
-    }));
-  }
-  DYNO_RETURN_IF_ERROR(
-      WriteTable(catalog, "tweet", tweets, config.split_bytes));
-  return Status::OK();
+  return catalog->WriteTable(
+      "tweet", config.split_bytes, [&](TableWriter& out) {
+        for (uint64_t i = 0; i < config.num_tweets; ++i) {
+          out.Append(MakeRow({
+              {"t_id", Value::Int(static_cast<int64_t>(i))},
+              {"t_user", Value::String(StrFormat("user-%llu",
+                                                 (unsigned long long)(
+                                                     rng.Next() % 5000)))},
+              {"t_text", Value::String(StrFormat("tweet %llu",
+                                                 (unsigned long long)i))},
+          }));
+        }
+      });
 }
 
 Query MakeRestaurantQuery() {

@@ -201,6 +201,33 @@ TEST(BlockCorruptionTest, AtRestBitRotSurfacesAsDataLossNeverWrongAnswer) {
   EXPECT_EQ(result->output, nullptr);
 }
 
+TEST(BlockCorruptionTest, UndecodableRowUnderCleanChecksumIsDataLoss) {
+  // The checksum covers what was committed, so it passes; but 0x7f is no
+  // value tag, and a row that does not decode is lost data all the same.
+  Dfs dfs;
+  auto file = dfs.Create("/in");
+  ASSERT_TRUE(file.ok());
+  Split split;
+  split.data = std::string(1, '\x7f');
+  split.num_records = 1;
+  (*file)->AppendSplit(std::move(split));
+
+  auto rows = DecodeSplitRows((*file)->splits()[0]);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kDataLoss)
+      << rows.status().ToString();
+  EXPECT_NE(rows.status().message().find("unknown value tag"),
+            std::string::npos)
+      << rows.status().ToString();
+
+  MapReduceEngine engine(&dfs, BaseConfig());
+  auto result = engine.Submit(IdentityScan(*file, "/out"));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->status.code(), StatusCode::kDataLoss)
+      << result->status.ToString();
+  EXPECT_EQ(result->output, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Shuffle corruption: in-attempt re-fetch, attempt retry, permanent loss.
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "common/string_util.h"
 #include "optimizer/optimizer.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
@@ -190,6 +192,67 @@ TEST_F(TpchGenTest, QueriesValidateAgainstSchema) {
           << nq.name << ": " << ref.table;
     }
   }
+}
+
+// One line per split of every generated table: checksum, record and byte
+// counts, and a hash of the zone map's rendering.
+std::string SplitFingerprint(const Catalog& catalog, const char* format) {
+  std::string out;
+  for (const std::string& table : catalog.TableNames()) {
+    auto file = catalog.OpenTable(table);
+    EXPECT_TRUE(file.ok()) << table;
+    if (!file.ok()) continue;
+    const std::vector<Split>& splits = (*file)->splits();
+    for (size_t i = 0; i < splits.size(); ++i) {
+      const Split& split = splits[i];
+      std::string zones = "none";
+      if (split.zone_map != nullptr) {
+        const columnar::ZoneMap& map = *split.zone_map;
+        zones = StrFormat("%llu/%d", (unsigned long long)map.num_rows(),
+                          map.trackable() ? 1 : 0);
+        for (const columnar::ColumnZone& zone : map.zones()) {
+          zones += StrFormat(
+              ";%s[%s,%s]%llu%d%d", zone.name.c_str(),
+              zone.min_value.ToString().c_str(),
+              zone.max_value.ToString().c_str(),
+              (unsigned long long)zone.non_null_rows,
+              zone.has_null_or_absent ? 1 : 0, zone.has_nan ? 1 : 0);
+        }
+      }
+      out += StrFormat("%s %s %zu crc=%08x records=%llu bytes=%llu "
+                       "logical=%llu zone=%016llx\n",
+                       format, table.c_str(), i, split.crc32c,
+                       (unsigned long long)split.num_records,
+                       (unsigned long long)split.num_bytes(),
+                       (unsigned long long)split.logical_bytes,
+                       (unsigned long long)HashBytes(zones, 0));
+    }
+  }
+  return out;
+}
+
+TEST(DatagenGoldenTest, SplitsMatchGolden) {
+  // Pins generation byte for byte in both formats: the same rows in the
+  // same RNG order, cut into the same splits with the same zone maps.
+  std::string fingerprint;
+  for (const char* columnar : {"0", "1"}) {
+    ScopedEnv env({{"DYNO_COLUMNAR", std::string(columnar)}});
+    Dfs dfs;
+    Catalog catalog(&dfs);
+    TpchConfig tpch;
+    tpch.scale = 0.001;
+    tpch.split_bytes = 8 * 1024;
+    ASSERT_TRUE(GenerateTpch(&catalog, tpch).ok());
+    RestaurantConfig restaurant;
+    restaurant.num_restaurants = 300;
+    restaurant.num_reviews = 600;
+    restaurant.num_tweets = 600;
+    restaurant.split_bytes = 4 * 1024;
+    ASSERT_TRUE(GenerateRestaurantData(&catalog, restaurant).ok());
+    fingerprint += SplitFingerprint(
+        catalog, columnar[0] == '1' ? "columnar" : "row");
+  }
+  CompareWithGolden("tpch_splits.txt", fingerprint);
 }
 
 TEST(HashFilterUdfTest, SelectivityApproximatelyHonored) {
