@@ -7,6 +7,7 @@
 #include <set>
 
 #include "baselines/exact_stats.h"
+#include "dyno/join_block_run.h"
 #include "obs/trace.h"
 
 namespace dyno {
@@ -270,9 +271,6 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
             });
   size_t top_k = std::min<size_t>(options_.execute_top_k, candidates.size());
 
-  std::vector<Predicate> non_local;
-  std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
-
   // The candidates mostly share their first joins: a unit one of them ran
   // is replayed for the next, at the clock cost it had.
   UnitReplayLog replay;
@@ -280,14 +278,13 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
   const std::vector<std::string> existing =
       ListQueryTemp(*engine_->dfs(), options_.exec.query_id);
   for (size_t i = 0; i < top_k; ++i) {
-    PlanExecutor executor(engine_, options_.exec);
-    DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
+    QueryRunReport report;
+    JoinBlockRun run(engine_, catalog_, /*store=*/nullptr,
+                     JaqlRunOptions(options_.exec), block, &report);
     SimMillis start = engine_->now();
-    auto run = RunStaticPlan(&executor, *candidates[i].plan,
-                             /*parallel_waves=*/true, block.output_columns,
-                             /*broadcast_fallback=*/false, &replay);
+    auto output = run.RunPlan(*candidates[i].plan, &replay);
     ++result.plans_executed;
-    if (!run.ok()) {
+    if (!output.ok()) {
       ++result.plans_failed;  // e.g. broadcast OOM at runtime
       continue;
     }
@@ -296,11 +293,10 @@ Result<BestStaticResult> BestStaticBaseline::Run(const JoinBlock& block) {
       best = elapsed;
       result.best_plan = candidates[i].compact;
       result.best_order = candidates[i].order;
-      result.output = run->output;
+      result.output = *output;
     }
   }
-  // Every candidate has run (a binding failure can only stop the first,
-  // before anything ran): all but the winner's output is reclaimed, the
+  // Every candidate has run: all but the winner's output is reclaimed, the
   // losing candidates' outputs included.
   ReclaimQueryTemp(engine_->dfs(), options_.exec.query_id,
                    result.output != nullptr ? result.output->path() : "",

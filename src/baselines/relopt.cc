@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "dyno/driver.h"
+#include "dyno/join_block_run.h"
 #include "obs/trace.h"
 
 namespace dyno {
@@ -201,35 +201,32 @@ Result<RelOptBaseline::RunResult> RelOptBaseline::PlanAndExecute(
   result.plan_compact = plan->ToString();
   result.plan_tree = plan->ToTreeString();
 
-  std::vector<Predicate> non_local;
-  std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
-  PlanExecutor executor(engine_, exec_options);
-  DYNO_RETURN_IF_ERROR(executor.BindLeaves(*catalog_, leaves));
   const std::vector<std::string> existing =
       ListQueryTemp(*engine_->dfs(), exec_options.query_id);
+  QueryRunReport report;
+  JoinBlockRun run(engine_, catalog_, /*store=*/nullptr,
+                   JaqlRunOptions(exec_options), block, &report);
   SimMillis start = engine_->now();
-  auto run = RunStaticPlan(&executor, *plan, /*parallel_waves=*/true,
-                           block.output_columns);
+  auto output = run.RunPlan(*plan);
   result.elapsed_ms = engine_->now() - start;
   // Whether the plan ran or failed, only its output outlives it.
   ReclaimQueryTemp(engine_->dfs(), exec_options.query_id,
-                   run.ok() && run->output != nullptr ? run->output->path()
-                                                      : "",
+                   output.ok() && *output != nullptr ? (*output)->path() : "",
                    existing);
   if (obs::TraceSink* trace = engine_->trace()) {
     trace->Record(obs::TraceEvent(start, result.elapsed_ms,
                                   obs::TraceLane::kDriver, "baseline",
                                   "relopt_plan")
                       .Arg("plan", result.plan_compact)
-                      .ArgBool("ok", run.ok()));
+                      .ArgBool("ok", output.ok()));
   }
-  if (!run.ok()) {
-    result.exec_status = run.status();
+  if (!output.ok()) {
+    result.exec_status = output.status();
     return result;
   }
-  result.jobs_run = run->jobs_run;
-  result.map_only_jobs = run->map_only_jobs;
-  result.output = run->output;
+  result.jobs_run = report.jobs_run;
+  result.map_only_jobs = report.map_only_jobs;
+  result.output = *output;
   return result;
 }
 

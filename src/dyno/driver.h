@@ -199,14 +199,8 @@ class DynoDriver {
   const CheckpointManifest& manifest() const { return manifest_; }
 
  private:
-  struct BlockState;
-
   Result<QueryRunReport> ExecuteInternal(const Query& query,
                                          const CheckpointManifest* resume);
-
-  Result<std::shared_ptr<DfsFile>> RunJoinBlock(
-      const JoinBlock& block, QueryRunReport* report,
-      const CheckpointManifest* resume);
 
   /// The tail after a block's joins: an optional group-by job, then an
   /// optional order-by job, written to "<temp>/<path_prefix>gb_<now>" and
@@ -223,49 +217,6 @@ class DynoDriver {
   /// Checkpoint state of the in-flight/most recent query run.
   CheckpointManifest manifest_;
 };
-
-/// Outcome of executing a fixed physical plan (no re-optimization). The
-/// inherited JobTotals fold every job the plan ran.
-struct StaticRunResult : JobTotals {
-  std::shared_ptr<DfsFile> output;
-  std::string final_relation_id;
-  int jobs_run = 0;
-  int map_only_jobs = 0;
-  int broadcast_fallbacks = 0;
-};
-
-/// The units one BESTSTATIC run has executed, for replay when a later
-/// candidate plan reaches the same unit (DESIGN.md §8). Entries are keyed
-/// by the unit's chain flags, canonical signature and request, and hold
-/// for executors sharing one engine and one ExecOptions.
-struct UnitReplayLog {
-  struct Entry {
-    StepResult step;
-    /// Engine-clock delta of the unit's wave, including any build-side
-    /// filter job that PlanExecutor::Prepare ran for it.
-    SimMillis wave_ms = 0;
-  };
-  std::map<std::string, Entry> units;
-  int replayed = 0;  ///< Units served from `units` instead of executed.
-};
-
-/// Executes `plan` as-is on `executor` (whose bindings must cover every
-/// leaf): wave-parallel when `parallel_waves` (all ready jobs submitted
-/// together — SIMPLE_MO), else strictly one job at a time (SIMPLE_SO).
-/// Used by DYNOPT-SIMPLE and by the RELOPT / BESTSTATIC baselines. With
-/// `broadcast_fallback`, an over-memory broadcast is demoted to
-/// repartition jobs instead of failing (DYNO's §8 dynamic join operator);
-/// the baselines keep Jaql's fail-on-OOM behaviour.
-///
-/// With a `replay` log, every successful unit is recorded in it, and a
-/// unit already recorded is replayed: its output is bound, the clock moves
-/// by the recorded delta and its totals fold as if it ran. Both happen only
-/// where replay is exact: the wave holds one unit, no fault can fire and no
-/// submit gate is installed.
-Result<StaticRunResult> RunStaticPlan(
-    PlanExecutor* executor, const PlanNode& plan, bool parallel_waves,
-    const std::vector<std::string>& final_projection,
-    bool broadcast_fallback = false, UnitReplayLog* replay = nullptr);
 
 }  // namespace dyno
 

@@ -27,6 +27,8 @@ std::vector<const JobUnit*> PickLeafJobs(
   if (leaf_jobs.empty()) return {};
   std::vector<const JobUnit*> sorted = leaf_jobs;
   switch (strategy) {
+    case ExecutionStrategy::kSimpleSerial: return {leaf_jobs[0]};
+    case ExecutionStrategy::kSimpleParallel: return leaf_jobs;
     case ExecutionStrategy::kUncertain1:
     case ExecutionStrategy::kUncertain2:
       // Most joins first; cost breaks ties (cheaper first) so we reach the
@@ -41,8 +43,6 @@ std::vector<const JobUnit*> PickLeafJobs(
       break;
     case ExecutionStrategy::kCheapest1:
     case ExecutionStrategy::kCheapest2:
-    case ExecutionStrategy::kSimpleSerial:
-    case ExecutionStrategy::kSimpleParallel:
       std::stable_sort(sorted.begin(), sorted.end(),
                        [](const JobUnit* a, const JobUnit* b) {
                          return a->est_cost < b->est_cost;

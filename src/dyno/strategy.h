@@ -38,8 +38,8 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy);
 bool IsSimpleStrategy(ExecutionStrategy strategy);
 
 /// Picks the leaf jobs to execute this iteration from `leaf_jobs` (all
-/// units whose inputs are materialized relations), per `strategy`. Only
-/// meaningful for the re-optimizing strategies.
+/// units whose inputs are materialized relations, in decomposition order),
+/// per `strategy`. SIMPLE_SO takes the first, SIMPLE_MO takes them all.
 std::vector<const JobUnit*> PickLeafJobs(
     ExecutionStrategy strategy, const std::vector<const JobUnit*>& leaf_jobs);
 

@@ -104,7 +104,7 @@ struct StepResult {
 
 /// Executes physical join plans as MapReduce jobs. Owns the bindings from
 /// relation ids to DFS files and the naming of intermediate results; the
-/// DYNOPT driver and the static executors are built on top of it.
+/// join-block run loop (dyno/join_block_run.h) is built on top of it.
 class PlanExecutor {
  public:
   PlanExecutor(MapReduceEngine* engine, ExecOptions options);
@@ -202,10 +202,6 @@ class PlanExecutor {
   /// id to the materialized (already filtered) output. Used when shipping
   /// a raw-but-filtered file as broadcast side data would be wasteful.
   Status MaterializeFilteredLeaf(const std::string& id);
-
-  /// Forgets unit outputs from previous decompositions (optional between
-  /// DYNOPT iterations; uids never collide, this only bounds the map).
-  void ResetUnitOutputs() { unit_outputs_.clear(); }
 
   MapReduceEngine* engine() const { return engine_; }
   const ExecOptions& options() const { return options_; }

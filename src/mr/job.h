@@ -164,9 +164,9 @@ struct JobSpec {
 };
 
 /// The fault, node, integrity and reduce-memory counters of one job — and,
-/// folded with Add, of a whole query or static plan. Declared once here;
-/// JobResult, QueryRunReport and StaticRunResult all inherit it (DESIGN.md
-/// "Job accounting").
+/// folded with Add, of a whole query or of one plan's run. Declared once
+/// here; JobResult and QueryRunReport inherit it (DESIGN.md "Job
+/// accounting").
 struct JobTotals {
   /// Fault-model accounting (all zero when fault injection is off).
   int task_failures_injected = 0;  ///< Attempts killed by injection.

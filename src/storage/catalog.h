@@ -36,6 +36,10 @@ class Catalog {
   /// live at the old path.
   Status ReplaceTable(const std::string& name, const std::string& dfs_path);
 
+  /// Forgets `name` (its file stays). Its replace epoch is kept, so a later
+  /// registration under the same name never repeats a TableVersion.
+  void DropTable(const std::string& name) { tables_.erase(name); }
+
   /// Streams a new table into "/tables/<name>": `fill` appends its rows one
   /// at a time, then the last split is sealed and the table registered, so
   /// no more than one split's rows are ever buffered. Base tables are

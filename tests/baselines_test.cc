@@ -3,6 +3,7 @@
 #include "baselines/best_static.h"
 #include "baselines/exact_stats.h"
 #include "baselines/relopt.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -169,6 +170,77 @@ TEST_F(BaselinesTest, BestStaticFindsCorrectAndCompetitivePlan) {
   auto oracle = NaiveEvaluateJoinBlock(&catalog_, block);
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(result->output->num_records(), oracle->size());
+}
+
+/// lineitem ⋈ orders, unfiltered. With the cost model told tasks hold
+/// 256 KiB, orders' file (~97 KB, ×1.5) passes Jaql's broadcast rule and
+/// lineitem's does not, while the engine's 64 KiB tasks cannot hold orders.
+JoinBlock OverMemoryBroadcastBlock() {
+  JoinBlock block;
+  block.tables = {{"lineitem", "l"}, {"orders", "o"}};
+  block.edges = {{"l", "l_orderkey", "o", "o_orderkey"}};
+  block.output_columns = {"l_orderkey", "o_custkey"};
+  return block;
+}
+
+TEST_F(BaselinesTest, BestStaticCountsAnOverMemoryBroadcastAsFailed) {
+  obs::TraceSink trace;
+  engine_.set_trace(&trace);
+  BestStaticOptions options;
+  options.cost = Cost();
+  options.cost.max_memory_bytes = 256 * 1024;
+  options.execute_top_k = 10;
+  BestStaticBaseline baseline(&engine_, &catalog_, options);
+  const JoinBlock block = OverMemoryBroadcastBlock();
+  auto result = baseline.Run(block);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // (l *b o) dies of OutOfMemory, Jaql's behaviour: no repartition
+  // fallback rescues it.
+  EXPECT_EQ(result->plans_executed, 2);
+  EXPECT_EQ(result->plans_failed, 1);
+  EXPECT_EQ(result->best_plan, "(o *r l)");
+  EXPECT_EQ(trace.SerializeJsonl().find("broadcast_fallback"),
+            std::string::npos);
+  auto oracle = NaiveEvaluateJoinBlock(&catalog_, block);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(result->output->num_records(), oracle->size());
+  engine_.set_trace(nullptr);
+}
+
+TEST_F(BaselinesTest, RelOptOverMemoryBroadcastFailsWithOutOfMemory) {
+  CostModelParams cost = Cost();
+  cost.max_memory_bytes = 256 * 1024;
+  RelOptBaseline relopt(&engine_, &catalog_, cost);
+  auto run = relopt.PlanAndExecute(OverMemoryBroadcastBlock(), ExecOptions());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->plan_compact, "(l *b o)");
+  EXPECT_EQ(run->exec_status.code(), StatusCode::kOutOfMemory)
+      << run->exec_status.ToString();
+  EXPECT_EQ(run->output, nullptr);
+  EXPECT_EQ(run->jobs_run, 0);
+}
+
+TEST_F(BaselinesTest, SingleTableBlockReturnsItsFilteredProjection) {
+  JoinBlock block;
+  block.tables = {{"orders", "o"}};
+  block.predicates = {{Ge(Col("o_orderdate"), LitInt(19950101)), {"o"}}};
+  block.output_columns = {"o_orderkey"};
+  auto oracle = NaiveEvaluateJoinBlock(&catalog_, block);
+  ASSERT_TRUE(oracle.ok());
+  BestStaticOptions options;
+  options.cost = Cost();
+  BestStaticBaseline baseline(&engine_, &catalog_, options);
+  auto best = baseline.Run(block);
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
+  EXPECT_EQ(best->output->num_records(), oracle->size());
+  RelOptBaseline relopt(&engine_, &catalog_, Cost());
+  auto run = relopt.PlanAndExecute(block, ExecOptions());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->exec_status.ok()) << run->exec_status.ToString();
+  EXPECT_EQ(run->output->num_records(), oracle->size());
+  std::vector<Value> rows = MustReadAll(*run->output);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0].FindField("o_custkey"), nullptr) << "not projected";
 }
 
 TEST_F(BaselinesTest, BestStaticEnumerationDedupesPlans) {

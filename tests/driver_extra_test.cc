@@ -6,6 +6,7 @@
 
 #include "baselines/best_static.h"
 #include "dyno/driver.h"
+#include "dyno/join_block_run.h"
 #include "obs/trace.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
@@ -73,7 +74,7 @@ TEST_F(DriverExtraTest, HiveBackendProducesSameResults) {
 }
 
 TEST_F(DriverExtraTest, StaticSerialAndParallelProduceIdenticalRows) {
-  // RunStaticPlan's SO and MO paths must differ only in schedule.
+  // A given plan's SO and MO runs must differ only in schedule.
   Query q2 = MakeTpchQ2();
   BestStaticOptions options;
   options.cost = MakeOptions().cost;
@@ -82,25 +83,19 @@ TEST_F(DriverExtraTest, StaticSerialAndParallelProduceIdenticalRows) {
                                      {"p", "ps", "s", "n", "r"});
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  auto run = [&](bool parallel) -> std::vector<Value> {
-    PlanExecutor executor(&engine_, ExecOptions());
-    std::vector<LeafExpr> leaves =
-        ExtractLeafExprs(q2.join_block, nullptr);
-    for (const LeafExpr& leaf : leaves) {
-      auto file = catalog_.OpenTable(leaf.table);
-      EXPECT_TRUE(file.ok());
-      RelationBinding binding;
-      binding.file = *file;
-      binding.scan_filter = leaf.filter;
-      executor.Bind(leaf.alias, std::move(binding));
-    }
-    auto result = RunStaticPlan(&executor, **plan, parallel,
-                                q2.join_block.output_columns);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return MustReadAll(*result->output);
+  auto run = [&](ExecutionStrategy strategy) -> std::vector<Value> {
+    DynoOptions run_options = JaqlRunOptions(ExecOptions());
+    run_options.strategy = strategy;
+    QueryRunReport report;
+    JoinBlockRun block_run(&engine_, &catalog_, /*store=*/nullptr,
+                           run_options, q2.join_block, &report);
+    auto output = block_run.RunPlan(**plan);
+    EXPECT_TRUE(output.ok()) << output.status().ToString();
+    if (!output.ok()) return {};
+    return MustReadAll(**output);
   };
-  std::vector<Value> serial = run(false);
-  std::vector<Value> parallel = run(true);
+  std::vector<Value> serial = run(ExecutionStrategy::kSimpleSerial);
+  std::vector<Value> parallel = run(ExecutionStrategy::kSimpleParallel);
   SortRowsForComparison(&serial);
   SortRowsForComparison(&parallel);
   ASSERT_EQ(serial.size(), parallel.size());

@@ -1,5 +1,5 @@
-// The job-accounting invariant: the JobTotals a query report (or a static
-// plan run) carries are exactly the fold, with JobTotals::Add, of the
+// The job-accounting invariant: the JobTotals a query report (or the run of
+// a given plan) carries are exactly the fold, with JobTotals::Add, of the
 // JobTotals of every job the engine ran for it. A recording submit gate
 // sees every JobResult, so any fold site that drops a counter, or a job,
 // shows up as a mismatch. The runs switch on every hazard that moves the
@@ -15,6 +15,7 @@
 
 #include "common/string_util.h"
 #include "dyno/driver.h"
+#include "dyno/join_block_run.h"
 #include "exec/plan_executor.h"
 #include "mr/engine.h"
 #include "obs/trace.h"
@@ -149,17 +150,17 @@ class JobAccountingTest : public ::testing::Test {
     return gate.totals();
   }
 
-  /// Binds Q10's leaves on a fresh executor.
-  void BindQ10Leaves(PlanExecutor* executor) {
-    for (const LeafExpr& leaf :
-         ExtractLeafExprs(MakeTpchQ10().join_block, nullptr)) {
-      auto file = catalog_.OpenTable(leaf.table);
-      ASSERT_TRUE(file.ok());
-      RelationBinding binding;
-      binding.file = *file;
-      binding.scan_filter = leaf.filter;
-      executor->Bind(leaf.alias, std::move(binding));
-    }
+  /// Runs `plan` over `block`'s leaves through the join-block loop the
+  /// way the baselines do, one unit at a time.
+  static Result<std::shared_ptr<DfsFile>> RunGivenPlan(
+      MapReduceEngine* engine, Catalog* catalog, const JoinBlock& block,
+      const PlanNode& plan, bool broadcast_fallback, QueryRunReport* report) {
+    DynoOptions options = JaqlRunOptions(ExecOptions());
+    options.strategy = ExecutionStrategy::kSimpleSerial;
+    options.adaptive_join_fallback = broadcast_fallback;
+    JoinBlockRun run(engine, catalog, /*store=*/nullptr, options, block,
+                     report);
+    return run.RunPlan(plan);
   }
 
   Dfs dfs_;
@@ -189,8 +190,6 @@ TEST_F(JobAccountingTest, SimpleParallelReportIsTheFoldOfItsJobs) {
 TEST_F(JobAccountingTest, StaticPlanResultIsTheFoldOfItsJobs) {
   MapReduceEngine engine(&dfs_, HazardConfig());
   RecordingGate gate(&engine);
-  PlanExecutor executor(&engine, ExecOptions());
-  BindQ10Leaves(&executor);
   // ((l ⋈ o) ⋈ c) ⋈ n as three repartition jobs under a spilling budget.
   auto lo = PlanNode::Join(JoinMethod::kRepartition, PlanNode::Leaf("l"),
                            PlanNode::Leaf("o"), {{"l_orderkey", "o_orderkey"}});
@@ -199,11 +198,13 @@ TEST_F(JobAccountingTest, StaticPlanResultIsTheFoldOfItsJobs) {
   auto plan =
       PlanNode::Join(JoinMethod::kRepartition, std::move(loc),
                      PlanNode::Leaf("n"), {{"c_nationkey", "n_nationkey"}});
-  auto result = RunStaticPlan(&executor, *plan, /*parallel_waves=*/false,
-                              MakeTpchQ10().join_block.output_columns);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Digest(*result), Digest(gate.totals()));
-  EXPECT_EQ(result->jobs_run, gate.jobs());
+  const JoinBlock block = MakeTpchQ10().join_block;
+  QueryRunReport report;
+  auto output = RunGivenPlan(&engine, &catalog_, block, *plan,
+                             /*broadcast_fallback=*/false, &report);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(Digest(report), Digest(gate.totals()));
+  EXPECT_EQ(report.jobs_run, gate.jobs());
   EXPECT_GT(gate.totals().reduce_spills, 0);
 }
 
@@ -215,21 +216,24 @@ TEST_F(JobAccountingTest, BroadcastFallbackFoldsEveryRepartitionJob) {
   config.memory_per_task_bytes = 1024;
   MapReduceEngine engine(&dfs_, config);
   RecordingGate gate(&engine);
-  PlanExecutor executor(&engine, ExecOptions());
-  BindQ10Leaves(&executor);
   auto lo = PlanNode::Join(JoinMethod::kBroadcast, PlanNode::Leaf("l"),
                            PlanNode::Leaf("o"), {{"l_orderkey", "o_orderkey"}});
   auto plan = PlanNode::Join(JoinMethod::kBroadcast, std::move(lo),
                              PlanNode::Leaf("c"), {{"o_custkey", "c_custkey"}});
   plan->chain_with_left = true;
-  auto result = RunStaticPlan(&executor, *plan, /*parallel_waves=*/false,
-                              {"c_custkey", "l_extendedprice"},
-                              /*broadcast_fallback=*/true);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->broadcast_fallbacks, 1);
-  EXPECT_EQ(result->jobs_run, 2);
+  // Q10 without its nation leaf.
+  JoinBlock block = MakeTpchQ10().join_block;
+  block.tables.pop_back();
+  block.edges.pop_back();
+  block.output_columns = {"c_custkey", "l_extendedprice"};
+  QueryRunReport report;
+  auto output = RunGivenPlan(&engine, &catalog_, block, *plan,
+                             /*broadcast_fallback=*/true, &report);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(report.broadcast_fallbacks, 1);
+  EXPECT_EQ(report.jobs_run, 2);
   EXPECT_EQ(gate.jobs(), 2);
-  EXPECT_EQ(Digest(*result), Digest(gate.totals()));
+  EXPECT_EQ(Digest(report), Digest(gate.totals()));
   EXPECT_GT(gate.totals().reduce_spills, 1);
 }
 

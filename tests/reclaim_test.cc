@@ -221,6 +221,13 @@ TEST_F(ReclaimTest, KilledRunKeepsItsIntermediatesForResume) {
   added.erase(resume.checkpoint_path);
   added.erase(resume.checkpoint_path + ".prev");
   EXPECT_EQ(added, std::set<std::string>{report->result->path()});
+  // The killed attempt's checkpointed subtrees belong to the resumed query
+  // and go with its other intermediates.
+  for (const auto& entry : killed.manifest().entries) {
+    if (entry.path == report->result->path()) continue;
+    EXPECT_FALSE(dfs_.Exists(entry.path))
+        << "the resumed run must reclaim the subtree at " << entry.path;
+  }
 }
 
 TEST_F(ReclaimTest, MultiBlockQueryRunsTwiceOnOneCatalog) {
@@ -257,6 +264,10 @@ TEST_F(ReclaimTest, MultiBlockQueryRunsTwiceOnOneCatalog) {
     EXPECT_EQ(AddedSince(before),
               std::set<std::string>{report->result->path()});
     ExpectRowsMatch(flat, *report->result);
+    // No catalog name is left pointing at a reclaimed block output.
+    for (const std::string& name : catalog_.TableNames()) {
+      EXPECT_TRUE(catalog_.OpenTable(name).ok()) << name;
+    }
   }
 }
 

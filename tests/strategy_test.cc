@@ -65,6 +65,24 @@ TEST_F(StrategyTest, TakeIsCappedByAvailableJobs) {
   EXPECT_TRUE(PickLeafJobs(ExecutionStrategy::kCheapest2, {}).empty());
 }
 
+TEST_F(StrategyTest, SimpleSerialPicksFirstReadyInDecompositionOrder) {
+  // Neither cost nor uncertainty: unit 1 is first, not cheapest.
+  auto picked = PickLeafJobs(ExecutionStrategy::kSimpleSerial, pointers_);
+  ASSERT_EQ(picked.size(), 1u);
+  EXPECT_EQ(picked[0]->uid, 1);
+  std::vector<const JobUnit*> reversed(pointers_.rbegin(),
+                                       pointers_.rend());
+  picked = PickLeafJobs(ExecutionStrategy::kSimpleSerial, reversed);
+  ASSERT_EQ(picked.size(), 1u);
+  EXPECT_EQ(picked[0]->uid, 4);
+}
+
+TEST_F(StrategyTest, SimpleParallelPicksEveryReadyUnitInOrder) {
+  auto picked = PickLeafJobs(ExecutionStrategy::kSimpleParallel, pointers_);
+  EXPECT_EQ(picked, pointers_);
+  EXPECT_TRUE(PickLeafJobs(ExecutionStrategy::kSimpleParallel, {}).empty());
+}
+
 TEST_F(StrategyTest, SimpleStrategiesClassified) {
   EXPECT_TRUE(IsSimpleStrategy(ExecutionStrategy::kSimpleSerial));
   EXPECT_TRUE(IsSimpleStrategy(ExecutionStrategy::kSimpleParallel));
