@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/knobs.h"
 #include "common/string_util.h"
 
 namespace dyno::bench {
@@ -47,10 +48,7 @@ std::unique_ptr<Scenario> MakeScenario(const std::string& sf_name,
   // DYNO_NODES overrides the node count (the fault domains slots and
   // resident map outputs are divided across); the paper's testbed is 15.
   scenario->cluster.num_nodes = 15;
-  if (const char* env = std::getenv("DYNO_NODES")) {
-    scenario->cluster.num_nodes =
-        static_cast<int>(EnvInt64OrDie("DYNO_NODES", env, 1, 1000000));
-  }
+  ReadKnob(Knob::DYNO_NODES, &scenario->cluster.num_nodes);
   scenario->cluster.map_slots = 140;
   scenario->cluster.reduce_slots = 84;
   scenario->cluster.job_startup_ms = 5000;
@@ -65,34 +63,30 @@ std::unique_ptr<Scenario> MakeScenario(const std::string& sf_name,
   scenario->cluster.reduce_write_bytes_per_ms = 4.0;
   scenario->cluster.side_load_bytes_per_ms = 100.0;
   scenario->cluster.cpu_units_per_ms = 500.0;
-  // Failure-regime runs: DYNO_FAULT_SEED / DYNO_TASK_FAILURE_RATE /
-  // DYNO_STRAGGLER_RATE / DYNO_MAX_TASK_ATTEMPTS / DYNO_NODE_FAILURE_RATE /
-  // DYNO_NODE_RECOVERY_MS / DYNO_BLOCK_CORRUPTION_RATE /
-  // DYNO_SHUFFLE_CORRUPTION_RATE / DYNO_POISON_RECORD_RATE /
-  // DYNO_MAX_SKIPPED_RECORDS switch deterministic fault injection on (e.g.
+  // Failure-regime runs: the fault-group DYNO_* variables (common/knobs.h)
+  // switch deterministic fault injection on when the engine is built (e.g.
   // Fig. 5 under a 5% task failure rate, a node-loss regime, or a 2%
   // corruption regime). Off when the variables are unset.
-  scenario->cluster.faults.ApplyEnvOverrides();
-  if (scenario->cluster.faults.enabled()) {
+  scenario->engine =
+      std::make_unique<MapReduceEngine>(&scenario->dfs, scenario->cluster);
+  const ClusterConfig& cluster = scenario->engine->config();
+  if (cluster.faults.enabled()) {
     std::fprintf(stderr,
                  "fault injection: seed=%llu failure_rate=%.3f "
                  "straggler_rate=%.3f max_attempts=%d "
                  "node_failure_rate=%.4f nodes=%d "
                  "block_corruption=%.3f shuffle_corruption=%.3f "
                  "poison_rate=%.4f max_skipped=%d\n",
-                 (unsigned long long)scenario->cluster.faults.seed,
-                 scenario->cluster.faults.task_failure_rate,
-                 scenario->cluster.faults.straggler_rate,
-                 scenario->cluster.faults.max_task_attempts,
-                 scenario->cluster.faults.node_failure_rate,
-                 scenario->cluster.num_nodes,
-                 scenario->cluster.faults.block_corruption_rate,
-                 scenario->cluster.faults.shuffle_corruption_rate,
-                 scenario->cluster.faults.poison_record_rate,
-                 scenario->cluster.faults.max_skipped_records);
+                 (unsigned long long)cluster.faults.seed,
+                 cluster.faults.task_failure_rate,
+                 cluster.faults.straggler_rate,
+                 cluster.faults.max_task_attempts,
+                 cluster.faults.node_failure_rate, cluster.num_nodes,
+                 cluster.faults.block_corruption_rate,
+                 cluster.faults.shuffle_corruption_rate,
+                 cluster.faults.poison_record_rate,
+                 cluster.faults.max_skipped_records);
   }
-  scenario->engine =
-      std::make_unique<MapReduceEngine>(&scenario->dfs, scenario->cluster);
   scenario->catalog = std::make_unique<Catalog>(&scenario->dfs);
 
   // DYNO_TRACE_PATH=/tmp/run turns on query-lifecycle tracing: the run
@@ -100,7 +94,7 @@ std::unique_ptr<Scenario> MakeScenario(const std::string& sf_name,
   // /tmp/run.chrome.json (chrome://tracing / Perfetto) and
   // /tmp/run.metrics.txt on scenario teardown. Benches reusing one
   // scenario for several variants concatenate into a single trace.
-  if (const char* trace_path = std::getenv("DYNO_TRACE_PATH")) {
+  if (const char* trace_path = KnobValue(Knob::DYNO_TRACE_PATH)) {
     if (trace_path[0] != '\0') {
       scenario->trace = std::make_unique<obs::TraceSink>();
       scenario->metrics = std::make_unique<obs::MetricsRegistry>();

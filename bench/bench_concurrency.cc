@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/knobs.h"
 #include "service/query_service.h"
 
 using namespace dyno;
@@ -245,8 +246,10 @@ int main() {
               prio.high_p99_ms / 1000.0, prio.other_p99_ms / 1000.0,
               prio.completed, prio.preemptions);
 
-  const char* out_path = std::getenv("DYNO_BENCH_CONCURRENCY_OUT");
-  if (out_path == nullptr) out_path = "BENCH_concurrency.json";
+  const char* out_path = KnobValue(Knob::DYNO_BENCH_CONCURRENCY_OUT);
+  if (out_path == nullptr) {
+    out_path = SpecOf(Knob::DYNO_BENCH_CONCURRENCY_OUT).default_value;
+  }
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/knobs.h"
 #include "service/query_service.h"
 
 using namespace dyno;
@@ -169,8 +170,10 @@ int main() {
   std::printf("repeated-portion speedup=%.2fx  hit_rate=%.2f\n", speedup,
               hit_rate);
 
-  const char* out_path = std::getenv("DYNO_BENCH_MQO_OUT");
-  if (out_path == nullptr) out_path = "BENCH_mqo.json";
+  const char* out_path = KnobValue(Knob::DYNO_BENCH_MQO_OUT);
+  if (out_path == nullptr) {
+    out_path = SpecOf(Knob::DYNO_BENCH_MQO_OUT).default_value;
+  }
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path);

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "columnar/knobs.h"
+#include "common/knobs.h"
 #include "exec/row_ops.h"
 #include "expr/expr.h"
 #include "mr/engine.h"
@@ -79,7 +79,7 @@ LegResult RunScanLeg(MapReduceEngine* engine, std::shared_ptr<DfsFile> file,
   MapInput input;
   input.file = file;
   ExprPtr closure_filter = filter;
-  if (columnar::ColumnarEnabled() && filter != nullptr) {
+  if (KnobEnabled(Knob::DYNO_COLUMNAR) && filter != nullptr) {
     input.scan_filter = filter;
     input.scan_filter_cpu = filter->CpuCost();
     input.cpu_per_record = 1.0;
@@ -87,7 +87,7 @@ LegResult RunScanLeg(MapReduceEngine* engine, std::shared_ptr<DfsFile> file,
   } else {
     input.cpu_per_record = 1.0 + (filter ? filter->CpuCost() : 0.0);
   }
-  if (columnar::ZoneMapsEnabled() && filter != nullptr) {
+  if (KnobEnabled(Knob::DYNO_ZONE_MAPS) && filter != nullptr) {
     PruneResult pruned = PruneSplitIndexes(*file, filter);
     leg.splits_pruned = pruned.pruned;
     if (pruned.pruned > 0) {
@@ -251,8 +251,10 @@ int main() {
               (unsigned long long)col.table_physical_bytes,
               (unsigned long long)col.table_logical_bytes);
 
-  const char* out_path = std::getenv("DYNO_BENCH_SCAN_OUT");
-  if (out_path == nullptr) out_path = "BENCH_scan.json";
+  const char* out_path = KnobValue(Knob::DYNO_BENCH_SCAN_OUT);
+  if (out_path == nullptr) {
+    out_path = SpecOf(Knob::DYNO_BENCH_SCAN_OUT).default_value;
+  }
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path);

@@ -10,19 +10,27 @@
 #   faults      engine/driver suites with 5% injected task failures
 #   node-faults engine/driver suites with 2% node crashes + job-level retry
 #   corruption  engine/driver suites with 2% block + shuffle corruption
-#   concurrency service/engine suites with the multi-query service knobs
-#               (DYNO_CONCURRENCY/DYNO_TENANT_SLOTS/DYNO_ADMISSION_QUEUE)
-#               driven through the environment, plus a bench_concurrency
-#               smoke run (8 concurrent TPC-H sessions, sweep 1 -> 8)
-#   overload    service robustness suites in the overload regime: tight
-#               concurrency, priority preemption, generous deadlines and
-#               5% task faults (DYNO_PRIORITY_PREEMPTION,
-#               DYNO_QUERY_DEADLINE_MS, DYNO_LOAD_SHED_QUEUE_MS)
+#   concurrency service/engine suites under the multi-query service
+#               knobs (DYNO_CONCURRENCY/DYNO_TENANT_SLOTS/
+#               DYNO_ADMISSION_QUEUE). Service and cache variables reach
+#               only tests that call QueryServiceOptions::ApplyEnvOverrides:
+#               query_service_test's TwoConcurrentIdenticalQueriesAreIsolated
+#               and MidFlightCancellationStopsAtNextSubmission, plus the
+#               env-parse tests, which pin their own values.
+#               service_robustness_test and the engine/driver suites never
+#               read them. The bench_concurrency smoke run (8 concurrent
+#               TPC-H sessions, sweep 1 -> 8) is a step of its own below.
+#   overload    the overload regime: tight concurrency, priority
+#               preemption, generous deadlines (DYNO_PRIORITY_PREEMPTION,
+#               DYNO_QUERY_DEADLINE_MS, DYNO_LOAD_SHED_QUEUE_MS; they reach
+#               the same two query_service_test cases only) and 5% task
+#               faults, which every suite in the label reads
 #   mqo-cache   cache/service/driver suites with the cross-query subtree
-#               cache on (DYNO_SUBTREE_CACHE_MB) under injected task
-#               failures and block/shuffle corruption, plus a bench_mqo
-#               smoke run (repeated TPC-H batch, cold vs warm, gated on
-#               identical results and a >= 2x warm speedup)
+#               cache on (DYNO_SUBTREE_CACHE_MB, again read by those two
+#               query_service_test cases only) under injected task
+#               failures and block/shuffle corruption. The bench_mqo smoke
+#               run (repeated TPC-H batch, cold vs warm, gated on identical
+#               results and a >= 2x warm speedup) is a step of its own.
 #   columnar    storage/engine/driver suites with the columnar data plane
 #               and zone maps on (DYNO_COLUMNAR/DYNO_ZONE_MAPS) under 5%
 #               task faults + 2% block/shuffle corruption, plus a
@@ -40,6 +48,10 @@
 #               --gc-sections and must print nothing outside
 #               scripts/unused_allow.txt
 #   goldens     checked-in traces match the current trace schema
+#   knobs       README's knob table equals the one DYNO_* list
+#               (src/common/knobs.h), and every "DYNO_..." literal in the
+#               sources and every preset environment variable names a row
+#               (scripts/check_knobs.py)
 #   loc         code lines per src/ file and directory (informational,
 #               never fails; scripts/loc.sh)
 #
@@ -125,6 +137,8 @@ run "bench: columnar scan" \
 run "unused library functions" scripts/unused.sh
 
 run "golden traces" scripts/check_goldens.sh
+
+run "knob table" scripts/check_knobs.py --build build
 
 echo
 echo "ci: all suites green"

@@ -1,6 +1,5 @@
 #include "cache/subtree_cache.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "common/string_util.h"
@@ -12,18 +11,6 @@ namespace {
 // never collide on pinned-file paths.
 std::atomic<int> g_cache_instances{0};
 }  // namespace
-
-void SubtreeCacheOptions::ApplyEnvOverrides() {
-  if (const char* env = std::getenv("DYNO_SUBTREE_CACHE_MB")) {
-    max_bytes = static_cast<uint64_t>(EnvInt64OrDie("DYNO_SUBTREE_CACHE_MB",
-                                                    env, 0, 1 << 20)) *
-                1024 * 1024;
-  }
-  if (const char* env = std::getenv("DYNO_SUBTREE_CACHE_ENTRIES")) {
-    max_entries = static_cast<size_t>(
-        EnvInt64OrDie("DYNO_SUBTREE_CACHE_ENTRIES", env, 1, 1 << 20));
-  }
-}
 
 SubtreeCache::SubtreeCache(Dfs* dfs, Catalog* catalog,
                            SubtreeCacheOptions options,

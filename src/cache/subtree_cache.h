@@ -19,9 +19,7 @@
 
 namespace dyno {
 
-/// Sizing knobs for the cross-query materialized-subtree cache. The env
-/// overrides use the strict whole-string parsing of EnvInt64OrDie, so a
-/// malformed knob aborts instead of silently running unconfigured.
+/// Sizing knobs for the cross-query materialized-subtree cache.
 struct SubtreeCacheOptions {
   /// Byte budget across all pinned result files (DYNO_SUBTREE_CACHE_MB).
   uint64_t max_bytes = 64ull * 1024 * 1024;
@@ -29,9 +27,6 @@ struct SubtreeCacheOptions {
   size_t max_entries = 1024;
   /// DFS directory cached results are pinned under.
   std::string dfs_prefix = "/cache/subtree";
-
-  /// Applies DYNO_SUBTREE_CACHE_MB / DYNO_SUBTREE_CACHE_ENTRIES when set.
-  void ApplyEnvOverrides();
 };
 
 /// Cross-query materialized-subtree result cache (ROADMAP item 2): the

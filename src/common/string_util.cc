@@ -79,28 +79,4 @@ Result<double> ParseDouble(std::string_view s) {
   return parsed;
 }
 
-int64_t EnvInt64OrDie(const char* name, const char* value, int64_t lo,
-                      int64_t hi) {
-  auto parsed = ParseInt64(value);
-  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
-    std::fprintf(stderr,
-                 "dyno: fatal: %s=\"%s\" is not an integer in [%lld, %lld]\n",
-                 name, value, (long long)lo, (long long)hi);
-    std::abort();
-  }
-  return *parsed;
-}
-
-double EnvDoubleOrDie(const char* name, const char* value, double lo,
-                      double hi) {
-  auto parsed = ParseDouble(value);
-  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
-    std::fprintf(stderr,
-                 "dyno: fatal: %s=\"%s\" is not a number in [%g, %g]\n",
-                 name, value, lo, hi);
-    std::abort();
-  }
-  return *parsed;
-}
-
 }  // namespace dyno

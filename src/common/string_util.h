@@ -26,15 +26,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 
-/// Parses the value of environment knob `name` (already fetched, non-null)
-/// and range-checks it against [lo, hi]. A malformed or out-of-range value
-/// aborts with a fatal message: a mistyped `DYNO_*` knob silently falling
-/// back to a default would invalidate whole benchmark/fault campaigns.
-int64_t EnvInt64OrDie(const char* name, const char* value, int64_t lo,
-                      int64_t hi);
-double EnvDoubleOrDie(const char* name, const char* value, double lo,
-                      double hi);
-
 }  // namespace dyno
 
 #endif  // DYNO_COMMON_STRING_UTIL_H_

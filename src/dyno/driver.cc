@@ -1,10 +1,10 @@
 #include "dyno/driver.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <utility>
 
+#include "common/knobs.h"
 #include "common/string_util.h"
 #include "dyno/join_block_run.h"
 #include "exec/aggregates.h"
@@ -17,24 +17,19 @@ DynoDriver::DynoDriver(MapReduceEngine* engine, Catalog* catalog,
                        StatsStore* store, DynoOptions options)
     : engine_(engine), catalog_(catalog), store_(store),
       options_(std::move(options)) {
-  // An unset recovery option reads its DYNO_* variable (strict-or-abort),
-  // else takes its default.
-  auto from_env = [](const char* name, int64_t lo, int64_t hi,
-                     int64_t fallback) {
-    const char* env = std::getenv(name);
-    return env != nullptr ? EnvInt64OrDie(name, env, lo, hi) : fallback;
-  };
+  // An unset recovery option reads its driver-group knob, else takes its
+  // default.
   if (options_.max_job_attempts <= 0) {
-    options_.max_job_attempts =
-        static_cast<int>(from_env("DYNO_MAX_JOB_ATTEMPTS", 1, 1000, 1));
+    options_.max_job_attempts = 1;
+    ReadKnob(Knob::DYNO_MAX_JOB_ATTEMPTS, &options_.max_job_attempts);
   }
   if (options_.retry_budget_ms < 0) {
-    options_.retry_budget_ms =
-        from_env("DYNO_RETRY_BUDGET_MS", 0, int64_t{1} << 40, 0);
+    options_.retry_budget_ms = 0;
+    ReadKnob(Knob::DYNO_RETRY_BUDGET_MS, &options_.retry_budget_ms);
   }
   if (options_.oom_retry_ladder < 0) {
-    options_.oom_retry_ladder =
-        static_cast<int>(from_env("DYNO_OOM_RETRIES", 0, 16, 0));
+    options_.oom_retry_ladder = 0;
+    ReadKnob(Knob::DYNO_OOM_RETRIES, &options_.oom_retry_ladder);
   }
   if (options_.sync_cost_memory) {
     // Single source of truth for the memory model: the optimizer's

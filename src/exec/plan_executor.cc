@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "columnar/knobs.h"
+#include "common/knobs.h"
 #include "common/string_util.h"
 #include "exec/broadcast.h"
 #include "exec/row_ops.h"
@@ -62,7 +62,7 @@ ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
                           const RelationBinding& binding, MapInput* input) {
   input->file = binding.file;
   ExprPtr closure_filter = binding.scan_filter;
-  if (columnar::ColumnarEnabled() && binding.scan_filter != nullptr) {
+  if (KnobEnabled(Knob::DYNO_COLUMNAR) && binding.scan_filter != nullptr) {
     input->scan_filter = binding.scan_filter;
     input->scan_filter_cpu = binding.scan_cpu_per_record;
     input->cpu_per_record = 1.0;
@@ -70,7 +70,7 @@ ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
   } else {
     input->cpu_per_record = 1.0 + binding.scan_cpu_per_record;
   }
-  if (columnar::ZoneMapsEnabled() && binding.scan_filter != nullptr) {
+  if (KnobEnabled(Knob::DYNO_ZONE_MAPS) && binding.scan_filter != nullptr) {
     PruneResult pruned = PruneSplitIndexes(*binding.file, binding.scan_filter);
     if (pruned.pruned > 0) {
       input->split_indexes.assign(pruned.kept.begin(), pruned.kept.end());
@@ -450,7 +450,7 @@ Result<PlanExecutor::PreparedJob> PlanExecutor::Prepare(
       DYNO_ASSIGN_OR_RETURN(RelationBinding build, GetBinding(build_id));
       uint64_t build_pruned = 0;
       uint64_t* build_pruned_out =
-          columnar::ZoneMapsEnabled() ? &build_pruned : nullptr;
+          KnobEnabled(Knob::DYNO_ZONE_MAPS) ? &build_pruned : nullptr;
       DYNO_ASSIGN_OR_RETURN(
           std::shared_ptr<BroadcastTable> table,
           BuildBroadcastTable(*build.file, build.scan_filter,

@@ -122,14 +122,12 @@ struct FaultConfig {
   };
   std::vector<ScriptedCorruption> scripted_corruptions;
 
-  /// When no injection is configured explicitly, the engine fills this
-  /// struct from DYNO_FAULT_SEED / DYNO_TASK_FAILURE_RATE /
-  /// DYNO_STRAGGLER_RATE / DYNO_MAX_TASK_ATTEMPTS / DYNO_NODE_FAILURE_RATE
-  /// / DYNO_NODE_RECOVERY_MS / DYNO_BLOCK_CORRUPTION_RATE /
-  /// DYNO_SHUFFLE_CORRUPTION_RATE / DYNO_POISON_RECORD_RATE /
-  /// DYNO_MAX_SKIPPED_RECORDS (see ApplyEnvOverrides), which is how the
-  /// bench and the `faults` / `node-faults` / `corruption` ctest presets
-  /// switch the fault path on without touching code.
+  /// When set, the engine fills this struct from the fault-group `DYNO_*`
+  /// variables if no fault is configured in code, and ClusterConfig's
+  /// memory fields from the memory group while the reduce memory mode is
+  /// kUnbounded (the list and the read rules: common/knobs.h). That is how
+  /// the benches and the `faults` / `node-faults` / `corruption` / `memory`
+  /// ctest presets switch those paths on without touching code.
   bool use_env_defaults = true;
 
   /// True when node crashes (random or scripted) are possible.
@@ -154,9 +152,6 @@ struct FaultConfig {
     return task_failure_rate > 0.0 || straggler_rate > 0.0 || node_faults() ||
            data_faults();
   }
-
-  /// Overwrites fields from the DYNO_* environment variables above.
-  void ApplyEnvOverrides();
 };
 
 /// Static description of the simulated Hadoop cluster. The defaults mirror
@@ -234,12 +229,6 @@ struct ClusterConfig {
   /// even in kSpill mode (its merge state no longer fits either) — this is
   /// what makes the retry ladder's doubled-reducer rung meaningful.
   int max_spill_runs = 64;
-
-  /// Overwrites memory fields from DYNO_TASK_MEMORY_BYTES (strict int) and
-  /// DYNO_SPILL (0 = unbounded, 1 = spill, 2 = strict). Applied by the
-  /// engine under the same `faults.use_env_defaults` gate as the fault
-  /// knobs, and only when the mode is still kUnbounded in code.
-  void ApplyMemoryEnvOverrides();
 
   /// Default split-to-reduce-task ratio when a job does not pin the reducer
   /// count: one reduce task per this many bytes of map output (Hive-like).

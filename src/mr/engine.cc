@@ -15,6 +15,7 @@
 #include "columnar/batch_eval.h"
 #include "common/crc32c.h"
 #include "common/hash.h"
+#include "common/knobs.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -705,14 +706,26 @@ Result<std::vector<Emission>> DecodeSpillRun(const Split& run) {
 }
 
 ClusterConfig MapReduceEngine::ResolveFaultEnv(ClusterConfig config) {
-  if (config.faults.use_env_defaults && !config.faults.enabled()) {
-    config.faults.ApplyEnvOverrides();
+  FaultConfig& faults = config.faults;
+  if (faults.use_env_defaults && !faults.enabled()) {
+    ReadKnob(Knob::DYNO_FAULT_SEED, &faults.seed);
+    ReadKnob(Knob::DYNO_TASK_FAILURE_RATE, &faults.task_failure_rate);
+    ReadKnob(Knob::DYNO_STRAGGLER_RATE, &faults.straggler_rate);
+    ReadKnob(Knob::DYNO_MAX_TASK_ATTEMPTS, &faults.max_task_attempts);
+    ReadKnob(Knob::DYNO_NODE_FAILURE_RATE, &faults.node_failure_rate);
+    ReadKnob(Knob::DYNO_NODE_RECOVERY_MS, &faults.node_recovery_ms);
+    ReadKnob(Knob::DYNO_BLOCK_CORRUPTION_RATE, &faults.block_corruption_rate);
+    ReadKnob(Knob::DYNO_SHUFFLE_CORRUPTION_RATE,
+             &faults.shuffle_corruption_rate);
+    ReadKnob(Knob::DYNO_POISON_RECORD_RATE, &faults.poison_record_rate);
+    ReadKnob(Knob::DYNO_MAX_SKIPPED_RECORDS, &faults.max_skipped_records);
   }
-  // The memory knobs ride the same gate: env-driven only when the caller
-  // did not configure a memory mode in code.
-  if (config.faults.use_env_defaults &&
+  // The memory knobs ride the same gate, and apply while the mode is still
+  // kUnbounded: DYNO_TASK_MEMORY_BYTES then replaces even a code-set budget.
+  if (faults.use_env_defaults &&
       config.reduce_memory_mode == ClusterConfig::ReduceMemoryMode::kUnbounded) {
-    config.ApplyMemoryEnvOverrides();
+    ReadKnob(Knob::DYNO_TASK_MEMORY_BYTES, &config.memory_per_task_bytes);
+    ReadKnob(Knob::DYNO_SPILL, &config.reduce_memory_mode);
   }
   return config;
 }

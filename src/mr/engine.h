@@ -180,8 +180,9 @@ class MapReduceEngine {
   /// One SubmitAllDirect batch's discrete-event simulation (engine.cc).
   class Simulation;
 
-  /// Fills config.faults from DYNO_* env vars when the caller did not
-  /// configure injection explicitly (FaultConfig::use_env_defaults).
+  /// Fills config.faults and the memory model from the fault and memory
+  /// knobs (common/knobs.h) when the caller did not configure them in code
+  /// and left FaultConfig::use_env_defaults set.
   static ClusterConfig ResolveFaultEnv(ClusterConfig config);
 
   Dfs* dfs_;

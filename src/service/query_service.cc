@@ -1,10 +1,10 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/knobs.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,51 +13,19 @@
 namespace dyno {
 
 void QueryServiceOptions::ApplyEnvOverrides() {
-  if (const char* env = std::getenv("DYNO_CONCURRENCY")) {
-    max_concurrent =
-        static_cast<int>(EnvInt64OrDie("DYNO_CONCURRENCY", env, 1, 1 << 20));
-  }
-  if (const char* env = std::getenv("DYNO_TENANT_SLOTS")) {
-    tenant_slots =
-        static_cast<int>(EnvInt64OrDie("DYNO_TENANT_SLOTS", env, 0, 1 << 20));
-  }
-  if (const char* env = std::getenv("DYNO_ADMISSION_QUEUE")) {
-    admission_queue_limit = static_cast<int>(
-        EnvInt64OrDie("DYNO_ADMISSION_QUEUE", env, 0, 1 << 20));
-  }
-  if (const char* env = std::getenv("DYNO_SUBTREE_CACHE_MB")) {
-    enable_subtree_cache =
-        EnvInt64OrDie("DYNO_SUBTREE_CACHE_MB", env, 0, 1 << 20) > 0;
-  }
-  // Picks up the byte/entry budgets (DYNO_SUBTREE_CACHE_MB rereads there).
-  subtree_cache.ApplyEnvOverrides();
-  if (const char* env = std::getenv("DYNO_STATS_CACHE")) {
-    share_pilot_stats = EnvInt64OrDie("DYNO_STATS_CACHE", env, 0, 1) != 0;
-  }
-  if (const char* env = std::getenv("DYNO_PRIORITY_PREEMPTION")) {
-    priority_preemption =
-        EnvInt64OrDie("DYNO_PRIORITY_PREEMPTION", env, 0, 1) != 0;
-  }
-  if (const char* env = std::getenv("DYNO_QUERY_DEADLINE_MS")) {
-    default_deadline_ms =
-        EnvInt64OrDie("DYNO_QUERY_DEADLINE_MS", env, 0, int64_t{1} << 40);
-  }
-  if (const char* env = std::getenv("DYNO_LOAD_SHED_QUEUE_MS")) {
-    load_shed_queue_ms =
-        EnvInt64OrDie("DYNO_LOAD_SHED_QUEUE_MS", env, 0, int64_t{1} << 40);
-  }
-  if (const char* env = std::getenv("DYNO_LOAD_SHED_PRESSURE")) {
-    load_shed_pressure =
-        EnvDoubleOrDie("DYNO_LOAD_SHED_PRESSURE", env, 0.0, 1.0);
-  }
-  if (const char* env = std::getenv("DYNO_LOAD_SHED_PRIORITY")) {
-    load_shed_max_priority = static_cast<int>(
-        EnvInt64OrDie("DYNO_LOAD_SHED_PRIORITY", env, 0, 1 << 20));
-  }
-  if (const char* env = std::getenv("DYNO_MEMORY_ADMISSION")) {
-    memory_ledger_bytes = static_cast<uint64_t>(
-        EnvInt64OrDie("DYNO_MEMORY_ADMISSION", env, 0, int64_t{1} << 40));
-  }
+  ReadKnob(Knob::DYNO_CONCURRENCY, &max_concurrent);
+  ReadKnob(Knob::DYNO_TENANT_SLOTS, &tenant_slots);
+  ReadKnob(Knob::DYNO_ADMISSION_QUEUE, &admission_queue_limit);
+  ReadKnob(Knob::DYNO_SUBTREE_CACHE_MB, &enable_subtree_cache);
+  ReadKnob(Knob::DYNO_SUBTREE_CACHE_MB, &subtree_cache.max_bytes);
+  ReadKnob(Knob::DYNO_SUBTREE_CACHE_ENTRIES, &subtree_cache.max_entries);
+  ReadKnob(Knob::DYNO_STATS_CACHE, &share_pilot_stats);
+  ReadKnob(Knob::DYNO_PRIORITY_PREEMPTION, &priority_preemption);
+  ReadKnob(Knob::DYNO_QUERY_DEADLINE_MS, &default_deadline_ms);
+  ReadKnob(Knob::DYNO_LOAD_SHED_QUEUE_MS, &load_shed_queue_ms);
+  ReadKnob(Knob::DYNO_LOAD_SHED_PRESSURE, &load_shed_pressure);
+  ReadKnob(Knob::DYNO_LOAD_SHED_PRIORITY, &load_shed_max_priority);
+  ReadKnob(Knob::DYNO_MEMORY_ADMISSION, &memory_ledger_bytes);
 }
 
 /// All mutable state is guarded by QueryService::mu_; the baton protocol

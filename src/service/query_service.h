@@ -111,15 +111,10 @@ struct QueryServiceOptions {
   /// instance can RecoverPending(). < 0 (default) disables.
   SimMillis halt_at_ms = -1;
 
-  /// Fills the knobs from DYNO_CONCURRENCY / DYNO_TENANT_SLOTS /
-  /// DYNO_ADMISSION_QUEUE / DYNO_SUBTREE_CACHE_MB (0 disables the cache,
-  /// > 0 enables it at that budget) / DYNO_STATS_CACHE (0/1) /
-  /// DYNO_PRIORITY_PREEMPTION (0/1) / DYNO_QUERY_DEADLINE_MS /
-  /// DYNO_LOAD_SHED_QUEUE_MS / DYNO_LOAD_SHED_PRESSURE (fraction in
-  /// [0, 1]) / DYNO_LOAD_SHED_PRIORITY / DYNO_MEMORY_ADMISSION (ledger
-  /// bytes; 0 disables memory-aware admission). Absent variables leave
-  /// fields untouched; malformed values abort (same contract as
-  /// FaultConfig).
+  /// Overwrites the fields from the service-group knobs that are set, and
+  /// subtree_cache from the cache group (the list: common/knobs.h).
+  /// DYNO_SUBTREE_CACHE_MB also sets enable_subtree_cache (`0` = off).
+  /// Unset variables leave fields untouched; malformed values abort.
   void ApplyEnvOverrides();
 };
 

@@ -1,7 +1,7 @@
 #include "storage/catalog.h"
 
-#include "columnar/knobs.h"
 #include "common/hash.h"
+#include "common/knobs.h"
 
 namespace dyno {
 
@@ -29,8 +29,9 @@ Status Catalog::WriteTable(const std::string& name,
                            uint64_t target_split_bytes,
                            const std::function<void(TableWriter&)>& fill) {
   const std::string path = "/tables/" + name;
-  SplitFormat format = columnar::ColumnarEnabled() ? SplitFormat::kColumnar
-                                                   : SplitFormat::kRow;
+  SplitFormat format = KnobEnabled(Knob::DYNO_COLUMNAR)
+                           ? SplitFormat::kColumnar
+                           : SplitFormat::kRow;
   DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file, dfs_->Create(path));
   TableWriter writer(std::move(file), target_split_bytes, format);
   fill(writer);

@@ -4,7 +4,6 @@
 // irregular rows — and every corruption of an encoded frame must surface
 // as Status::DataLoss, never a crash or a silently wrong row.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,20 +15,13 @@
 #include "common/string_util.h"
 #include "json/value.h"
 #include "storage/dfs.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
 
 using columnar::ColumnBatch;
 using columnar::FrameReader;
-
-int FuzzIters(int base) {
-  static const int env_iters = [] {
-    const char* env = std::getenv("DYNO_FUZZ_ITERS");
-    return env != nullptr ? std::atoi(env) : 0;
-  }();
-  return env_iters > 0 ? env_iters : base;
-}
 
 /// Byte-level identity of two row vectors: same count, every row encodes
 /// to the same bytes (field order included — Compare() alone would accept

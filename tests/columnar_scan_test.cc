@@ -7,7 +7,6 @@
 // poison records the filter drops, byte for byte like the row-format scan.
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,20 +20,13 @@
 #include "json/value.h"
 #include "mr/engine.h"
 #include "storage/dfs.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
 
 using columnar::BatchFilterResult;
 using columnar::FrameRows;
-
-int FuzzIters(int base) {
-  static const int env_iters = [] {
-    const char* env = std::getenv("DYNO_FUZZ_ITERS");
-    return env != nullptr ? std::atoi(env) : 0;
-  }();
-  return env_iters > 0 ? env_iters : base;
-}
 
 std::string Encoded(const Value& v) {
   std::string out;

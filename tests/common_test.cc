@@ -210,22 +210,6 @@ TEST(StringUtilTest, ParseDoubleIsStrict) {
   }
 }
 
-TEST(StringUtilDeathTest, MalformedEnvKnobsAbortLoudly) {
-  // A mistyped DYNO_* knob must kill the process with a message naming the
-  // knob — silently falling back to a default would invalidate whole
-  // benchmark or fault campaigns (DESIGN.md §6.5).
-  EXPECT_EQ(EnvInt64OrDie("DYNO_TEST_KNOB", "7", 0, 10), 7);
-  EXPECT_EQ(EnvDoubleOrDie("DYNO_TEST_KNOB", "0.25", 0.0, 1.0), 0.25);
-  EXPECT_DEATH(EnvInt64OrDie("DYNO_TEST_KNOB", "7x", 0, 10),
-               "DYNO_TEST_KNOB");
-  EXPECT_DEATH(EnvInt64OrDie("DYNO_TEST_KNOB", "50", 0, 10),
-               "not an integer in");
-  EXPECT_DEATH(EnvDoubleOrDie("DYNO_TEST_KNOB", "abc", 0.0, 1.0),
-               "DYNO_TEST_KNOB");
-  EXPECT_DEATH(EnvDoubleOrDie("DYNO_TEST_KNOB", "2.5", 0.0, 1.0),
-               "not a number in");
-}
-
 TEST(SimTimeTest, Formatting) {
   EXPECT_EQ(FormatSimMillis(500), "500 ms");
   EXPECT_EQ(FormatSimMillis(12345), "12.345 s");

@@ -3,7 +3,6 @@
 // cleanly (error Status) rather than crash or loop — a property the
 // storage layer leans on for every split read.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -15,20 +14,10 @@
 #include "json/value.h"
 #include "mr/engine.h"
 #include "storage/dfs.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
-
-/// Iterations for one fuzz loop: DYNO_FUZZ_ITERS when set (the fuzz-smoke
-/// ctest preset pins a small fixed budget; soak runs can crank it up),
-/// otherwise the loop's default.
-int FuzzIters(int base) {
-  static const int env_iters = [] {
-    const char* env = std::getenv("DYNO_FUZZ_ITERS");
-    return env != nullptr ? std::atoi(env) : 0;
-  }();
-  return env_iters > 0 ? env_iters : base;
-}
 
 Value RandomValue(Rng* rng, int depth) {
   // Bias away from containers as depth grows so trees stay bounded.

@@ -373,7 +373,7 @@ TEST_F(MemoryPressureEngineTest, ScriptedSpillCorruptionRetriesAndHeals) {
 
 TEST_F(MemoryPressureEngineTest, EnvKnobsDriveSpillPath) {
   // The only env-dependent test: DYNO_TASK_MEMORY_BYTES + DYNO_SPILL are
-  // pinned (and the fault knobs neutralized) so the ApplyMemoryEnvOverrides
+  // pinned (and the fault knobs neutralized) so the engine's memory-knob
   // path is genuinely exercised, deterministically under any preset.
   ScopedEnv env({{"DYNO_TASK_MEMORY_BYTES", "1024"},
                  {"DYNO_SPILL", "1"},

@@ -401,54 +401,6 @@ TEST_F(QueryServiceTest, ArrivalScheduleIsSeededAndDeterministic) {
   EXPECT_NE(a, arrivals(8));
 }
 
-TEST(QueryServiceOptionsTest, EnvOverridesParse) {
-  auto saved = [](const char* name) -> std::string {
-    const char* v = getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
-  };
-  std::string old_conc = saved("DYNO_CONCURRENCY");
-  std::string old_slots = saved("DYNO_TENANT_SLOTS");
-  std::string old_queue = saved("DYNO_ADMISSION_QUEUE");
-  std::string old_preempt = saved("DYNO_PRIORITY_PREEMPTION");
-  std::string old_deadline = saved("DYNO_QUERY_DEADLINE_MS");
-  std::string old_shed_q = saved("DYNO_LOAD_SHED_QUEUE_MS");
-  std::string old_shed_p = saved("DYNO_LOAD_SHED_PRESSURE");
-  std::string old_shed_pri = saved("DYNO_LOAD_SHED_PRIORITY");
-  setenv("DYNO_CONCURRENCY", "7", 1);
-  setenv("DYNO_TENANT_SLOTS", "3", 1);
-  setenv("DYNO_ADMISSION_QUEUE", "9", 1);
-  setenv("DYNO_PRIORITY_PREEMPTION", "0", 1);
-  setenv("DYNO_QUERY_DEADLINE_MS", "120000", 1);
-  setenv("DYNO_LOAD_SHED_QUEUE_MS", "5500", 1);
-  setenv("DYNO_LOAD_SHED_PRESSURE", "0.75", 1);
-  setenv("DYNO_LOAD_SHED_PRIORITY", "2", 1);
-  QueryServiceOptions options;
-  options.ApplyEnvOverrides();
-  EXPECT_EQ(options.max_concurrent, 7);
-  EXPECT_EQ(options.tenant_slots, 3);
-  EXPECT_EQ(options.admission_queue_limit, 9);
-  EXPECT_FALSE(options.priority_preemption);
-  EXPECT_EQ(options.default_deadline_ms, 120000);
-  EXPECT_EQ(options.load_shed_queue_ms, 5500);
-  EXPECT_DOUBLE_EQ(options.load_shed_pressure, 0.75);
-  EXPECT_EQ(options.load_shed_max_priority, 2);
-  auto restore = [](const char* name, const std::string& value) {
-    if (value.empty()) {
-      unsetenv(name);
-    } else {
-      setenv(name, value.c_str(), 1);
-    }
-  };
-  restore("DYNO_CONCURRENCY", old_conc);
-  restore("DYNO_TENANT_SLOTS", old_slots);
-  restore("DYNO_ADMISSION_QUEUE", old_queue);
-  restore("DYNO_PRIORITY_PREEMPTION", old_preempt);
-  restore("DYNO_QUERY_DEADLINE_MS", old_deadline);
-  restore("DYNO_LOAD_SHED_QUEUE_MS", old_shed_q);
-  restore("DYNO_LOAD_SHED_PRESSURE", old_shed_p);
-  restore("DYNO_LOAD_SHED_PRIORITY", old_shed_pri);
-}
-
 // Satellite regression for the engine audit: the per-job fault stream used
 // to be seeded by job name alone, so two queries running an identically
 // named job drew *the same* faults — correlated failures that do not exist

@@ -503,44 +503,22 @@ TEST(SubtreeCacheResumeTest, ResumeAfterKillWithWarmCache) {
 // --- Env knob plumbing ---
 
 TEST(SubtreeCacheOptionsTest, EnvOverridesParse) {
-  auto saved = [](const char* name) -> std::string {
-    const char* v = getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
-  };
-  std::string old_mb = saved("DYNO_SUBTREE_CACHE_MB");
-  std::string old_entries = saved("DYNO_SUBTREE_CACHE_ENTRIES");
-  std::string old_stats = saved("DYNO_STATS_CACHE");
-  setenv("DYNO_SUBTREE_CACHE_MB", "8", 1);
-  setenv("DYNO_SUBTREE_CACHE_ENTRIES", "12", 1);
-  setenv("DYNO_STATS_CACHE", "0", 1);
-
-  SubtreeCacheOptions cache_options;
-  cache_options.ApplyEnvOverrides();
-  EXPECT_EQ(cache_options.max_bytes, 8ull * 1024 * 1024);
-  EXPECT_EQ(cache_options.max_entries, 12u);
+  ScopedEnv env({{"DYNO_SUBTREE_CACHE_MB", "8"},
+                 {"DYNO_SUBTREE_CACHE_ENTRIES", "12"},
+                 {"DYNO_STATS_CACHE", "0"}});
 
   QueryServiceOptions service_options;
   service_options.ApplyEnvOverrides();
   EXPECT_TRUE(service_options.enable_subtree_cache);
   EXPECT_EQ(service_options.subtree_cache.max_bytes, 8ull * 1024 * 1024);
+  EXPECT_EQ(service_options.subtree_cache.max_entries, 12u);
   EXPECT_FALSE(service_options.share_pilot_stats);
 
-  setenv("DYNO_SUBTREE_CACHE_MB", "0", 1);
+  ScopedEnv off({{"DYNO_SUBTREE_CACHE_MB", "0"}});
   QueryServiceOptions disabled;
   disabled.enable_subtree_cache = true;
   disabled.ApplyEnvOverrides();
   EXPECT_FALSE(disabled.enable_subtree_cache) << "0 MB must disable";
-
-  auto restore = [](const char* name, const std::string& value) {
-    if (value.empty()) {
-      unsetenv(name);
-    } else {
-      setenv(name, value.c_str(), 1);
-    }
-  };
-  restore("DYNO_SUBTREE_CACHE_MB", old_mb);
-  restore("DYNO_SUBTREE_CACHE_ENTRIES", old_entries);
-  restore("DYNO_STATS_CACHE", old_stats);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/knobs.h"
 #include "common/string_util.h"
 #include "tpch/queries.h"
 
@@ -21,6 +22,12 @@ Result<bool> PassesFilter(const ExprPtr& filter, const Value& row) {
 }
 
 }  // namespace
+
+int FuzzIters(int base) {
+  static const int env_iters =
+      static_cast<int>(KnobInt(Knob::DYNO_FUZZ_ITERS).value_or(0));
+  return env_iters > 0 ? env_iters : base;
+}
 
 uint64_t ZipfSampler::Next(Rng* rng, uint64_t n, double theta) {
   if (n <= 1) return 0;
@@ -279,7 +286,7 @@ std::string DescribeFirstDivergence(const std::string& golden,
 }
 
 #ifndef DYNO_GOLDEN_DIR
-#error "DYNO_GOLDEN_DIR must point at the checked-in goldens directory"
+#error "the tests' build must define DYNO_GOLDEN_DIR as the goldens directory"
 #endif
 
 std::string GoldenPath(const std::string& name) {
@@ -288,7 +295,7 @@ std::string GoldenPath(const std::string& name) {
 
 void CompareWithGolden(const std::string& name, const std::string& actual) {
   const std::string path = GoldenPath(name);
-  if (std::getenv("DYNO_UPDATE_GOLDEN") != nullptr) {
+  if (KnobValue(Knob::DYNO_UPDATE_GOLDEN) != nullptr) {
     ASSERT_TRUE(WriteStringToFile(path, actual))
         << "cannot write golden " << path;
     std::fprintf(stderr, "updated golden %s (%zu bytes)\n", path.c_str(),

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,20 +17,28 @@
 
 namespace dyno {
 
-/// RAII environment pin: sets each variable for the scope and restores the
-/// previous state (including absence) on destruction. The runtime knobs
-/// (DYNO_COLUMNAR, DYNO_ZONE_MAPS, ...) are re-read on every use, so
-/// pinning at test scope is deterministic regardless of the ctest preset's
-/// environment.
+/// RAII environment pin: sets each variable for the scope (or unsets it,
+/// for a std::nullopt value) and restores the previous state (including
+/// absence) on destruction. The runtime knobs (DYNO_COLUMNAR,
+/// DYNO_ZONE_MAPS, ...) are re-read on every use, so pinning at test scope
+/// is deterministic regardless of the ctest preset's environment.
 class ScopedEnv {
  public:
-  explicit ScopedEnv(std::vector<std::pair<std::string, std::string>> vars) {
+  using Var = std::pair<std::string, std::optional<std::string>>;
+
+  explicit ScopedEnv(std::initializer_list<Var> vars)
+      : ScopedEnv(std::vector<Var>(vars)) {}
+  explicit ScopedEnv(const std::vector<Var>& vars) {
     for (auto& [name, value] : vars) {
       const char* old = ::getenv(name.c_str());
       saved_.emplace_back(name, old == nullptr
                                     ? std::optional<std::string>()
                                     : std::optional<std::string>(old));
-      ::setenv(name.c_str(), value.c_str(), 1);
+      if (value.has_value()) {
+        ::setenv(name.c_str(), value->c_str(), 1);
+      } else {
+        ::unsetenv(name.c_str());
+      }
     }
   }
   ~ScopedEnv() {
@@ -47,6 +56,11 @@ class ScopedEnv {
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
 };
+
+/// Iterations for one fuzz loop: DYNO_FUZZ_ITERS when it is above 0 (the
+/// fuzz-smoke ctest preset pins a small fixed budget; soak runs can crank
+/// it up), otherwise the loop's own `base`.
+int FuzzIters(int base);
 
 /// Zipf-distributed draws in [0, n) with skew parameter `theta` in [0, 1),
 /// for skewed test data. theta = 0 degenerates to uniform. Uses the

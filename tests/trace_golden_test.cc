@@ -11,12 +11,12 @@
 // (they are written back into the source tree via DYNO_GOLDEN_DIR).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/knobs.h"
 #include "common/string_util.h"
 #include "dyno/driver.h"
 #include "mr/engine.h"
@@ -188,7 +188,7 @@ TEST(TraceGoldenTest, CostModelPerturbationNamesFirstDivergentSpan) {
 TEST(TraceGoldenTest, GoldenHeadersCarryCurrentSchemaVersion) {
   // scripts/check_goldens.sh enforces the same invariant without a build;
   // this is the in-process version so `ctest` alone catches drift.
-  if (std::getenv("DYNO_UPDATE_GOLDEN") != nullptr) GTEST_SKIP();
+  if (KnobValue(Knob::DYNO_UPDATE_GOLDEN) != nullptr) GTEST_SKIP();
   std::string expected_header = StrFormat(
       "{\"schema\":%d,\"clock\":\"sim_ms\"}", obs::kTraceSchemaVersion);
   for (const char* name :

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "columnar/knobs.h"
 #include "columnar/zone_map.h"
 #include "common/string_util.h"
 #include "dyno/driver.h"
