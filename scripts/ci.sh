@@ -2,11 +2,12 @@
 # The full local CI gauntlet, one command:
 #
 #   tier-1      every test, default build (catches functional regressions)
-#   tsan        the suites that start threads, under ThreadSanitizer
-#               (catches data races in the service's session threads,
-#               StatsStore and SubtreeCache)
-#   asan-ubsan  engine/driver/integrity suites under Address+UBSanitizer
-#               (catches memory and undefined-behavior bugs)
+#   asan-ubsan  engine/driver/integrity suites and every suite that runs
+#               a fiber (service sessions), under Address+UBSanitizer
+#               (catches memory and undefined-behavior bugs; each fiber
+#               switch carries ASan's stack-switch annotations). There is
+#               no ThreadSanitizer step: the whole program, service
+#               sessions included, runs on one OS thread.
 #   faults      engine/driver suites with 5% injected task failures
 #   node-faults engine/driver suites with 2% node crashes + job-level retry
 #   corruption  engine/driver suites with 2% block + shuffle corruption
@@ -56,8 +57,8 @@
 #               never fails; scripts/loc.sh)
 #
 # Usage: scripts/ci.sh
-# Requires cmake >= 3.20 (presets). Builds into build/, build-tsan/,
-# build-asan/ and build-unused/.
+# Requires cmake >= 3.20 (presets). Builds into build/, build-asan/ and
+# build-unused/.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -96,13 +97,10 @@ scripts/loc.sh || true
 
 run "configure (default)" cmake --preset default
 run "build (default)" cmake --build --preset default -j "$(nproc)"
-run "configure (tsan)" cmake --preset tsan
-run "build (tsan)" cmake --build --preset tsan -j "$(nproc)"
 run "configure (asan-ubsan)" cmake --preset asan-ubsan
 run "build (asan-ubsan)" cmake --build --preset asan-ubsan -j "$(nproc)"
 
 run "ctest preset: default (tier-1)" ctest --preset default
-run "ctest preset: tsan" ctest --preset tsan
 run "ctest preset: asan-ubsan" ctest --preset asan-ubsan
 run "ctest preset: faults" ctest --preset faults
 run "ctest preset: node-faults" ctest --preset node-faults

@@ -9,7 +9,7 @@ namespace dyno {
 namespace {
 // Process-wide instance counter so several caches sharing one Dfs (tests)
 // never collide on pinned-file paths.
-std::atomic<int> g_cache_instances{0};
+int g_cache_instances = 0;
 }  // namespace
 
 SubtreeCache::SubtreeCache(Dfs* dfs, Catalog* catalog,
@@ -32,14 +32,14 @@ void SubtreeCache::RecordEvent(const char* name, const std::string& key,
                      .ArgInt("bytes", static_cast<int64_t>(entry_bytes)));
 }
 
-bool SubtreeCache::IsValidLocked(const Entry& entry) const {
+bool SubtreeCache::IsValid(const Entry& entry) const {
   for (const auto& [table, version] : entry.table_versions) {
     if (catalog_->TableVersion(table) != version) return false;
   }
   return true;
 }
 
-void SubtreeCache::DropEntryLocked(
+void SubtreeCache::DropEntry(
     std::map<std::string, Entry>::iterator it) {
   bytes_ -= it->second.bytes;
   (void)dfs_->Delete(it->second.path);  // Already-gone files are fine.
@@ -51,7 +51,7 @@ void SubtreeCache::DropEntryLocked(
   }
 }
 
-void SubtreeCache::EvictToFitLocked(SimMillis now) {
+void SubtreeCache::EvictToFit(SimMillis now) {
   while (!entries_.empty() && (bytes_ > options_.max_bytes ||
                                entries_.size() > options_.max_entries)) {
     auto victim = entries_.begin();
@@ -62,38 +62,37 @@ void SubtreeCache::EvictToFitLocked(SimMillis now) {
         victim = it;
       }
     }
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++evictions_;
     if (metrics_ != nullptr) metrics_->GetCounter("cache.evictions")->Add();
     RecordEvent("cache_evict", victim->first, now, victim->second.bytes);
-    DropEntryLocked(victim);
+    DropEntry(victim);
   }
 }
 
 std::optional<SubtreeCache::Hit> SubtreeCache::Lookup(const std::string& key,
                                                       SimMillis now) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
     if (metrics_ != nullptr) metrics_->GetCounter("cache.misses")->Add();
     return std::nullopt;
   }
-  if (!IsValidLocked(it->second)) {
+  if (!IsValid(it->second)) {
     // A base table was rewritten since this entry was published: drop it
     // rather than serve pre-rewrite rows.
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++invalidations_;
+    ++misses_;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("cache.invalidations")->Add();
       metrics_->GetCounter("cache.misses")->Add();
     }
     RecordEvent("cache_invalidate", key, now, it->second.bytes);
-    DropEntryLocked(it);
+    DropEntry(it);
     return std::nullopt;
   }
   it->second.last_used = now;
   it->second.tick = ++tick_counter_;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   if (metrics_ != nullptr) metrics_->GetCounter("cache.hits")->Add();
   RecordEvent("cache_hit", key, now, it->second.bytes);
   return Hit{it->second.file, it->second.stats};
@@ -103,16 +102,15 @@ Status SubtreeCache::Publish(
     const std::string& key,
     const std::map<std::string, uint64_t>& table_versions,
     const DfsFile& result, const TableStats& stats, SimMillis now) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto existing = entries_.find(key);
   if (existing != entries_.end()) {
-    if (IsValidLocked(existing->second)) return Status::OK();
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
+    if (IsValid(existing->second)) return Status::OK();
+    ++invalidations_;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("cache.invalidations")->Add();
     }
     RecordEvent("cache_invalidate", key, now, existing->second.bytes);
-    DropEntryLocked(existing);
+    DropEntry(existing);
   }
   if (result.num_bytes() > options_.max_bytes) {
     return Status::ResourceExhausted("result exceeds cache byte budget");
@@ -144,7 +142,7 @@ Status SubtreeCache::Publish(
         ->Set(static_cast<int64_t>(entries_.size()));
   }
   RecordEvent("cache_publish", key, now, entry_bytes);
-  EvictToFitLocked(now);
+  EvictToFit(now);
   return Status::OK();
 }
 

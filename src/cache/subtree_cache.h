@@ -1,11 +1,9 @@
 #ifndef DYNO_CACHE_SUBTREE_CACHE_H_
 #define DYNO_CACHE_SUBTREE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -29,7 +27,7 @@ struct SubtreeCacheOptions {
   std::string dfs_prefix = "/cache/subtree";
 };
 
-/// Cross-query materialized-subtree result cache (ROADMAP item 2): the
+/// Cross-query materialized-subtree result cache (DESIGN.md §6.7): the
 /// CheckpointEntry triple (subtree signature, DFS path, observed stats),
 /// promoted from crash-recovery metadata into a first-class shared cache.
 ///
@@ -47,12 +45,11 @@ struct SubtreeCacheOptions {
 /// monotonic tick as tiebreak, so equal timestamps stay deterministic),
 /// bounded by both bytes and entry count.
 ///
-/// Thread safety: one cache is shared by every session of a QueryService.
-/// All state is mutex-guarded and the instrumentation counters are relaxed
-/// atomics readable without the lock. Determinism: the service's baton
-/// protocol serializes sessions, so lookup/publish order — and therefore
-/// hit patterns and eviction decisions — is a deterministic function of
-/// admission order.
+/// One cache is shared by every session of a QueryService, which runs them
+/// all on one thread, so the cache takes no lock. Determinism: the service
+/// switches between sessions only at submission points, so lookup/publish
+/// order — and therefore hit patterns and eviction decisions — is a
+/// deterministic function of admission order.
 class SubtreeCache {
  public:
   /// A valid cache hit: the pinned result file plus the statistics observed
@@ -86,14 +83,10 @@ class SubtreeCache {
                  const DfsFile& result, const TableStats& stats,
                  SimMillis now);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  uint64_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t evictions() const { return evictions_; }
+  uint64_t invalidations() const { return invalidations_; }
 
  private:
   struct Entry {
@@ -106,11 +99,11 @@ class SubtreeCache {
     uint64_t tick = 0;  ///< LRU tiebreak for equal sim-times.
   };
 
-  /// Drops `it`'s pinned file and erases it. Caller holds mu_.
-  void DropEntryLocked(std::map<std::string, Entry>::iterator it);
-  /// Evicts LRU entries until both bounds hold. Caller holds mu_.
-  void EvictToFitLocked(SimMillis now);
-  bool IsValidLocked(const Entry& entry) const;
+  /// Drops `it`'s pinned file and erases it.
+  void DropEntry(std::map<std::string, Entry>::iterator it);
+  /// Evicts LRU entries until both bounds hold.
+  void EvictToFit(SimMillis now);
+  bool IsValid(const Entry& entry) const;
   void RecordEvent(const char* name, const std::string& key, SimMillis now,
                    uint64_t entry_bytes);
 
@@ -120,17 +113,16 @@ class SubtreeCache {
   obs::MetricsRegistry* metrics_;
   obs::TraceSink* trace_;
 
-  mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
   uint64_t bytes_ = 0;
   uint64_t tick_counter_ = 0;
   int instance_id_ = 0;
   uint64_t pin_counter_ = 0;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t invalidations_ = 0;
 };
 
 }  // namespace dyno

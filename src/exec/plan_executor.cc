@@ -1,6 +1,5 @@
 #include "exec/plan_executor.h"
 
-#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -84,7 +83,7 @@ ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
 
 // Globally unique unit uids, so outputs of units from different
 // decompositions never collide in one executor's bookkeeping.
-std::atomic<int64_t> g_unit_uid{0};
+int64_t g_unit_uid = 0;
 
 /// Recursively walks a plan, emitting JobUnits bottom-up.
 Result<JobInput> DecomposeNode(const PlanNode& node,
@@ -166,7 +165,7 @@ Result<JobInput> DecomposeNode(const PlanNode& node,
 namespace {
 // Process-wide executor instance counter, giving every executor a unique
 // DFS namespace for its intermediate results.
-std::atomic<int> g_executor_instances{0};
+int g_executor_instances = 0;
 }  // namespace
 
 PlanExecutor::PlanExecutor(MapReduceEngine* engine, ExecOptions options)

@@ -841,7 +841,7 @@ class MapReduceEngine::Simulation {
 
  private:
   // Cache instrument pointers once per submission; the hot paths then pay
-  // only a relaxed atomic per update.
+  // only an add per update, no name lookup.
   void RegisterMetrics() {
     if (metrics_ == nullptr) return;
     m_jobs_ = metrics_->GetCounter("mr.jobs");

@@ -112,9 +112,10 @@ class MapReduceEngine {
 
   /// Scheduling hook for a multi-query service: when set, Submit/SubmitAll
   /// hand the batch to the gate and return whatever it returns. The gate
-  /// runs on the submitting thread; it is expected to eventually execute
-  /// the jobs via SubmitAllDirect (possibly merged with other sessions'
-  /// batches) and hand each session its own results back, in spec order.
+  /// runs in the submitter's context (a service session's fiber); it is
+  /// expected to eventually execute the jobs via SubmitAllDirect (possibly
+  /// merged with other sessions' batches) and hand each session its own
+  /// results back, in spec order.
   using SubmitGate =
       std::function<Result<std::vector<JobResult>>(std::vector<JobSpec>)>;
   void set_submit_gate(SubmitGate gate) { submit_gate_ = std::move(gate); }

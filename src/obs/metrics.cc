@@ -22,13 +22,12 @@ void Histogram::Observe(int64_t value) {
   // counts observations <= bounds_[i].
   size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
              bounds_.begin();
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  ++buckets_[i];
+  ++count_;
+  sum_ += value;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (gauges_.count(name) || histograms_.count(name)) return nullptr;
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -36,7 +35,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (counters_.count(name) || histograms_.count(name)) return nullptr;
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -45,7 +43,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<int64_t> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (counters_.count(name) || gauges_.count(name)) return nullptr;
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
@@ -53,7 +50,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 std::string MetricsRegistry::Serialize() const {
-  std::lock_guard<std::mutex> lock(mu_);
   // Merge the three sorted maps into one name-ordered rendering.
   std::vector<std::string> lines;
   lines.reserve(counters_.size() + gauges_.size() + histograms_.size());

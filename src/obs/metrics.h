@@ -1,40 +1,37 @@
 #ifndef DYNO_OBS_METRICS_H_
 #define DYNO_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace dyno::obs {
 
-/// Monotonic counter. Add() is one relaxed atomic add, safe from any
-/// thread; value() is a coherent snapshot.
+/// Monotonic counter.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) { value_ += n; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// Last-write-wins gauge.
 class Gauge {
  public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(int64_t v) { value_ = v; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i], plus
 /// one overflow bucket. Bounds are fixed at registration, so Observe() is a
-/// branchless-ish upper_bound plus one relaxed atomic increment — no lock.
+/// branchless-ish upper_bound plus one increment.
 class Histogram {
  public:
   /// `bounds` must be strictly increasing; empty selects
@@ -43,28 +40,26 @@ class Histogram {
 
   void Observe(int64_t value);
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return count_; }
+  int64_t sum() const { return sum_; }
   const std::vector<int64_t>& bounds() const { return bounds_; }
   /// i in [0, bounds().size()]; the last index is the overflow bucket.
-  uint64_t bucket_count(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  uint64_t bucket_count(size_t i) const { return buckets_[i]; }
 
  private:
   std::vector<int64_t> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;  ///< bounds_.size() + 1.
-  std::atomic<uint64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
+  std::vector<uint64_t> buckets_;  ///< bounds_.size() + 1.
+  uint64_t count_ = 0;
+  int64_t sum_ = 0;
 };
 
 /// Exponential sim-millisecond bounds, 1 ms .. ~17 min.
 std::vector<int64_t> DefaultLatencyBounds();
 
-/// Named metrics the engine, pilot, optimizer and driver register into.
-/// Registration (Get*) takes the registry mutex once per name and returns a
-/// pointer that stays valid for the registry's lifetime; all subsequent
-/// updates through that pointer are lock-free atomics. Re-registering a
+/// Named metrics the engine, pilot, optimizer and driver register into, all
+/// on one thread. Registration (Get*) returns a pointer that stays valid
+/// for the registry's lifetime, so hot paths look a name up once and update
+/// through the pointer. Re-registering a
 /// name returns the same instrument, so independent components may share
 /// one metric. A name must keep its kind: requesting an existing name as a
 /// different instrument kind returns nullptr.
@@ -83,7 +78,6 @@ class MetricsRegistry {
   std::string Serialize() const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

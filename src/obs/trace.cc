@@ -62,7 +62,6 @@ TraceEvent&& TraceEvent::ArgBool(const char* key, bool value) && {
 }
 
 void TraceSink::Record(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(std::move(event));
 }
 
@@ -82,7 +81,6 @@ void AppendArgsObject(const TraceEvent& e, std::string* out) {
 }  // namespace
 
 std::string TraceSink::SerializeJsonl() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = StrFormat("{\"schema\":%d,\"clock\":\"sim_ms\"}\n",
                               kTraceSchemaVersion);
   for (size_t i = 0; i < events_.size(); ++i) {
@@ -98,7 +96,6 @@ std::string TraceSink::SerializeJsonl() const {
 }
 
 std::string TraceSink::SerializeChromeTrace() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   static const char* kLaneNames[] = {"driver", "optimizer", "pilot", "engine",
                                      "tasks",  "service"};

@@ -2,7 +2,6 @@
 #define DYNO_OBS_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,10 +72,10 @@ struct TraceEvent {
 /// Escapes `s` as a JSON string literal, including the surrounding quotes.
 std::string JsonQuote(const std::string& s);
 
-/// Ordered buffer of TraceEvents. Record() appends under a mutex; callers
-/// are responsible for only recording from deterministically-ordered code
-/// paths (the engine scheduler thread or the driving thread) so the buffer
-/// order — and therefore the serialized trace — is reproducible.
+/// Ordered buffer of TraceEvents. Everything records on one thread, and
+/// callers record only from deterministically-ordered code paths (the
+/// engine scheduler or a service session at its turn), so the buffer order
+/// — and therefore the serialized trace — is reproducible.
 class TraceSink {
  public:
   void Record(TraceEvent event);
@@ -94,7 +93,6 @@ class TraceSink {
   Status WriteChromeTrace(const std::string& path) const;
 
  private:
-  mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
 };
 

@@ -1,7 +1,6 @@
 #include "pilot/pilot_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -88,7 +87,7 @@ struct PilotRunner::LeafJobState {
 namespace {
 // Process-wide counter so concurrent PilotRunner instances never collide on
 // DFS output paths.
-std::atomic<int> g_pilot_run_counter{0};
+int g_pilot_run_counter = 0;
 }  // namespace
 
 PilotRunner::PilotRunner(MapReduceEngine* engine, Catalog* catalog,

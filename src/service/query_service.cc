@@ -1,6 +1,15 @@
 #include "service/query_service.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <utility>
 
 #include "common/hash.h"
@@ -28,14 +37,126 @@ void QueryServiceOptions::ApplyEnvOverrides() {
   ReadKnob(Knob::DYNO_MEMORY_ADMISSION, &memory_ledger_bytes);
 }
 
-/// All mutable state is guarded by QueryService::mu_; the baton protocol
-/// guarantees at most one thread (scheduler or one session) touches it at a
-/// time, and every handoff is a condvar edge (happens-before), so the
-/// whole service is data-race-free by construction.
+namespace {
+
+[[noreturn]] void FiberDie(const char* what) {
+  std::fprintf(stderr, "dyno: fatal: fiber: %s\n", what);
+  std::abort();
+}
+
+const size_t kGuardBytes = sysconf(_SC_PAGESIZE);
+
+// ASan must be told about every stack switch, or it mistakes the other
+// stack's frames for overflows; the fake-stack slot keeps each side's
+// use-after-return frames across the switch.
+#ifdef __SANITIZE_ADDRESS__
+#define DYNO_START_SWITCH __sanitizer_start_switch_fiber
+#define DYNO_FINISH_SWITCH __sanitizer_finish_switch_fiber
+#else
+#define DYNO_START_SWITCH(fake_stack, bottom, bytes) (void)(fake_stack)
+#define DYNO_FINISH_SWITCH(fake_stack, bottom, bytes) (void)(fake_stack)
+#endif
+
+// Saves the running context in `from` and continues at `to`; returns once
+// something continues at `from`. Not swapcontext: ASan's interceptor for
+// it clears the target stack's shadow on every switch, losing the live
+// frames' redzones, and warns that it may report false positives.
+void Switch(ucontext_t* from, const ucontext_t* to) {
+  volatile bool resumed = false;
+  if (getcontext(from) != 0) FiberDie("getcontext");
+  if (resumed) return;
+  resumed = true;
+  setcontext(to);
+  FiberDie("setcontext");
+}
+
+/// A session's stackful coroutine on the calling thread (glibc ucontext).
+/// Resume() runs the body until it calls Yield() or returns; Yield()
+/// switches back to the resumer, and so does the body's return (uc_link).
+/// The stack is an mmap of kStackBytes with a PROT_NONE guard page below
+/// it, so an overflow faults as on a thread stack, and untouched pages stay
+/// non-resident. An exception escaping the body calls std::terminate, as
+/// escaping a thread's entry function does.
+class Fiber {
+ public:
+  /// A default thread stack (`ulimit -s` 8192).
+  static constexpr size_t kStackBytes = size_t{8} << 20;
+
+  explicit Fiber(std::function<void()> body) : body_(std::move(body)) {
+    mapping_ = static_cast<char*>(
+        mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0));
+    if (mapping_ == MAP_FAILED) FiberDie("cannot map a stack");
+    if (mprotect(mapping_, kGuardBytes, PROT_NONE) != 0) FiberDie("mprotect");
+    if (getcontext(&fiber_ctx_) != 0) FiberDie("getcontext");
+    fiber_ctx_.uc_stack.ss_sp = mapping_ + kGuardBytes;
+    fiber_ctx_.uc_stack.ss_size = kStackBytes;
+    fiber_ctx_.uc_link = &resumer_ctx_;
+    // makecontext passes int arguments only, so `this` travels in halves.
+    const uintptr_t self = reinterpret_cast<uintptr_t>(this);
+    makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(&Fiber::Entry), 2,
+                static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+  }
+
+  /// A suspended body's frames cannot be unwound from outside, so the
+  /// owner must resume it until it returns first.
+  ~Fiber() {
+    if (!done_) FiberDie("destroyed before its body returned");
+    // The next mapping at this address must not inherit stale poison.
+    ASAN_UNPOISON_MEMORY_REGION(mapping_ + kGuardBytes, kStackBytes);
+    munmap(mapping_, kGuardBytes + kStackBytes);
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  /// Runs the body until its next Yield() or its return.
+  void Resume() {
+    void* fake_stack = nullptr;
+    DYNO_START_SWITCH(&fake_stack, mapping_ + kGuardBytes, kStackBytes);
+    Switch(&resumer_ctx_, &fiber_ctx_);
+    DYNO_FINISH_SWITCH(fake_stack, nullptr, nullptr);
+  }
+
+  /// Called from the body: suspends it and returns from Resume().
+  void Yield() {
+    void* fake_stack = nullptr;
+    DYNO_START_SWITCH(&fake_stack, resumer_stack_, resumer_stack_bytes_);
+    Switch(&fiber_ctx_, &resumer_ctx_);
+    DYNO_FINISH_SWITCH(fake_stack, &resumer_stack_, &resumer_stack_bytes_);
+  }
+
+ private:
+  static void Entry(unsigned hi, unsigned lo) noexcept {
+    Fiber* self =
+        reinterpret_cast<Fiber*>((static_cast<uintptr_t>(hi) << 32) | lo);
+    DYNO_FINISH_SWITCH(nullptr, &self->resumer_stack_,
+                       &self->resumer_stack_bytes_);
+    self->body_();
+    self->done_ = true;
+    // The last switch out (to uc_link): a null slot, so this stack's fake
+    // frames die with it.
+    DYNO_START_SWITCH(nullptr, self->resumer_stack_,
+                      self->resumer_stack_bytes_);
+  }
+
+  std::function<void()> body_;
+  char* mapping_ = nullptr;  ///< Guard page, then the stack.
+  ucontext_t fiber_ctx_{};
+  ucontext_t resumer_ctx_{};
+  bool done_ = false;
+  /// The resumer's stack, as ASan reports it (unused in other builds).
+  const void* resumer_stack_ = nullptr;
+  size_t resumer_stack_bytes_ = 0;
+};
+
+}  // namespace
+
 struct QueryService::Session {
+  /// Read only by the scheduler, which runs while every session is parked.
+  /// A resumed session keeps its state until it parks or finishes.
   enum class State {
-    kQueued,         ///< Not yet admitted; no thread exists.
-    kRunning,        ///< Holds the baton (driver code executing).
+    kQueued,         ///< Not yet admitted; no fiber exists.
     kWaitingSubmit,  ///< Parked in the submit gate with pending_specs set.
     kDone,           ///< Driver returned (or the session never started).
   };
@@ -59,7 +180,6 @@ struct QueryService::Session {
   enum class Stop { kNone, kPreempt, kDeadline, kCancel, kHalt };
 
   State state = State::kQueued;
-  bool started = false;  ///< Thread launched.
   /// Only rises (Raise), except that a preemption re-queue clears it.
   Stop stop = Stop::kNone;
   int preempt_count = 0;
@@ -80,12 +200,12 @@ struct QueryService::Session {
   /// Set by the scheduler to resume a parked session: its slice of the
   /// wave results, or an error (e.g. Cancelled).
   std::optional<Result<std::vector<JobResult>>> grant;
-  /// Posted by SessionMain when the driver returns.
+  /// Posted by the fiber body when the driver returns.
   std::optional<Result<QueryRunReport>> driver_result;
 
-  /// Joinable exactly while the session has finished but is not yet
-  /// reaped (or is still running).
-  std::thread thread;
+  /// Held from admission until the session is reaped: a session holds one
+  /// exactly while admitted, and a done one that still does is unreaped.
+  std::unique_ptr<Fiber> fiber;
 
   void Raise(Stop reason) { stop = std::max(stop, reason); }
 
@@ -125,30 +245,15 @@ QueryService::QueryService(MapReduceEngine* engine, Catalog* catalog,
   }
 }
 
-QueryService::~QueryService() {
-  // Defensive teardown for a service destroyed mid-run (RunAll normally
-  // joins everything): unwind any parked session as a halt would and join
-  // its thread.
-  std::unique_lock<std::mutex> lock(mu_);
-  for (auto& session : sessions_) session->Raise(Session::Stop::kHalt);
-  UnwindStopped(&lock);
-  std::vector<std::thread> to_join;
-  for (auto& session : sessions_) {
-    if (session->thread.joinable()) {
-      to_join.push_back(std::move(session->thread));
-    }
-  }
-  lock.unlock();
-  for (std::thread& t : to_join) t.join();
-}
+// RunAll returns only once every session it admitted is reaped, and a
+// reaped session holds no fiber; ~Fiber aborts on a suspended one.
+QueryService::~QueryService() = default;
 
 Status QueryService::Enqueue(QuerySubmission submission) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EnqueueLocked(std::move(submission), /*recovered=*/false);
+  return AddSession(std::move(submission), /*recovered=*/false);
 }
 
-Status QueryService::EnqueueLocked(QuerySubmission submission,
-                                   bool recovered) {
+Status QueryService::AddSession(QuerySubmission submission, bool recovered) {
   if (submission.query_id.empty()) {
     return Status::InvalidArgument("submission has no query id");
   }
@@ -200,7 +305,6 @@ Status QueryService::EnqueueLocked(QuerySubmission submission,
 }
 
 Status QueryService::Cancel(const std::string& query_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& session : sessions_) {
     if (session->sub.query_id != query_id) continue;
     if (session->state == Session::State::kDone) {
@@ -213,7 +317,6 @@ Status QueryService::Cancel(const std::string& query_id) {
 }
 
 Status QueryService::CancelAt(const std::string& query_id, SimMillis at_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& session : sessions_) {
     if (session->sub.query_id != query_id) continue;
     if (session->state == Session::State::kDone) {
@@ -227,7 +330,6 @@ Status QueryService::CancelAt(const std::string& query_id, SimMillis at_ms) {
 
 Result<int> QueryService::RecoverPending(
     const std::vector<QuerySubmission>& submissions) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (options_.checkpoint_root.empty()) {
     return Status::FailedPrecondition(
         "RecoverPending requires QueryServiceOptions::checkpoint_root");
@@ -250,7 +352,7 @@ Result<int> QueryService::RecoverPending(
       }
     }
     if (match == nullptr) continue;  // Marker kept for a later attempt.
-    DYNO_RETURN_IF_ERROR(EnqueueLocked(*match, /*recovered=*/true));
+    DYNO_RETURN_IF_ERROR(AddSession(*match, /*recovered=*/true));
     ++recovered;
     if (metrics != nullptr) metrics->GetCounter("service.recovered")->Add();
     if (trace != nullptr) {
@@ -265,12 +367,10 @@ Result<int> QueryService::RecoverPending(
 
 Result<std::vector<JobResult>> QueryService::SubmitFromSession(
     std::vector<JobSpec> specs) {
-  std::unique_lock<std::mutex> lock(mu_);
   Session* session = running_session_;
   if (session == nullptr || !run_active_) {
     // A submission from outside any session (not expected while the gate
     // is installed, but harmless): execute directly.
-    lock.unlock();
     return engine_->SubmitAllDirect(specs);
   }
   // A preemption victim parks like any other session and unwinds in the
@@ -282,54 +382,19 @@ Result<std::vector<JobResult>> QueryService::SubmitFromSession(
   }
   session->pending_specs = std::move(specs);
   session->state = Session::State::kWaitingSubmit;
-  cv_.notify_all();  // Baton back to the scheduler.
-  cv_.wait(lock, [&] { return session->grant.has_value(); });
+  session->fiber->Yield();
   Result<std::vector<JobResult>> out = std::move(*session->grant);
   session->grant.reset();
   return out;
 }
 
-void QueryService::SessionMain(Session* session) {
-  bool resume = false;
-  {
-    // The scheduler holds mu_ from launching this thread until it waits for
-    // the session to block, so acquiring it is the start handoff.
-    std::lock_guard<std::mutex> lock(mu_);
-    resume = session->resume_on_start;
-  }
-  // The stats-sharing knob: with sharing off each session plans from a
-  // private store, so one query's pilot statistics never leak into another
-  // (the isolation ablation for the cross-query reuse experiments).
-  StatsStore private_store;
-  StatsStore* store = options_.share_pilot_stats ? store_ : &private_store;
-  DynoDriver driver(engine_, catalog_, store, session->scoped_options);
-  // A preempted or crash-recovered session resumes from its checkpoint
-  // manifest; Resume degrades to Execute-from-scratch when no manifest is
-  // readable, so correctness never depends on checkpoint survival.
-  Result<QueryRunReport> result = resume ? driver.Resume(session->sub.query)
-                                         : driver.Execute(session->sub.query);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    session->finish_ms = engine_->now();
-    session->driver_result.emplace(std::move(result));
-    session->state = Session::State::kDone;
-    cv_.notify_all();  // Baton back to the scheduler.
-  }
-}
-
-void QueryService::RunSessionUntilBlocked(Session* session,
-                                          std::unique_lock<std::mutex>* lock) {
+void QueryService::RunSessionUntilBlocked(Session* session) {
   running_session_ = session;
-  session->state = Session::State::kRunning;
-  cv_.notify_all();
-  cv_.wait(*lock, [&] {
-    return session->state == Session::State::kWaitingSubmit ||
-           session->state == Session::State::kDone;
-  });
+  session->fiber->Resume();
   running_session_ = nullptr;
 }
 
-void QueryService::UnwindStopped(std::unique_lock<std::mutex>* lock) {
+void QueryService::UnwindStopped() {
   for (auto& session : sessions_) {
     if (session->state != Session::State::kWaitingSubmit ||
         session->stop == Session::Stop::kNone) {
@@ -346,7 +411,7 @@ void QueryService::UnwindStopped(std::unique_lock<std::mutex>* lock) {
     }
     session->grant =
         Result<std::vector<JobResult>>(session->StopStatus(/*queued=*/false));
-    RunSessionUntilBlocked(session.get(), lock);
+    RunSessionUntilBlocked(session.get());
   }
 }
 
@@ -361,7 +426,6 @@ void QueryService::ApplyTimedCancels() {
 }
 
 std::vector<QueryOutcome> QueryService::RunAll() {
-  std::unique_lock<std::mutex> lock(mu_);
   run_active_ = true;
   const int max_concurrent = std::max(1, options_.max_concurrent);
   const SimMillis run_start = engine_->now();
@@ -423,8 +487,8 @@ std::vector<QueryOutcome> QueryService::RunAll() {
 
   int running = 0;  ///< Admitted, not yet reaped.
   std::map<std::string, int> tenant_running;
-  /// Bytes currently promised against the memory ledger (scheduler-thread
-  /// only, like all admission state — deterministic by construction).
+  /// Bytes currently promised against the memory ledger (scheduler only,
+  /// like all admission state — deterministic by construction).
   uint64_t memory_reserved = 0;
   auto query_memory_charge = [&](Session* session) -> uint64_t {
     return session->sub.estimated_memory_bytes > 0
@@ -470,16 +534,16 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     if (options_.checkpoint_root.empty()) return;
     dfs->Delete(pending_marker_path(session)).ok();
     const std::string& manifest = session->scoped_options.checkpoint_path;
-    if (session->started && !manifest.empty() &&
+    if (session->fiber != nullptr && !manifest.empty() &&
         StartsWith(manifest, options_.checkpoint_root)) {
       dfs->Delete(manifest).ok();
       dfs->Delete(manifest + ".prev").ok();
     }
   };
 
-  // Finalizes a session with no live thread (never admitted, or already
-  // joined after a preemption) without a driver run: stopped while queued
-  // (`status` empty: its StopStatus) or load-shed. No thread, no slot
+  // Finalizes a session with no fiber (never admitted, or already reaped
+  // after a preemption) without a driver run: stopped while queued
+  // (`status` empty: its StopStatus) or load-shed. No fiber, no slot
   // accounting.
   auto finalize_queued = [&](Session* session, obs::Counter* counter,
                              std::optional<Status> status = std::nullopt) {
@@ -492,16 +556,16 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     cleanup_service_state(session);
   };
 
-  // Joins finished session threads and releases their capacity. A session
+  // Releases finished sessions' capacity and frees their fibers (after
+  // cleanup_service_state, which reads the fiber as "admitted"). A session
   // that unwound because the scheduler preempted it is re-queued to resume
   // from its checkpoint instead of being finalized.
   auto reap_finished = [&] {
     for (Session* session : cohort) {
       if (session->state != Session::State::kDone ||
-          !session->thread.joinable()) {
+          session->fiber == nullptr) {
         continue;
       }
-      session->thread.join();
       --running;
       --tenant_running[session->sub.tenant];
       if (g_running != nullptr) g_running->Set(running);
@@ -519,7 +583,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         ++session->preempt_count;
         session->resume_on_start = true;
         session->driver_result.reset();
-        session->started = false;
+        session->fiber.reset();
         session->finish_ms = -1;
         session->state = Session::State::kQueued;
         if (m_preemptions != nullptr) m_preemptions->Add();
@@ -547,6 +611,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
         h_latency->Observe(session->finish_ms - session->arrival_ms);
       }
       cleanup_service_state(session);
+      session->fiber.reset();
       if (trace != nullptr) {
         trace->Record(obs::TraceEvent(session->finish_ms, -1,
                                       obs::TraceLane::kService, "service",
@@ -577,7 +642,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                                       "service", "deadline_exceeded")
                           .Arg("query", session->sub.query_id)
                           .ArgInt("deadline_ms", session->deadline_at)
-                          .ArgBool("admitted", session->started));
+                          .ArgBool("admitted", session->fiber != nullptr));
       }
       if (session->state == Session::State::kQueued) {
         finalize_queued(session, m_deadline);
@@ -591,7 +656,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
   auto lowest_priority_victim = [&]() -> Session* {
     Session* victim = nullptr;
     for (Session* s : cohort) {
-      if (!s->started || s->state == Session::State::kDone) continue;
+      if (s->fiber == nullptr || s->state == Session::State::kDone) continue;
       if (s->stop != Session::Stop::kNone) continue;
       if (victim == nullptr || s->priority < victim->priority ||
           (s->priority == victim->priority &&
@@ -772,9 +837,26 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                                     session->admit_ms - session->arrival_ms));
         }
       }
-      session->started = true;
-      session->thread = std::thread(&QueryService::SessionMain, this, session);
-      RunSessionUntilBlocked(session, &lock);
+      session->fiber = std::make_unique<Fiber>([this, session] {
+        // The stats-sharing knob: with sharing off each session plans from
+        // a private store, so one query's pilot statistics never leak into
+        // another (the isolation ablation for the cross-query reuse
+        // experiments).
+        StatsStore private_store;
+        DynoDriver driver(engine_, catalog_,
+                          options_.share_pilot_stats ? store_ : &private_store,
+                          session->scoped_options);
+        // A preempted or crash-recovered session resumes from its
+        // checkpoint manifest; Resume degrades to Execute-from-scratch when
+        // no manifest is readable, so correctness never depends on
+        // checkpoint survival.
+        session->driver_result.emplace(
+            session->resume_on_start ? driver.Resume(session->sub.query)
+                                     : driver.Execute(session->sub.query));
+        session->finish_ms = engine_->now();
+        session->state = Session::State::kDone;
+      });
+      RunSessionUntilBlocked(session);
     }
   };
 
@@ -818,12 +900,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                         .ArgDouble("pressure",
                                    engine_->last_wave_pressure()));
     }
-    // The engine runs on this (scheduler) thread; every session is parked,
-    // so dropping the lock for the duration is safe and keeps the gate
-    // callable by... nobody, which is the point.
-    lock.unlock();
     Result<std::vector<JobResult>> wave = engine_->SubmitAllDirect(specs);
-    lock.lock();
     size_t offset = 0;
     std::vector<Result<std::vector<JobResult>>> slices;
     slices.reserve(parts.size());
@@ -837,11 +914,10 @@ std::vector<QueryOutcome> QueryService::RunAll() {
       }
       offset += count;
     }
-    // Resume in the same fair-share order, one at a time (granting all at
-    // once would wake every parked thread and break the baton).
+    // Resume in the same fair-share order.
     for (size_t i = 0; i < parts.size(); ++i) {
       parts[i].first->grant = std::move(slices[i]);
-      RunSessionUntilBlocked(parts[i].first, &lock);
+      RunSessionUntilBlocked(parts[i].first);
     }
     return true;
   };
@@ -858,7 +934,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
                         .ArgInt("at_ms", engine_->now()));
     }
     for (Session* session : cohort) session->Raise(Session::Stop::kHalt);
-    UnwindStopped(&lock);
+    UnwindStopped();
     reap_finished();
     for (Session* session : cohort) {
       if (session->state == Session::State::kQueued) {
@@ -876,7 +952,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     apply_deadlines();
     reap_finished();
     admit_due();
-    UnwindStopped(&lock);
+    UnwindStopped();
     reap_finished();
     // A preemption freed its slot just now (unwind → reap): admit again so
     // the preemptor joins the very next wave instead of waiting one out.
@@ -890,7 +966,7 @@ std::vector<QueryOutcome> QueryService::RunAll() {
     bool any_queued = false;
     for (Session* session : cohort) {
       if (session->state == Session::State::kDone &&
-          session->thread.joinable()) {
+          session->fiber != nullptr) {
         any_done_unreaped = true;
       }
       if (session->state == Session::State::kQueued) {

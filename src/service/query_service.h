@@ -1,13 +1,10 @@
 #ifndef DYNO_SERVICE_QUERY_SERVICE_H_
 #define DYNO_SERVICE_QUERY_SERVICE_H_
 
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/subtree_cache.h"
@@ -180,13 +177,13 @@ struct QueryOutcome {
 /// shared MapReduceEngine, multiplexing their jobs through a fair-share
 /// scheduler with admission control (DESIGN.md §6.6).
 ///
-/// Concurrency model: each session runs on its own thread, but the threads
-/// are strictly baton-serialized — at any instant at most one of {service
-/// scheduler, one session} executes, and every handoff is a mutex/condvar
-/// edge. Session threads are coroutines in all but name: nothing runs in
-/// parallel, and the engine runs every wave on the scheduler's thread.
-/// Every driver Submit/SubmitAll is intercepted by an engine submit gate:
-/// the session parks, and once every runnable session has quiesced the
+/// Execution model: the service is single-threaded. Each admitted session
+/// runs on a fiber (its own stack, on the caller's thread); at any instant
+/// exactly one of {service scheduler, one session} executes, and control
+/// changes hands only by a fiber switch. The engine runs every wave on the
+/// scheduler. Every driver Submit/SubmitAll is intercepted by an engine
+/// submit gate: the session parks (switches back to the scheduler), and
+/// once every runnable session has quiesced the
 /// scheduler concatenates the parked batches of all waiting sessions —
 /// ordered by fair share: least attained committed slot time first, ties
 /// broken by admission sequence — into one combined SubmitAllDirect wave,
@@ -194,11 +191,11 @@ struct QueryOutcome {
 /// time. Results are split back per session and sessions are resumed in
 /// the same order.
 ///
-/// Determinism: scheduling state is touched only between handoffs, arrival
-/// times come from a seeded service RNG stream in Enqueue order, and waves
-/// execute on the scheduler thread. Two runs of the same configuration
-/// therefore give byte-identical per-query results, checkpoint stats and
-/// serialized traces.
+/// Determinism: scheduling state is touched only by the scheduler, arrival
+/// times come from a seeded service RNG stream in Enqueue order, and the
+/// switch order is a function of that state. Two runs of the same
+/// configuration therefore give byte-identical per-query results,
+/// checkpoint stats and serialized traces.
 class QueryService {
  public:
   QueryService(MapReduceEngine* engine, Catalog* catalog, StatsStore* store,
@@ -257,29 +254,23 @@ class QueryService {
  private:
   struct Session;
 
-  /// Shared tail of Enqueue and RecoverPending; call with mu_ held.
-  Status EnqueueLocked(QuerySubmission submission, bool recovered);
+  /// Shared tail of Enqueue and RecoverPending.
+  Status AddSession(QuerySubmission submission, bool recovered);
 
-  /// Engine submit gate; runs on the calling session's thread.
+  /// Engine submit gate; runs on the calling session's fiber.
   Result<std::vector<JobResult>> SubmitFromSession(
       std::vector<JobSpec> specs);
 
-  /// Session thread body: takes the start handoff, runs the driver, posts
-  /// the outcome.
-  void SessionMain(Session* session);
-
-  /// Hands the baton to `session` (start or grant) and blocks until it
-  /// parks at a submission or finishes. Call with `lock` held.
-  void RunSessionUntilBlocked(Session* session,
-                              std::unique_lock<std::mutex>* lock);
+  /// Switches to `session`'s fiber (start or grant) and returns once it
+  /// parks at a submission or finishes.
+  void RunSessionUntilBlocked(Session* session);
 
   /// Hands every parked session that has a stop reason its StopStatus and
   /// runs it until it blocks again (it unwinds its driver stack and
-  /// finishes). Serves the scheduler pass, the halt and the destructor.
-  /// Call with `lock` held.
-  void UnwindStopped(std::unique_lock<std::mutex>* lock);
+  /// finishes). Serves the scheduler pass and the halt.
+  void UnwindStopped();
 
-  /// Applies due CancelAt requests; call with the lock held.
+  /// Applies due CancelAt requests.
   void ApplyTimedCancels();
 
   MapReduceEngine* engine_;
@@ -288,14 +279,12 @@ class QueryService {
   QueryServiceOptions options_;
   Rng rng_;
   /// Owned cross-query subtree cache (null when disabled). Sessions borrow
-  /// it through DynoOptions::subtree_cache; it must therefore outlive every
-  /// session thread, which ~QueryService's join guarantees.
+  /// it through DynoOptions::subtree_cache; RunAll reaps every session it
+  /// runs before returning, so none outlives it.
   std::unique_ptr<SubtreeCache> subtree_cache_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::unique_ptr<Session>> sessions_;  ///< Enqueue order.
-  /// Session currently holding the baton (null while the scheduler does).
+  /// Session whose fiber is executing (null while the scheduler is).
   Session* running_session_ = nullptr;
   /// Monotonic admission sequence (fair-share tie-break).
   int next_admit_seq_ = 0;

@@ -10,7 +10,6 @@ void StatsStore::Put(const std::string& signature, TableStats stats) {
 
 void StatsStore::Put(const std::string& signature, uint64_t version,
                      TableStats stats) {
-  std::lock_guard<std::mutex> lock(mu_);
   entries_[signature] = Entry{std::move(stats), version};
 }
 
@@ -20,20 +19,19 @@ std::optional<TableStats> StatsStore::Get(const std::string& signature) const {
 
 std::optional<TableStats> StatsStore::Get(const std::string& signature,
                                           uint64_t version) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(signature);
   if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
     return std::nullopt;
   }
   const Entry& entry = it->second;
   if (version != kAnyVersion && entry.version != kAnyVersion &&
       entry.version != version) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    stale_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
+    ++stale_misses_;
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   return entry.stats;
 }
 

@@ -1,10 +1,8 @@
 #ifndef DYNO_STATS_STATS_STORE_H_
 #define DYNO_STATS_STATS_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -18,9 +16,9 @@ namespace dyno {
 /// statistics can be reused across pilot runs, across re-optimization
 /// steps, and across recurring queries.
 ///
-/// One store is shared by every concurrent QueryService session, so all
-/// accessors are thread-safe: the entry map is mutex-guarded and the
-/// hit/miss instrumentation uses relaxed atomics (Get stays `const`).
+/// One store is shared by every concurrent QueryService session; the
+/// service runs them all on one thread, so the store takes no lock (the
+/// hit/miss instrumentation is `mutable`, so Get stays `const`).
 ///
 /// Entries carry the data version (Catalog::TableVersion at observation
 /// time) they were computed against. A Get with a version only returns an
@@ -56,11 +54,9 @@ class StatsStore {
   /// Number of Get calls that found a valid entry / missed — instrumentation
   /// for the statistics-reuse ablation. `stale_misses` counts the subset of
   /// misses where an entry existed but its data version no longer matched.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t stale_misses() const {
-    return stale_misses_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t stale_misses() const { return stale_misses_; }
 
  private:
   struct Entry {
@@ -68,11 +64,10 @@ class StatsStore {
     uint64_t version = kAnyVersion;
   };
 
-  mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> stale_misses_{0};
+  mutable uint64_t hits_ = 0;
+  mutable uint64_t misses_ = 0;
+  mutable uint64_t stale_misses_ = 0;
 };
 
 }  // namespace dyno

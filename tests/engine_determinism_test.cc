@@ -636,7 +636,7 @@ TEST(EngineDeterminismTest, ConcurrentQueriesDeterministic) {
 
 // The same concurrent workload with the cross-query subtree cache enabled:
 // hit patterns depend only on admission order (lookups and publishes happen
-// on baton-serialized session threads), so the fingerprint — per-query
+// on session fibers that run one at a time), so the fingerprint — per-query
 // result bytes, cache metrics, the full trace — must stay byte-identical
 // from run to run.
 TEST(EngineDeterminismTest, ConcurrentQueriesWithSubtreeCacheDeterministic) {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,6 +143,42 @@ TEST_F(QueryServiceTest, TwoConcurrentIdenticalQueriesAreIsolated) {
   EXPECT_EQ(outcomes[0].report.jobs_run, outcomes[1].report.jobs_run);
   EXPECT_EQ(outcomes[0].report.result_records,
             outcomes[1].report.result_records);
+}
+
+TEST_F(QueryServiceTest, SessionsRunOnTheCallersThread) {
+  // Every session runs on a fiber of RunAll's caller: a UDF evaluated by
+  // the driver itself (predicate reordering samples each conjunct) and by
+  // the engine's map tasks sees one thread id, the test's own.
+  std::vector<std::thread::id> seen;
+  Query query = MakeTpchQ10();
+  query.join_block.predicates.push_back(
+      {MakeUdf("record_thread", 1.0,
+               [&seen](const Value&) -> Result<Value> {
+                 seen.push_back(std::this_thread::get_id());
+                 return Value::Bool(true);
+               }),
+       {"o"}});
+  QueryServiceOptions opts;
+  opts.max_concurrent = 2;
+  QueryService service(&engine_, &catalog_, &store_, opts);
+  for (const char* id : {"qa", "qb"}) {
+    QuerySubmission sub = MakeSubmission(id, query);
+    sub.options.reorder_local_predicates = true;
+    ASSERT_TRUE(service.Enqueue(sub).ok());
+  }
+
+  std::vector<QueryOutcome> outcomes = service.RunAll();
+  ASSERT_FALSE(seen.empty());
+  for (const std::thread::id& id : seen) {
+    ASSERT_EQ(id, std::this_thread::get_id());
+  }
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const QueryOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.query_id << ": "
+                                     << outcome.status.ToString();
+    EXPECT_EQ(outcome.admit_ms, outcomes[0].arrival_ms);
+    ExpectMatchesOracle(query, outcome.report);
+  }
 }
 
 TEST_F(QueryServiceTest, AdmissionQueueOverflowIsBackpressure) {
