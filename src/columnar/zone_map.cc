@@ -27,27 +27,65 @@ bool ContainsNaN(const Value& v) {
   }
 }
 
+/// Decodes the one bound encoded at bounds[begin, end).
+Result<Value> DecodeBound(std::string_view bounds, size_t begin, size_t end) {
+  if (begin > end || end > bounds.size()) {
+    return Status::DataLoss("zone bound lies outside the zone map");
+  }
+  const std::string_view bytes = bounds.substr(begin, end - begin);
+  size_t offset = 0;
+  Result<Value> bound = Value::Decode(bytes, &offset);
+  if (!bound.ok()) {
+    return Status::DataLoss("zone bound does not decode: " +
+                            bound.status().ToString());
+  }
+  if (offset != bytes.size()) {
+    return Status::DataLoss("zone bound holds bytes past its value");
+  }
+  return bound;
+}
+
 }  // namespace
 
-const ColumnZone* ZoneMap::FindColumn(std::string_view name) const {
-  for (const ColumnZone& zone : zones_) {
-    if (zone.name == name) return &zone;
+Result<ColumnZone> ZoneMap::DecodeZone(size_t index) const {
+  const Column& column = columns_[index];
+  ColumnZone zone;
+  zone.name = (*names_)[index];
+  zone.non_null_rows = column.non_null_rows;
+  zone.has_null_or_absent = column.has_null_or_absent;
+  zone.has_nan = column.has_nan;
+  if (column.non_null_rows > 0) {
+    const size_t end = index + 1 < columns_.size()
+                           ? columns_[index + 1].min_offset
+                           : bounds_.size();
+    DYNO_ASSIGN_OR_RETURN(
+        zone.min_value,
+        DecodeBound(bounds_, column.min_offset, column.max_offset));
+    DYNO_ASSIGN_OR_RETURN(zone.max_value,
+                          DecodeBound(bounds_, column.max_offset, end));
   }
-  return nullptr;
+  return zone;
+}
+
+Result<ColumnZone> ZoneMap::FindColumn(std::string_view name) const {
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if ((*names_)[i] == name) return DecodeZone(i);
+  }
+  return Status::NotFound("no zone for column " + std::string(name));
 }
 
 void ZoneMapBuilder::Observe(const Value& row) {
-  ++map_.num_rows_;
-  if (!map_.trackable_) return;
+  ++num_rows_;
+  if (!trackable_) return;
   if (row.type() != Value::Type::kStruct) {
-    map_.trackable_ = false;
-    map_.zones_.clear();
+    trackable_ = false;
+    zones_.clear();
     return;
   }
   for (const auto& [name, field] : row.fields()) {
     ColumnZone* zone = nullptr;
     bool duplicate = false;
-    for (ColumnZone& z : map_.zones_) {
+    for (ColumnZone& z : zones_) {
       if (z.name == name) {
         zone = &z;
         break;
@@ -67,16 +105,16 @@ void ZoneMapBuilder::Observe(const Value& row) {
     }
     if (duplicate) continue;
     if (zone == nullptr) {
-      if (map_.zones_.size() >= ZoneMap::kMaxColumns) {
-        map_.trackable_ = false;
-        map_.zones_.clear();
+      if (zones_.size() >= ZoneMap::kMaxColumns) {
+        trackable_ = false;
+        zones_.clear();
         return;
       }
-      map_.zones_.push_back(ColumnZone{});
-      zone = &map_.zones_.back();
+      zones_.push_back(ColumnZone{});
+      zone = &zones_.back();
       zone->name = name;
       // The column was absent in every earlier row of the split.
-      zone->has_null_or_absent = map_.num_rows_ > 1;
+      zone->has_null_or_absent = num_rows_ > 1;
     }
     if (field.is_null()) {
       zone->has_null_or_absent = true;
@@ -93,15 +131,47 @@ void ZoneMapBuilder::Observe(const Value& row) {
     }
   }
   // Columns this row does not mention evaluate to null in it.
-  for (ColumnZone& zone : map_.zones_) {
+  for (ColumnZone& zone : zones_) {
     if (zone.has_null_or_absent) continue;
     if (row.FindField(zone.name) == nullptr) zone.has_null_or_absent = true;
   }
 }
 
 ZoneMap ZoneMapBuilder::Build() {
-  ZoneMap out = std::move(map_);
-  map_ = ZoneMap{};
+  ZoneMap out;
+  out.num_rows_ = num_rows_;
+  out.trackable_ = trackable_;
+  if (!zones_.empty()) {
+    bool same_names = names_ != nullptr && names_->size() == zones_.size();
+    for (size_t i = 0; same_names && i < zones_.size(); ++i) {
+      same_names = (*names_)[i] == zones_[i].name;
+    }
+    if (!same_names) {
+      std::vector<std::string> names;
+      names.reserve(zones_.size());
+      for (const ColumnZone& zone : zones_) names.push_back(zone.name);
+      names_ = std::make_shared<const std::vector<std::string>>(
+          std::move(names));
+    }
+    out.names_ = names_;
+    out.columns_.reserve(zones_.size());
+    bounds_.clear();
+    for (const ColumnZone& zone : zones_) {
+      ZoneMap::Column& column = out.columns_.emplace_back();
+      column.non_null_rows = zone.non_null_rows;
+      column.has_null_or_absent = zone.has_null_or_absent;
+      column.has_nan = zone.has_nan;
+      column.min_offset = static_cast<uint32_t>(bounds_.size());
+      if (zone.non_null_rows > 0) zone.min_value.EncodeTo(&bounds_);
+      column.max_offset = static_cast<uint32_t>(bounds_.size());
+      if (zone.non_null_rows > 0) zone.max_value.EncodeTo(&bounds_);
+    }
+    // A copy, not a move: the map keeps the bounds at their exact size.
+    out.bounds_ = std::string(bounds_);
+  }
+  num_rows_ = 0;
+  trackable_ = true;
+  zones_.clear();
   return out;
 }
 
@@ -124,11 +194,15 @@ TriState EvalComparison(const ZoneMap& zm, const std::string& column,
     // `col <op> null` is false for every row.
     return TriState{false, true};
   }
-  const ColumnZone* zone = zm.FindColumn(column);
-  if (zone == nullptr) {
+  Result<ColumnZone> zone = zm.FindColumn(column);
+  if (!zone.ok()) {
     // No row of the split has the column: it evaluates to null everywhere,
-    // so the comparison is false everywhere.
-    return TriState{false, true};
+    // so the comparison is false everywhere. A bound that does not decode
+    // proves nothing.
+    if (zone.status().code() == StatusCode::kNotFound) {
+      return TriState{false, true};
+    }
+    return Unknown();
   }
   if (zone->non_null_rows == 0) return TriState{false, true};
   // NaN compares equal to every number, so neither a NaN in the column nor

@@ -117,9 +117,7 @@ struct TaskRunState : AttemptState {
 struct TaskStaged {
   Counters counters;  ///< This task's contribution alone.
   Split output;       ///< Map-only or reduce output records.
-  std::vector<Emission> emissions;  ///< Map of a reduce job.
-  /// Encoded key + payload bytes of each emission, sized once at Emit.
-  std::vector<uint32_t> emission_bytes;
+  MapEmissions emissions;  ///< Map of a reduce job.
   Split quarantine;   ///< Poison records skipped by this (map) task.
   std::vector<uint64_t> quarantine_indexes;  ///< Their record indexes.
   /// CRC-framed spill runs of a reduce task that sorted externally; written
@@ -364,11 +362,15 @@ struct TaskLaunch {
 };
 
 /// The map and reduce context of one task: both buffer into the task's
-/// own outcome (reduce functions never see Emit or task_index).
+/// own outcome (reduce functions never see Emit or task_index). Output
+/// records are encoded into `output_buffer`, which the simulation reuses
+/// from task to task; Finish() stages an exact-size copy of it.
 class TaskContext : public MapContext, public ReduceContext {
  public:
-  TaskContext(TaskOutcome* out, int task_index)
-      : out_(out), task_index_(task_index) {}
+  TaskContext(TaskOutcome* out, int task_index, std::string* output_buffer)
+      : out_(out), task_index_(task_index), output_buffer_(output_buffer) {
+    output_buffer_->clear();
+  }
 
   void Emit(Value key, Value value) override {
     // Encoded into a reused buffer, so the staged payload is one exact-size
@@ -378,12 +380,12 @@ class TaskContext : public MapContext, public ReduceContext {
     size_t bytes = key.EncodedSize() + encode_buffer_.size();
     out_->counters.map_output_records += 1;
     out_->counters.map_output_bytes += bytes;
-    out_->emission_bytes.push_back(static_cast<uint32_t>(bytes));
-    out_->emissions.emplace_back(std::move(key), encode_buffer_);
+    out_->emissions.bytes.push_back(static_cast<uint32_t>(bytes));
+    out_->emissions.pairs.emplace_back(std::move(key), encode_buffer_);
   }
 
   void Output(Value record) override {
-    record.EncodeTo(&out_->output.data);
+    record.EncodeTo(output_buffer_);
     out_->output.num_records += 1;
     out_->counters.output_records += 1;
   }
@@ -392,11 +394,17 @@ class TaskContext : public MapContext, public ReduceContext {
 
   int task_index() const override { return task_index_; }
 
-  double extra_cpu() const { return extra_cpu_; }
+  /// Ends a data flow that succeeded: bills the CPU its functions charged
+  /// and stages the output payload.
+  void Finish() {
+    out_->cpu_units += extra_cpu_;
+    out_->output.data = std::string(*output_buffer_);
+  }
 
  private:
   TaskOutcome* out_;
   int task_index_;
+  std::string* output_buffer_;
   std::string encode_buffer_;  ///< Emit's scratch encoding of a value.
   double extra_cpu_ = 0.0;
 };
@@ -411,13 +419,14 @@ SimMillis CeilDiv(double amount, double rate) {
 /// shared state.
 void ExecuteMapTask(const MapInput& input, const Split& split,
                     int task_index, const std::vector<uint64_t>* poison,
-                    bool skip_mode, TaskOutcome* out) {
+                    bool skip_mode, std::string* output_buffer,
+                    TaskOutcome* out) {
   // Verified read: the block checksum is checked before any record is
   // decoded (as HDFS does). At-rest corruption of the stored bytes
   // surfaces here as DataLoss, never as silently wrong rows.
   out->status = VerifySplit(split);
   if (!out->status.ok()) return;
-  TaskContext ctx(out, task_index);
+  TaskContext ctx(out, task_index, output_buffer);
 
   // A columnar split's frame is opened whole: its own CRC and every value
   // are checked before any row is built, so a frame defect that slipped
@@ -527,7 +536,7 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
     out->status = input.flush_fn(&ctx);
     if (!out->status.ok()) return;
   }
-  out->cpu_units += ctx.extra_cpu();
+  ctx.Finish();
 }
 
 /// Decodes one emission's payload, which must hold exactly one value. A
@@ -564,7 +573,8 @@ Status DecodePayload(const std::string& payload, Value* value) {
 void ExecuteReduceTask(const JobSpec& spec,
                        std::vector<Emission> bucket,
                        uint64_t bucket_bytes, int spill_runs,
-                       bool corrupt_spill, TaskOutcome* out) {
+                       bool corrupt_spill, std::string* output_buffer,
+                       TaskOutcome* out) {
   out->input_bytes = bucket_bytes;
   out->counters.reduce_input_records = bucket.size();
   auto key_less = [](const Emission& a, const Emission& b) {
@@ -629,7 +639,7 @@ void ExecuteReduceTask(const JobSpec& spec,
     std::stable_sort(bucket.begin(), bucket.end(), key_less);
   }
 
-  TaskContext ctx(out, /*task_index=*/0);
+  TaskContext ctx(out, /*task_index=*/0, output_buffer);
   out->cpu_units += static_cast<double>(bucket.size());
   size_t i = 0;
   while (i < bucket.size()) {
@@ -647,7 +657,7 @@ void ExecuteReduceTask(const JobSpec& spec,
     if (!out->status.ok()) return;
     i = j;
   }
-  out->cpu_units += ctx.extra_cpu();
+  ctx.Finish();
 
   // n log n sort charge for the merge-sort of this partition.
   if (!bucket.empty()) {
@@ -664,6 +674,7 @@ Split EncodeSpillRun(const std::vector<Emission>& pairs) {
     key.EncodeTo(&run.data);
     run.data += payload;
   }
+  run.data.shrink_to_fit();
   run.num_records = 2 * pairs.size();
   run.logical_bytes = run.data.size();
   run.crc32c = Crc32c(run.data);
@@ -703,6 +714,42 @@ Result<std::vector<Emission>> DecodeSpillRun(const Split& run) {
         (unsigned long long)(run.num_records / 2)));
   }
   return pairs;
+}
+
+void DealPartitions(const std::vector<MapEmissions*>& maps,
+                    const std::vector<bool>& skip, bool keep,
+                    std::vector<std::vector<Emission>>* partitions,
+                    std::vector<uint64_t>* partition_bytes) {
+  const size_t n = partitions->size();
+  size_t total = 0;
+  for (const MapEmissions* m : maps) total += m->pairs.size();
+  // First pass: each emission's partition, hashed once, and each
+  // partition's final length.
+  std::vector<uint32_t> dealt;
+  dealt.reserve(total);
+  std::vector<size_t> lengths(n, 0);
+  for (const MapEmissions* m : maps) {
+    for (const Emission& kv : m->pairs) {
+      const size_t p = kv.first.Hash() % n;
+      dealt.push_back(static_cast<uint32_t>(p));
+      if (!skip[p]) ++lengths[p];
+    }
+  }
+  for (size_t p = 0; p < n; ++p) (*partitions)[p].reserve(lengths[p]);
+  size_t next = 0;
+  for (MapEmissions* m : maps) {
+    for (size_t i = 0; i < m->pairs.size(); ++i) {
+      const size_t p = dealt[next++];
+      if (skip[p]) continue;
+      (*partition_bytes)[p] += m->bytes[i];
+      if (keep) {
+        (*partitions)[p].push_back(m->pairs[i]);
+      } else {
+        (*partitions)[p].push_back(std::move(m->pairs[i]));
+      }
+    }
+    if (!keep) *m = MapEmissions{};
+  }
 }
 
 ClusterConfig MapReduceEngine::ResolveFaultEnv(ClusterConfig config) {
@@ -1362,29 +1409,18 @@ class MapReduceEngine::Simulation {
     // bytes are identical whether or not maps were re-executed. Emissions
     // are retained per task while node crashes are possible, since a lost
     // node forces exactly this rebuild.
-    const bool retain_emissions = config_.faults.node_faults();
+    std::vector<MapEmissions*> maps;
+    for (TaskData& d : job->tasks[kMapTask].data) {
+      if (d.valid) maps.push_back(&d.emissions);
+    }
+    std::vector<bool> completed(reducers);
+    for (int p = 0; p < reducers; ++p) {
+      completed[p] = reduces.states[p].completed;
+    }
     job->partitions.assign(reducers, {});
     job->partition_bytes.assign(reducers, 0);
-    for (TaskData& d : job->tasks[kMapTask].data) {
-      if (!d.valid) continue;
-      for (size_t i = 0; i < d.emissions.size(); ++i) {
-        auto& kv = d.emissions[i];
-        size_t p = kv.first.Hash() % static_cast<size_t>(reducers);
-        if (reduces.states[p].completed) continue;
-        job->partition_bytes[p] += d.emission_bytes[i];
-        if (retain_emissions) {
-          job->partitions[p].push_back(kv);
-        } else {
-          job->partitions[p].push_back(std::move(kv));
-        }
-      }
-      if (!retain_emissions) {
-        d.emissions.clear();
-        d.emissions.shrink_to_fit();
-        d.emission_bytes.clear();
-        d.emission_bytes.shrink_to_fit();
-      }
-    }
+    DealPartitions(maps, completed, /*keep=*/config_.faults.node_faults(),
+                   &job->partitions, &job->partition_bytes);
     // Memory check at shuffle start: the job fails with OutOfMemory as
     // soon as any reducer's plan does. In spill mode that residual OOM is
     // what the driver's doubled-reducer retry rung resolves.
@@ -2048,9 +2084,9 @@ class MapReduceEngine::Simulation {
     return plan;
   }
 
-  /// Runs one launched task's data flow. Touches only the launch itself and
-  /// immutable job inputs.
-  static void Execute(TaskLaunch& t) {
+  /// Runs one launched task's data flow. Touches only the launch itself,
+  /// immutable job inputs and the reused output buffer.
+  void Execute(TaskLaunch& t) {
     // Attempts with an injected failure never run their data flow: the
     // simulated container dies, and CommitTask keeps nothing of it.
     if (t.inject_failure) return;
@@ -2085,10 +2121,12 @@ class MapReduceEngine::Simulation {
     if (t.block_data_loss || t.shuffle_data_loss) return;
     if (t.is_map()) {
       ExecuteMapTask(t.job->spec->inputs[t.map_ref.input_index], *t.split,
-                     t.task_index, t.poison, t.skip_mode, &t.outcome);
+                     t.task_index, t.poison, t.skip_mode, &output_buffer_,
+                     &t.outcome);
     } else {
       ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.bucket_bytes,
-                        t.memory.spill_runs, t.corrupt_spill, &t.outcome);
+                        t.memory.spill_runs, t.corrupt_spill, &output_buffer_,
+                        &t.outcome);
     }
   }
 
@@ -2489,6 +2527,9 @@ class MapReduceEngine::Simulation {
   /// std::map iterates in seq (launch) order, keeping crash handling
   /// deterministic.
   std::map<uint64_t, Event> in_flight_;
+  /// Output records of the task whose data flow is running, reused from
+  /// task to task (TaskContext).
+  std::string output_buffer_;
 };
 
 Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(

@@ -39,6 +39,26 @@ using Emission = std::pair<Value, std::string>;
 /// DataLoss, never a wrong answer (DESIGN.md §6.10).
 Split EncodeSpillRun(const std::vector<Emission>& pairs);
 
+/// One map task's staged emissions, in emission order, and each one's
+/// encoded key and payload bytes (sized once, at Emit).
+struct MapEmissions {
+  std::vector<Emission> pairs;
+  std::vector<uint32_t> bytes;
+};
+
+/// The shuffle's partition step. Deals the emissions of `maps`, map by map
+/// and in emission order, to partition `key.Hash() % partitions->size()`
+/// and adds each one's bytes to that partition's `partition_bytes` entry;
+/// a partition whose `skip` entry is set (its reducer already completed)
+/// gets nothing. Every partition is allocated once, at its exact final
+/// length. With `keep` the emissions are copied (node faults may force a
+/// re-shuffle); otherwise they are moved out, and each map's vectors are
+/// freed as soon as it is dealt.
+void DealPartitions(const std::vector<MapEmissions*>& maps,
+                    const std::vector<bool>& skip, bool keep,
+                    std::vector<std::vector<Emission>>* partitions,
+                    std::vector<uint64_t>* partition_bytes);
+
 /// Decodes a spill run back into emissions: keys are decoded, and each
 /// payload is checked with Value::Skip and copied out as bytes. Verifies
 /// the CRC frame first; corruption, a record count that is odd or

@@ -19,6 +19,8 @@ Status VerifySplit(const Split& split) {
 }
 
 void DfsFile::AppendSplit(Split split) {
+  // No-op for an exact payload; a payload grown in place loses its slack.
+  split.data.shrink_to_fit();
   split.crc32c = Crc32c(split.data);
   // Callers that don't track logical size (job committers write row format)
   // get the exact row-format answer.
@@ -130,38 +132,37 @@ TableWriter::TableWriter(std::shared_ptr<DfsFile> file,
 
 void TableWriter::Append(const Value& row) {
   if (format_ == SplitFormat::kRow) {
-    row.EncodeTo(&pending_.data);
-    pending_logical_bytes_ = pending_.data.size();
-    ++pending_.num_records;
+    row.EncodeTo(&buffer_);
+    pending_logical_bytes_ = buffer_.size();
   } else {
     // Size the row encoding without building it: the seal decision must
     // match row format byte-for-byte.
     pending_logical_bytes_ += row.EncodedSize();
     pending_rows_.push_back(row);
   }
+  ++pending_records_;
   zone_builder_.Observe(row);
   if (pending_logical_bytes_ >= target_split_bytes_) Seal();
 }
 
 void TableWriter::Close() {
-  if (pending_.num_records > 0 || !pending_rows_.empty()) Seal();
+  if (pending_records_ > 0) Seal();
 }
 
 void TableWriter::Seal() {
   Split split;
-  if (format_ == SplitFormat::kRow) {
-    split = std::move(pending_);
-    pending_ = Split{};
-  } else {
-    columnar::ColumnBatch batch = columnar::ColumnBatch::FromRows(pending_rows_);
-    batch.EncodeTo(&split.data);
-    split.num_records = pending_rows_.size();
+  if (format_ == SplitFormat::kColumnar) {
+    columnar::ColumnBatch::FromRows(pending_rows_).EncodeTo(&buffer_);
     split.format = SplitFormat::kColumnar;
     pending_rows_.clear();
   }
+  split.data = std::string(buffer_);
+  split.num_records = pending_records_;
   split.logical_bytes = pending_logical_bytes_;
   split.zone_map =
       std::make_shared<const columnar::ZoneMap>(zone_builder_.Build());
+  buffer_.clear();
+  pending_records_ = 0;
   pending_logical_bytes_ = 0;
   file_->AppendSplit(std::move(split));
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "columnar/column.h"
@@ -47,6 +48,10 @@ struct Split {
   uint64_t num_bytes() const { return data.size(); }
 };
 
+// std::vector<Split> relocates splits on growth; a throwing move would make
+// it copy every payload instead.
+static_assert(std::is_nothrow_move_constructible_v<Split>);
+
 /// Verifies `split.data` against its stored checksum. Returns DataLoss on
 /// mismatch.
 Status VerifySplit(const Split& split);
@@ -86,7 +91,10 @@ class DfsFile {
 
   /// Appends a raw split (used by writers and by job output committers).
   /// The split's checksum is (re)stamped here: whatever bytes are committed
-  /// are the bytes the checksum covers.
+  /// are the bytes the checksum covers. This is the one commit point of
+  /// every payload, and it holds the payload at its exact size (a block
+  /// takes the bytes it holds); writers that build into a reused buffer
+  /// hand over an exact copy, so nothing is copied again here.
   void AppendSplit(Split split);
 
   /// Test/fault-injection hook: XORs `mask` into one stored byte WITHOUT
@@ -189,8 +197,11 @@ class TableWriter {
   std::shared_ptr<DfsFile> file_;
   uint64_t target_split_bytes_;
   SplitFormat format_;
-  Split pending_;                      ///< Row-format accumulation.
+  /// Reused buffer: the row encodings of the pending split, or its
+  /// columnar frame while it is sealed. Each split gets an exact copy.
+  std::string buffer_;
   std::vector<Value> pending_rows_;    ///< Columnar-format accumulation.
+  uint64_t pending_records_ = 0;
   uint64_t pending_logical_bytes_ = 0;
   columnar::ZoneMapBuilder zone_builder_;
 };

@@ -210,7 +210,11 @@ std::string SplitFingerprint(const Catalog& catalog, const char* format) {
         const columnar::ZoneMap& map = *split.zone_map;
         zones = StrFormat("%llu/%d", (unsigned long long)map.num_rows(),
                           map.trackable() ? 1 : 0);
-        for (const columnar::ColumnZone& zone : map.zones()) {
+        for (size_t c = 0; c < map.num_columns(); ++c) {
+          Result<columnar::ColumnZone> decoded = map.DecodeZone(c);
+          EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+          if (!decoded.ok()) continue;
+          const columnar::ColumnZone& zone = *decoded;
           zones += StrFormat(
               ";%s[%s,%s]%llu%d%d", zone.name.c_str(),
               zone.min_value.ToString().c_str(),

@@ -5,6 +5,7 @@
 // a pruned scan must produce byte-identical output to the unpruned
 // row-path scan while provably skipping splits (scan.splits_pruned).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "columnar/zone_map.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "dyno/driver.h"
 #include "exec/row_ops.h"
@@ -39,19 +41,19 @@ TEST(ZoneMapBuilderTest, TracksMinMaxAndNulls) {
   ASSERT_TRUE(zm.trackable());
   EXPECT_EQ(zm.num_rows(), 3u);
 
-  const columnar::ColumnZone* a = zm.FindColumn("a");
-  ASSERT_NE(a, nullptr);
+  Result<columnar::ColumnZone> a = zm.FindColumn("a");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->min_value.int_value(), -3);
   EXPECT_EQ(a->max_value.int_value(), 9);
   EXPECT_EQ(a->non_null_rows, 3u);
   EXPECT_FALSE(a->has_null_or_absent);
 
-  const columnar::ColumnZone* b = zm.FindColumn("b");
-  ASSERT_NE(b, nullptr);
+  Result<columnar::ColumnZone> b = zm.FindColumn("b");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b->non_null_rows, 1u);
   EXPECT_TRUE(b->has_null_or_absent);
 
-  EXPECT_EQ(zm.FindColumn("nope"), nullptr);
+  EXPECT_EQ(zm.FindColumn("nope").status().code(), StatusCode::kNotFound);
 }
 
 TEST(ZoneMapBuilderTest, LateColumnIsMarkedAbsentInEarlierRows) {
@@ -59,8 +61,8 @@ TEST(ZoneMapBuilderTest, LateColumnIsMarkedAbsentInEarlierRows) {
   builder.Observe(MakeRow({{"a", Value::Int(1)}}));
   builder.Observe(MakeRow({{"a", Value::Int(2)}, {"late", Value::Int(7)}}));
   columnar::ZoneMap zm = builder.Build();
-  const columnar::ColumnZone* late = zm.FindColumn("late");
-  ASSERT_NE(late, nullptr);
+  Result<columnar::ColumnZone> late = zm.FindColumn("late");
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
   EXPECT_TRUE(late->has_null_or_absent)
       << "row 1 evaluates `late` to null; the zone must say so";
 }
@@ -89,6 +91,188 @@ TEST(ZoneMapTest, EmptyZoneMapNeverPrunes) {
   columnar::ZoneMapBuilder builder;
   EXPECT_TRUE(
       columnar::ZoneMapMayMatch(builder.Build(), *Lt(Col("a"), LitInt(0))));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded property case: zone maps built from random rows (nulls, absent and
+// duplicate columns, NaN nested in arrays and structs, mixed int / double /
+// string / array bounds, rows with more than kMaxColumns columns) decode to
+// exactly what an independent column-by-column fold computes.
+
+bool HoldsNaN(const Value& v) {
+  if (v.type() == Value::Type::kDouble) return std::isnan(v.double_value());
+  if (v.type() == Value::Type::kArray) {
+    for (const Value& e : v.array()) {
+      if (HoldsNaN(e)) return true;
+    }
+  }
+  if (v.type() == Value::Type::kStruct) {
+    for (const auto& [name, field] : v.fields()) {
+      if (HoldsNaN(field)) return true;
+    }
+  }
+  return false;
+}
+
+Value RandomValue(Rng& rng, int depth) {
+  switch (rng.Uniform(depth < 2 ? 8 : 5)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Bool(rng.Bernoulli(0.5));
+    case 2:
+      return Value::Int(rng.UniformInt(-40, 40));
+    case 3: {
+      // Whole doubles tie with ints under Compare; -0.0 ties with 0.0.
+      const double picks[] = {std::nan(""), -0.0, 0.0, 2.5, -1e300};
+      if (rng.Bernoulli(0.5)) return Value::Double(picks[rng.Uniform(5)]);
+      return Value::Double(static_cast<double>(rng.UniformInt(-40, 40)));
+    }
+    case 4:
+      return Value::String(
+          std::string(rng.Uniform(24), static_cast<char>('a' + rng.Uniform(3))));
+    case 5:
+    case 6: {
+      ArrayElements elems(rng.Uniform(4));
+      for (Value& e : elems) e = RandomValue(rng, depth + 1);
+      return Value::Array(std::move(elems));
+    }
+    default: {
+      StructFields fields;
+      for (uint64_t i = rng.Uniform(3); i > 0; --i) {
+        fields.emplace_back(StrFormat("f%d", (int)rng.Uniform(2)),
+                            RandomValue(rng, depth + 1));
+      }
+      return Value::Struct(std::move(fields));
+    }
+  }
+}
+
+/// One random row: usually a struct whose field names repeat (duplicates
+/// and absent columns are common), occasionally a scalar. `fixed` rows
+/// always carry columns a, b, c in that order, so neighbouring splits share
+/// their name list.
+Value RandomRow(Rng& rng, size_t name_pool, size_t max_fields, bool fixed) {
+  if (!fixed && rng.Uniform(80) == 0) return RandomValue(rng, 2);
+  StructFields fields;
+  if (fixed) {
+    for (const char* name : {"a", "b", "c"}) {
+      fields.emplace_back(name, RandomValue(rng, 0));
+    }
+    return Value::Struct(std::move(fields));
+  }
+  for (uint64_t i = rng.Uniform(max_fields + 1); i > 0; --i) {
+    fields.emplace_back(StrFormat("c%d", (int)rng.Uniform(name_pool)),
+                        RandomValue(rng, 0));
+  }
+  return Value::Struct(std::move(fields));
+}
+
+/// The reference fold: columns in first-seen order; per column, each row
+/// contributes its first field of that name, or marks the column null when
+/// it has none or that field is null.
+std::vector<columnar::ColumnZone> ReferenceZones(
+    const std::vector<Value>& rows, bool* trackable) {
+  std::vector<std::string> names;
+  *trackable = true;
+  for (const Value& row : rows) {
+    if (row.type() != Value::Type::kStruct) {
+      *trackable = false;
+      continue;
+    }
+    for (const auto& [name, field] : row.fields()) {
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        names.push_back(name);
+      }
+    }
+  }
+  if (names.size() > columnar::ZoneMap::kMaxColumns) *trackable = false;
+  std::vector<columnar::ColumnZone> zones;
+  if (!*trackable) return zones;
+  for (const std::string& name : names) {
+    columnar::ColumnZone zone;
+    zone.name = name;
+    for (const Value& row : rows) {
+      const Value* v = row.FindField(name);
+      if (v == nullptr || v->is_null()) {
+        zone.has_null_or_absent = true;
+        continue;
+      }
+      zone.has_nan = zone.has_nan || HoldsNaN(*v);
+      if (zone.non_null_rows++ == 0) {
+        zone.min_value = *v;
+        zone.max_value = *v;
+        continue;
+      }
+      if (v->Compare(zone.min_value) < 0) zone.min_value = *v;
+      if (v->Compare(zone.max_value) > 0) zone.max_value = *v;
+    }
+    zones.push_back(std::move(zone));
+  }
+  return zones;
+}
+
+void ExpectSameZone(const columnar::ColumnZone& got,
+                    const columnar::ColumnZone& want, const std::string& at) {
+  EXPECT_EQ(got.name, want.name) << at;
+  EXPECT_EQ(got.non_null_rows, want.non_null_rows) << at;
+  EXPECT_EQ(got.has_null_or_absent, want.has_null_or_absent) << at;
+  EXPECT_EQ(got.has_nan, want.has_nan) << at;
+  for (const auto& [g, w] : {std::pair{&got.min_value, &want.min_value},
+                             std::pair{&got.max_value, &want.max_value}}) {
+    EXPECT_EQ(g->type(), w->type()) << at;
+    EXPECT_EQ(g->ToString(), w->ToString()) << at;
+    std::string g_bytes, w_bytes;
+    g->EncodeTo(&g_bytes);
+    w->EncodeTo(&w_bytes);
+    EXPECT_EQ(g_bytes, w_bytes) << at;
+  }
+}
+
+TEST(ZoneMapPropertyTest, DecodedZonesMatchReferenceFold) {
+  int untrackable = 0;
+  int nan_zones = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    // One builder per table, as TableWriter keeps it: names are handed on
+    // from split to split.
+    columnar::ZoneMapBuilder builder;
+    const bool wide = seed % 10 == 0;  // Past kMaxColumns distinct names.
+    for (int split = 0; split < 4; ++split) {
+      const bool fixed = seed % 3 == 0;
+      std::vector<Value> rows(1 + rng.Uniform(10));
+      for (Value& row : rows) {
+        row = wide ? RandomRow(rng, 90, 40, false)
+                   : RandomRow(rng, 6, 5, fixed);
+        builder.Observe(row);
+      }
+      const columnar::ZoneMap zm = builder.Build();
+      bool trackable = false;
+      const std::vector<columnar::ColumnZone> want =
+          ReferenceZones(rows, &trackable);
+      const std::string at = StrFormat("seed %llu split %d",
+                                       (unsigned long long)seed, split);
+      EXPECT_EQ(zm.num_rows(), rows.size()) << at;
+      ASSERT_EQ(zm.trackable(), trackable) << at;
+      untrackable += trackable ? 0 : 1;
+      ASSERT_EQ(zm.num_columns(), want.size()) << at;
+      for (size_t c = 0; c < want.size(); ++c) {
+        Result<columnar::ColumnZone> got = zm.DecodeZone(c);
+        ASSERT_TRUE(got.ok()) << at << ": " << got.status().ToString();
+        ExpectSameZone(*got, want[c], at);
+        Result<columnar::ColumnZone> found = zm.FindColumn(want[c].name);
+        ASSERT_TRUE(found.ok()) << at;
+        ExpectSameZone(*found, want[c], at);
+        nan_zones += want[c].has_nan ? 1 : 0;
+      }
+      EXPECT_EQ(zm.FindColumn("absent").status().code(),
+                StatusCode::kNotFound)
+          << at;
+    }
+  }
+  // The generator reaches both untrackable causes and NaN-holding zones.
+  EXPECT_GT(untrackable, 30);
+  EXPECT_GT(nan_zones, 100);
 }
 
 // ---------------------------------------------------------------------------
