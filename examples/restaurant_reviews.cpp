@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "baselines/exact_stats.h"
 #include "dyno/driver.h"
 #include "tpch/restaurant.h"
 
@@ -38,7 +37,8 @@ int RunExample() {
   // leaf?  sel(zip=94301) * sel(state=CA) — but 94301 implies CA, so the
   // truth is just sel(zip=94301). Compute both for contrast.
   std::vector<LeafExpr> leaves = ExtractLeafExprs(q1.join_block, nullptr);
-  auto exact = ComputeExactLeafStats(&catalog, leaves[0]);
+  auto exact = catalog.ExactStats(leaves[0].table, leaves[0].filter,
+                                  leaves[0].join_columns);
   if (!exact.ok()) return 1;
   double both_sel = exact->cardinality / data.num_restaurants;
 
@@ -46,7 +46,8 @@ int RunExample() {
   state_only.filter = Eq(Path({PathStep::Field("rs_addr"), PathStep::Index(0),
                                PathStep::Field("state")}),
                          LitString("CA"));
-  auto state_stats = ComputeExactLeafStats(&catalog, state_only);
+  auto state_stats = catalog.ExactStats(state_only.table, state_only.filter,
+                                        state_only.join_columns);
   if (!state_stats.ok()) return 1;
   double state_sel = state_stats->cardinality / data.num_restaurants;
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "baselines/exact_stats.h"
 #include "dyno/join_block_run.h"
 #include "obs/trace.h"
 
@@ -45,20 +44,15 @@ Result<std::unique_ptr<PlanNode>> BestStaticBaseline::BuildJaqlPlan(
   std::map<std::string, const LeafExpr*> leaf_by_alias;
   for (const LeafExpr& leaf : leaves) leaf_by_alias[leaf.alias] = &leaf;
 
-  // Exact statistics for ranking; raw file sizes for Jaql's broadcast rule.
-  // Cached across calls: Run() enumerates hundreds of orders over the same
-  // leaves.
+  // Exact statistics for ranking, held by the catalog (Run() enumerates
+  // hundreds of orders over the same leaves); raw file sizes for Jaql's
+  // broadcast rule.
   std::map<std::string, TableStats> exact;
   std::map<std::string, double> file_bytes;
   for (const LeafExpr& leaf : leaves) {
-    std::string signature = LeafSignature(leaf);
-    auto cached = exact_stats_cache_.find(signature);
-    if (cached == exact_stats_cache_.end()) {
-      DYNO_ASSIGN_OR_RETURN(TableStats stats,
-                            ComputeExactLeafStats(catalog_, leaf));
-      cached = exact_stats_cache_.emplace(signature, std::move(stats)).first;
-    }
-    exact[leaf.alias] = cached->second;
+    DYNO_ASSIGN_OR_RETURN(
+        exact[leaf.alias],
+        catalog_->ExactStats(leaf.table, leaf.filter, leaf.join_columns));
     DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
                           catalog_->OpenTable(leaf.table));
     file_bytes[leaf.alias] = static_cast<double>(file->num_bytes());

@@ -1,7 +1,6 @@
 #ifndef DYNO_BASELINES_BEST_STATIC_H_
 #define DYNO_BASELINES_BEST_STATIC_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "lang/query.h"
 #include "mr/engine.h"
 #include "optimizer/cost_model.h"
-#include "stats/table_stats.h"
 #include "storage/catalog.h"
 
 namespace dyno {
@@ -56,7 +54,10 @@ struct BestStaticResult {
 /// selectivity reasoning), and consecutive broadcast joins chained when
 /// their files fit simultaneously. Every valid order is enumerated and
 /// deduplicated; candidates are ranked with exact leaf statistics and the
-/// top-k executed for real, reporting the fastest.
+/// top-k executed for real, reporting the fastest. The exact statistics
+/// (Catalog::ExactStats) are experimenter knowledge standing in for the
+/// paper's exhaustive hand-tuning of FROM orders: never billed simulated
+/// time, never available to DYNO itself.
 class BestStaticBaseline {
  public:
   BestStaticBaseline(MapReduceEngine* engine, Catalog* catalog,
@@ -73,9 +74,6 @@ class BestStaticBaseline {
   MapReduceEngine* engine_;
   Catalog* catalog_;
   BestStaticOptions options_;
-  /// Exact leaf statistics keyed by leaf signature (Run() enumerates many
-  /// orders over the same leaves).
-  std::map<std::string, TableStats> exact_stats_cache_;
 };
 
 }  // namespace dyno

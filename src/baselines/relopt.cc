@@ -1,6 +1,7 @@
 #include "baselines/relopt.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "dyno/join_block_run.h"
@@ -41,77 +42,11 @@ RelOptBaseline::RelOptBaseline(MapReduceEngine* engine, Catalog* catalog,
     : engine_(engine), catalog_(catalog), cost_(cost),
       num_nodes_(num_nodes) {}
 
-Status RelOptBaseline::AnalyzeTable(const std::string& table,
-                                    const std::vector<std::string>& columns) {
-  auto file = catalog_->OpenTable(table);
-  if (!file.ok()) return file.status();
-
-  TableAnalysis& analysis = analyzed_[table];
-  std::map<std::string, std::vector<Value>> values;
-  std::set<std::string> wanted(columns.begin(), columns.end());
-  for (const auto& [col, hist] : analysis.histograms) wanted.erase(col);
-  if (wanted.empty() && analysis.stats.cardinality > 0) return Status::OK();
-
-  uint64_t records = 0;
-  uint64_t bytes = 0;
-  for (const Split& split : (*file)->splits()) {
-    DYNO_ASSIGN_OR_RETURN(std::vector<Value> rows, DecodeSplitRows(split));
-    for (const Value& row : rows) {
-      ++records;
-      bytes += row.EncodedSize();
-      for (const std::string& col : wanted) {
-        const Value* v = row.FindField(col);
-        if (v != nullptr && !v->is_null()) values[col].push_back(*v);
-      }
-    }
-  }
-  analysis.stats.cardinality = static_cast<double>(records);
-  analysis.stats.avg_record_size =
-      records == 0 ? 0.0
-                   : static_cast<double>(bytes) / static_cast<double>(records);
-  for (const std::string& col : wanted) {
-    EquiDepthHistogram hist = EquiDepthHistogram::Build(values[col]);
-    ColumnStats cs;
-    cs.ndv = hist.distinct_estimate();
-    if (!values[col].empty()) {
-      auto [min_it, max_it] = std::minmax_element(
-          values[col].begin(), values[col].end(),
-          [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-      cs.min_value = *min_it;
-      cs.max_value = *max_it;
-    }
-    analysis.stats.columns[col] = std::move(cs);
-    analysis.histograms.emplace(col, std::move(hist));
-  }
-  return Status::OK();
-}
-
-Status RelOptBaseline::AnalyzeForBlock(const JoinBlock& block) {
-  std::vector<Predicate> non_local;
-  std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
-  std::map<std::string, std::set<std::string>> columns_by_table;
-  for (const LeafExpr& leaf : leaves) {
-    auto& cols = columns_by_table[leaf.table];
-    cols.insert(leaf.join_columns.begin(), leaf.join_columns.end());
-    if (leaf.filter != nullptr) {
-      std::vector<std::string> pred_cols;
-      leaf.filter->CollectColumns(&pred_cols);
-      cols.insert(pred_cols.begin(), pred_cols.end());
-    }
-  }
-  for (const auto& [table, cols] : columns_by_table) {
-    DYNO_RETURN_IF_ERROR(
-        AnalyzeTable(table, {cols.begin(), cols.end()}));
-  }
-  return Status::OK();
-}
-
-Result<TableStats> RelOptBaseline::EstimateLeaf(const LeafExpr& leaf) {
-  auto it = analyzed_.find(leaf.table);
-  if (it == analyzed_.end()) {
-    return Status::FailedPrecondition("table not analyzed: " + leaf.table);
-  }
-  const TableAnalysis& analysis = it->second;
+Result<TableStats> RelOptBaseline::EstimateLeaf(
+    const LeafExpr& leaf, const std::vector<std::string>& columns) {
+  DYNO_ASSIGN_OR_RETURN(const TableAnalysis* held,
+                        catalog_->Analyze(leaf.table, columns));
+  const TableAnalysis& analysis = *held;
   double selectivity = 1.0;
   std::vector<ExprPtr> factors;
   DecomposeConjunction(leaf.filter, &factors);
@@ -127,7 +62,9 @@ Result<TableStats> RelOptBaseline::EstimateLeaf(const LeafExpr& leaf) {
     Value literal;
     if (factor->AsSimpleComparison(&column, &op, &literal)) {
       auto hist = analysis.histograms.find(column);
-      if (hist != analysis.histograms.end()) {
+      if (hist != analysis.histograms.end() &&
+          std::find(columns.begin(), columns.end(), column) !=
+              columns.end()) {
         double sel = hist->second.EstimateSelectivity(op, literal);
         bool is_range = op != Expr::CompareOp::kEq &&
                         op != Expr::CompareOp::kNe;
@@ -155,9 +92,9 @@ Result<TableStats> RelOptBaseline::EstimateLeaf(const LeafExpr& leaf) {
   stats.cardinality =
       std::max(analysis.stats.cardinality * selectivity, 1.0);
   stats.avg_record_size = analysis.stats.avg_record_size;
-  for (const auto& [col, cs] : analysis.stats.columns) {
-    ColumnStats out = cs;
-    out.ndv = std::min(cs.ndv, stats.cardinality);
+  for (const std::string& col : columns) {
+    ColumnStats out = analysis.stats.columns.at(col);
+    out.ndv = std::min(out.ndv, stats.cardinality);
     stats.columns[col] = std::move(out);
   }
   return stats;
@@ -166,13 +103,26 @@ Result<TableStats> RelOptBaseline::EstimateLeaf(const LeafExpr& leaf) {
 Result<std::unique_ptr<PlanNode>> RelOptBaseline::Plan(
     const JoinBlock& block) {
   DYNO_RETURN_IF_ERROR(ValidateJoinBlock(block));
-  DYNO_RETURN_IF_ERROR(AnalyzeForBlock(block));
   std::vector<Predicate> non_local;
   std::vector<LeafExpr> leaves = ExtractLeafExprs(block, &non_local);
+  // ANALYZE covers, per table, the join and local-predicate columns of
+  // every leaf over it.
+  std::map<std::string, std::set<std::string>> columns_by_table;
+  for (const LeafExpr& leaf : leaves) {
+    auto& cols = columns_by_table[leaf.table];
+    cols.insert(leaf.join_columns.begin(), leaf.join_columns.end());
+    if (leaf.filter != nullptr) {
+      std::vector<std::string> pred_cols;
+      leaf.filter->CollectColumns(&pred_cols);
+      cols.insert(pred_cols.begin(), pred_cols.end());
+    }
+  }
 
   OptJoinGraph graph;
   for (const LeafExpr& leaf : leaves) {
-    DYNO_ASSIGN_OR_RETURN(TableStats stats, EstimateLeaf(leaf));
+    const std::set<std::string>& cols = columns_by_table[leaf.table];
+    DYNO_ASSIGN_OR_RETURN(TableStats stats,
+                          EstimateLeaf(leaf, {cols.begin(), cols.end()}));
     graph.relations.push_back({leaf.alias, std::move(stats)});
   }
   for (const JoinEdge& edge : block.edges) {

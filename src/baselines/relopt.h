@@ -1,7 +1,6 @@
 #ifndef DYNO_BASELINES_RELOPT_H_
 #define DYNO_BASELINES_RELOPT_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "lang/query.h"
 #include "mr/engine.h"
 #include "optimizer/optimizer.h"
-#include "stats/histogram.h"
 #include "stats/table_stats.h"
 #include "storage/catalog.h"
 
@@ -39,23 +37,18 @@ class RelOptBaseline {
   RelOptBaseline(MapReduceEngine* engine, Catalog* catalog,
                  CostModelParams cost, int num_nodes = 15);
 
-  /// ANALYZE: collects full statistics (exact counts, NDVs, histograms) on
-  /// `columns` of `table`. Client-side and unbilled — DBMS-X gathers all
-  /// needed statistics before query execution (§6.1).
-  Status AnalyzeTable(const std::string& table,
-                      const std::vector<std::string>& columns);
-
-  /// Runs ANALYZE over every table/column a join block touches.
-  Status AnalyzeForBlock(const JoinBlock& block);
-
   /// Plans `block` with the traditional estimator. The plan is bushy and
   /// may use broadcast joins wherever the (possibly wrong) estimates say
   /// the build side fits.
   Result<std::unique_ptr<PlanNode>> Plan(const JoinBlock& block);
 
-  /// Estimated statistics RELOPT derives for one leaf (exposed for tests:
-  /// this is where independence and UDF-blindness manifest).
-  Result<TableStats> EstimateLeaf(const LeafExpr& leaf);
+  /// Estimated statistics RELOPT derives for one leaf from ANALYZE of
+  /// `columns` of its table (exposed for tests: this is where independence
+  /// and UDF-blindness manifest). The estimate carries exactly `columns`.
+  /// ANALYZE is the catalog's (Catalog::Analyze): client-side and unbilled,
+  /// as DBMS-X gathers its statistics before query execution (§6.1).
+  Result<TableStats> EstimateLeaf(const LeafExpr& leaf,
+                                  const std::vector<std::string>& columns);
 
   struct RunResult {
     SimMillis elapsed_ms = 0;
@@ -74,16 +67,10 @@ class RelOptBaseline {
                                    const ExecOptions& exec_options);
 
  private:
-  struct TableAnalysis {
-    TableStats stats;  ///< Exact cardinality/NDV per analyzed column.
-    std::map<std::string, EquiDepthHistogram> histograms;
-  };
-
   MapReduceEngine* engine_;
   Catalog* catalog_;
   CostModelParams cost_;
   int num_nodes_;
-  std::map<std::string, TableAnalysis> analyzed_;
 };
 
 }  // namespace dyno

@@ -362,17 +362,23 @@ Result<PlanExecutor::PreparedJob> PlanExecutor::Prepare(
     DYNO_ASSIGN_OR_RETURN(RelationBinding left, GetBinding(left_id));
     DYNO_ASSIGN_OR_RETURN(RelationBinding right, GetBinding(right_id));
 
+    // Each side emits Struct{__t: tag, __r: record}, encoded as a fixed
+    // prefix followed by the record's own encoding (its input bytes when
+    // read from a row split).
     auto make_tagged_map = [](ExprPtr filter,
                               std::vector<std::string> key_cols,
                               int64_t tag) -> MapFn {
       return [filter = std::move(filter), key_cols = std::move(key_cols),
-              tag](const Value& record, MapContext* ctx) -> Status {
+              prefix = Value::StructPrefix({{"__t", Value::Int(tag)}}, "__r")](
+                 const Value& record, MapContext* ctx) -> Status {
         DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
         if (!keep) return Status::OK();
         Value key = JoinKeyValue(record, key_cols);
-        Value tagged = Value::Struct(
-            {{"__t", Value::Int(tag)}, {"__r", record}});
-        ctx->Emit(std::move(key), std::move(tagged));
+        const std::string_view row = ctx->Encoding(record);
+        std::string tagged;
+        tagged.reserve(prefix.size() + row.size());
+        tagged.append(prefix).append(row);
+        ctx->EmitEncoded(std::move(key), std::move(tagged));
         return Status::OK();
       };
     };

@@ -181,6 +181,14 @@ void Value::EncodeTo(std::string* out) const {
   }
 }
 
+std::string Value::StructPrefix(StructFields leading, std::string last_name) {
+  leading.emplace_back(std::move(last_name), Null());
+  std::string out;
+  Struct(std::move(leading)).EncodeTo(&out);
+  out.pop_back();  // The null's type byte: v's encoding goes there.
+  return out;
+}
+
 Result<Value> Value::Decode(std::string_view data, size_t* offset) {
   Value v;
   DYNO_RETURN_IF_ERROR(Walk<true>(data, offset, &v));

@@ -88,6 +88,11 @@ class Value {
   /// simulator's I/O cost model.
   void EncodeTo(std::string* out) const;
 
+  /// The bytes that, followed by the encoding of any value v, encode
+  /// Struct(`leading` + {`last_name`, v}): an encoded value is spliced in
+  /// as a struct's last field without being decoded.
+  static std::string StructPrefix(StructFields leading, std::string last_name);
+
   /// Decodes one value from `data` starting at `*offset`, advancing it.
   static Result<Value> Decode(std::string_view data, size_t* offset);
 

@@ -372,16 +372,28 @@ class TaskContext : public MapContext, public ReduceContext {
     output_buffer_->clear();
   }
 
-  void Emit(Value key, Value value) override {
-    // Encoded into a reused buffer, so the staged payload is one exact-size
-    // copy rather than a string grown append by append.
-    encode_buffer_.clear();
-    value.EncodeTo(&encode_buffer_);
-    size_t bytes = key.EncodedSize() + encode_buffer_.size();
+  void EmitEncoded(Value key, std::string payload) override {
+    size_t bytes = key.EncodedSize() + payload.size();
     out_->counters.map_output_records += 1;
     out_->counters.map_output_bytes += bytes;
     out_->emissions.bytes.push_back(static_cast<uint32_t>(bytes));
-    out_->emissions.pairs.emplace_back(std::move(key), encode_buffer_);
+    out_->emissions.pairs.emplace_back(std::move(key), std::move(payload));
+  }
+
+  std::string_view Encoding(const Value& value) override {
+    if (&value == record_) return record_bytes_;
+    // Encoded into a reused buffer, so a staged payload is one exact-size
+    // copy rather than a string grown append by append.
+    encode_buffer_.clear();
+    value.EncodeTo(&encode_buffer_);
+    return encode_buffer_;
+  }
+
+  /// Names the row-split record being mapped and the bytes it was read
+  /// from; null while no such record is (columnar rows, flush hooks).
+  void Mapping(const Value* record, std::string_view bytes) {
+    record_ = record;
+    record_bytes_ = bytes;
   }
 
   void Output(Value record) override {
@@ -395,17 +407,20 @@ class TaskContext : public MapContext, public ReduceContext {
   int task_index() const override { return task_index_; }
 
   /// Ends a data flow that succeeded: bills the CPU its functions charged
-  /// and stages the output payload.
+  /// and stages the output payload and the emissions at their exact size.
   void Finish() {
     out_->cpu_units += extra_cpu_;
     out_->output.data = std::string(*output_buffer_);
+    out_->emissions.ShrinkToFit();
   }
 
  private:
   TaskOutcome* out_;
   int task_index_;
   std::string* output_buffer_;
-  std::string encode_buffer_;  ///< Emit's scratch encoding of a value.
+  std::string encode_buffer_;  ///< Encoding's scratch encoding of a value.
+  const Value* record_ = nullptr;
+  std::string_view record_bytes_;
   double extra_cpu_ = 0.0;
 };
 
@@ -465,6 +480,7 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   }
 
   SplitReader reader(&split);
+  size_t record_start = 0;
   size_t poison_next = 0;
   for (uint64_t record_index = 0;; ++record_index) {
     Value record;
@@ -472,6 +488,7 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
       if (record_index >= frame_rows->size()) break;
     } else {
       if (reader.AtEnd()) break;
+      record_start = reader.offset();
       Result<Value> next = reader.Next();
       if (!next.ok()) {
         out->status = next.status();
@@ -528,10 +545,16 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
     } else {
       out->cpu_units += 1.0 + input.cpu_per_record;
     }
-    if (is_columnar) record = frame_rows->Take(record_index);
+    if (is_columnar) {
+      record = frame_rows->Take(record_index);
+    } else {
+      ctx.Mapping(&record, std::string_view(split.data).substr(
+                               record_start, reader.offset() - record_start));
+    }
     out->status = input.map_fn(record, &ctx);
     if (!out->status.ok()) return;
   }
+  ctx.Mapping(nullptr, {});
   if (input.flush_fn) {
     out->status = input.flush_fn(&ctx);
     if (!out->status.ok()) return;

@@ -44,6 +44,13 @@ Split EncodeSpillRun(const std::vector<Emission>& pairs);
 struct MapEmissions {
   std::vector<Emission> pairs;
   std::vector<uint32_t> bytes;
+
+  /// Drops the vectors' growth slack. A map task's data flow calls it when
+  /// it ends, so its emissions wait for the shuffle at their exact size.
+  void ShrinkToFit() {
+    pairs.shrink_to_fit();
+    bytes.shrink_to_fit();
+  }
 };
 
 /// The shuffle's partition step. Deals the emissions of `maps`, map by map

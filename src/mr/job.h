@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -35,8 +36,20 @@ class MapContext {
  public:
   virtual ~MapContext() = default;
 
-  /// Sends (key, value) to the shuffle (map-reduce jobs only).
-  virtual void Emit(Value key, Value value) = 0;
+  /// Sends (key, value) to the shuffle (map-reduce jobs only): encodes
+  /// `value` (see Encoding), then EmitEncoded.
+  void Emit(Value key, const Value& value) {
+    EmitEncoded(std::move(key), std::string(Encoding(value)));
+  }
+
+  /// Sends (key, the value whose encoding is `payload`) to the shuffle.
+  virtual void EmitEncoded(Value key, std::string payload) = 0;
+
+  /// The encoding of `value`. When `value` is the record being mapped and
+  /// the task read it from a row split, these are the bytes it was read
+  /// from (an input row passed on unchanged is never re-encoded); otherwise
+  /// a fresh encoding. Valid until the next call on this context.
+  virtual std::string_view Encoding(const Value& value) = 0;
 
   /// Writes a record directly to the job output (map-only jobs).
   virtual void Output(Value record) = 0;

@@ -2,11 +2,13 @@
 #define DYNO_STATS_HISTOGRAM_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "expr/expr.h"
 #include "json/value.h"
+#include "stats/table_stats.h"
 
 namespace dyno {
 
@@ -39,6 +41,14 @@ class EquiDepthHistogram {
   std::vector<double> bucket_ndv_;
   uint64_t total_count_ = 0;
   double distinct_estimate_ = 0.0;
+};
+
+/// What ANALYZE learns about a table: its exact cardinality and average
+/// record size, and for each analyzed column an equi-depth histogram with
+/// the column's NDV, min and max.
+struct TableAnalysis {
+  TableStats stats;
+  std::map<std::string, EquiDepthHistogram> histograms;
 };
 
 }  // namespace dyno

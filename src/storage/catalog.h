@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "expr/expr.h"
+#include "stats/histogram.h"
+#include "stats/table_stats.h"
 #include "storage/dfs.h"
 
 namespace dyno {
@@ -38,7 +41,10 @@ class Catalog {
 
   /// Forgets `name` (its file stays). Its replace epoch is kept, so a later
   /// registration under the same name never repeats a TableVersion.
-  void DropTable(const std::string& name) { tables_.erase(name); }
+  void DropTable(const std::string& name) {
+    tables_.erase(name);
+    facts_.erase(name);
+  }
 
   /// Streams a new table into "/tables/<name>": `fill` appends its rows one
   /// at a time, then the last split is sealed and the table registered, so
@@ -69,12 +75,47 @@ class Catalog {
   /// Returns 0 for unknown tables (0 is never a valid version).
   uint64_t TableVersion(const std::string& name) const;
 
+  /// ANALYZE, run the way a DBMS runs it: once per table version. Returns
+  /// `name`'s exact cardinality and average record size, and a histogram
+  /// with NDV, min and max for each of `columns` and for every column
+  /// analyzed before on this version. A call that names only analyzed
+  /// columns reads no data. The result stays valid until the next call on
+  /// this catalog.
+  Result<const TableAnalysis*> Analyze(const std::string& name,
+                                       const std::vector<std::string>& columns);
+
+  /// Exact statistics of `name`'s rows that pass `filter` (null keeps
+  /// every row): cardinality, average record size, and exact NDV, min and
+  /// max of each of `columns`. Worked out once per table version, filter
+  /// and column list. A filter is known by its text, except that one
+  /// holding a UDF is known by its object: a UDF's name does not say which
+  /// rows it keeps.
+  Result<TableStats> ExactStats(const std::string& name, const ExprPtr& filter,
+                                const std::vector<std::string>& columns);
+
   Dfs* dfs() const { return dfs_; }
 
  private:
+  /// What has been worked out from one version of a table's data. Committed
+  /// data never changes, so each fact is computed once per version.
+  struct HeldFacts {
+    uint64_t version = 0;
+    bool analyzed = false;  ///< `analysis` holds the cardinality and size.
+    TableAnalysis analysis;
+    /// ExactStats results by filter text and column list, each with the
+    /// filter it was worked out for.
+    std::map<std::pair<std::string, std::vector<std::string>>,
+             std::pair<ExprPtr, TableStats>>
+        exact;
+  };
+
+  /// `name`'s held facts, emptied first when the table's version changed.
+  HeldFacts& Facts(const std::string& name);
+
   Dfs* dfs_;
   std::map<std::string, TableEntry> tables_;
   std::map<std::string, uint64_t> replace_epochs_;
+  std::map<std::string, HeldFacts> facts_;
 };
 
 }  // namespace dyno

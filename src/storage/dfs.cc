@@ -10,11 +10,13 @@
 namespace dyno {
 
 Status VerifySplit(const Split& split) {
+  if (split.verified.get()) return Status::OK();
   if (Crc32c(split.data) != split.crc32c) {
     return Status::DataLoss(
         StrFormat("split checksum mismatch (%llu bytes, stored crc %08x)",
                   (unsigned long long)split.num_bytes(), split.crc32c));
   }
+  split.verified.set(true);
   return Status::OK();
 }
 
@@ -45,6 +47,7 @@ Status DfsFile::CorruptByteForTesting(size_t split_index, size_t byte_offset,
   }
   split.data[byte_offset] = static_cast<char>(
       static_cast<uint8_t>(split.data[byte_offset]) ^ mask);
+  split.verified.set(false);
   return Status::OK();
 }
 

@@ -22,6 +22,33 @@ enum class SplitFormat : uint8_t {
   kColumnar = 1,  ///< One columnar::ColumnBatch frame.
 };
 
+/// "This split's bytes matched its checksum": set by VerifySplit's first
+/// good check and cleared by CorruptByteForTesting, so each version of a
+/// split's bytes is checksummed once however often it is read. A copy
+/// starts unverified, since its bytes may be changed before it is read (the
+/// engine's corruption scratch copies are); a move keeps the bit.
+class VerifiedBit {
+ public:
+  VerifiedBit() = default;
+  VerifiedBit(const VerifiedBit&) noexcept {}
+  VerifiedBit(VerifiedBit&& other) noexcept : set_(other.set_) {}
+  VerifiedBit& operator=(const VerifiedBit&) noexcept {
+    set_ = false;
+    return *this;
+  }
+  VerifiedBit& operator=(VerifiedBit&& other) noexcept {
+    set_ = other.set_;
+    return *this;
+  }
+
+  bool get() const { return set_; }
+  /// Const: a check records what it learned on a split it only reads.
+  void set(bool set) const { set_ = set; }
+
+ private:
+  mutable bool set_ = false;
+};
+
 /// One HDFS-style block: a run of binary-encoded rows (or one columnar
 /// batch). Splits are the unit of map-task assignment and of pilot-run
 /// sampling.
@@ -44,6 +71,7 @@ struct Split {
   /// Null for splits written without one (job outputs, hand-built splits) —
   /// readers must treat a missing zone map as "may match anything".
   std::shared_ptr<const columnar::ZoneMap> zone_map;
+  VerifiedBit verified;
 
   uint64_t num_bytes() const { return data.size(); }
 };
@@ -53,7 +81,8 @@ struct Split {
 static_assert(std::is_nothrow_move_constructible_v<Split>);
 
 /// Verifies `split.data` against its stored checksum. Returns DataLoss on
-/// mismatch.
+/// mismatch. A split that passed once is not checksummed again until its
+/// bytes change (`Split::verified`).
 Status VerifySplit(const Split& split);
 
 /// A file in the simulated DFS: an ordered list of splits. Files are

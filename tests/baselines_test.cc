@@ -1,7 +1,11 @@
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/best_static.h"
-#include "baselines/exact_stats.h"
 #include "baselines/relopt.h"
 #include "obs/trace.h"
 #include "test_util.h"
@@ -45,7 +49,8 @@ TEST_F(BaselinesTest, ExactLeafStatsMatchOracle) {
   leaf.table = "orders";
   leaf.filter = Eq(Col("o_channel"), LitString("web"));
   leaf.join_columns = {"o_custkey"};
-  auto stats = ComputeExactLeafStats(&catalog_, leaf);
+  auto stats =
+      catalog_.ExactStats(leaf.table, leaf.filter, leaf.join_columns);
   ASSERT_TRUE(stats.ok());
   // Count by brute force.
   auto file = catalog_.OpenTable("orders");
@@ -62,18 +67,17 @@ TEST_F(BaselinesTest, ExactLeafStatsMatchOracle) {
 
 TEST_F(BaselinesTest, RelOptHistogramEstimatesSimplePredicates) {
   RelOptBaseline relopt(&engine_, &catalog_, Cost());
-  ASSERT_TRUE(relopt.AnalyzeTable("orders", {"o_orderdate", "o_custkey"})
-                  .ok());
   LeafExpr leaf;
   leaf.alias = "o";
   leaf.table = "orders";
   leaf.filter = And(Ge(Col("o_orderdate"), LitInt(19950101)),
                     Le(Col("o_orderdate"), LitInt(19961231)));
   leaf.join_columns = {"o_custkey"};
-  auto stats = relopt.EstimateLeaf(leaf);
+  auto stats = relopt.EstimateLeaf(leaf, {"o_orderdate", "o_custkey"});
   ASSERT_TRUE(stats.ok());
   // ~2 of 7 years selected.
-  auto exact = ComputeExactLeafStats(&catalog_, leaf);
+  auto exact =
+      catalog_.ExactStats(leaf.table, leaf.filter, leaf.join_columns);
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(stats->cardinality, exact->cardinality,
               0.35 * exact->cardinality);
@@ -81,16 +85,15 @@ TEST_F(BaselinesTest, RelOptHistogramEstimatesSimplePredicates) {
 
 TEST_F(BaselinesTest, RelOptUnderestimatesCorrelatedPredicates) {
   RelOptBaseline relopt(&engine_, &catalog_, Cost());
-  ASSERT_TRUE(
-      relopt.AnalyzeTable("orders", {"o_channel", "o_clerk_group"}).ok());
   LeafExpr leaf;
   leaf.alias = "o";
   leaf.table = "orders";
   leaf.filter = And(Eq(Col("o_channel"), LitString("web")),
                     Eq(Col("o_clerk_group"), LitInt(3)));
   leaf.join_columns = {};
-  auto est = relopt.EstimateLeaf(leaf);
-  auto exact = ComputeExactLeafStats(&catalog_, leaf);
+  auto est = relopt.EstimateLeaf(leaf, {"o_channel", "o_clerk_group"});
+  auto exact =
+      catalog_.ExactStats(leaf.table, leaf.filter, leaf.join_columns);
   ASSERT_TRUE(est.ok());
   ASSERT_TRUE(exact.ok());
   // Independence predicts ~1/25; reality is ~1/5 (95% correlation): the
@@ -100,19 +103,233 @@ TEST_F(BaselinesTest, RelOptUnderestimatesCorrelatedPredicates) {
 
 TEST_F(BaselinesTest, RelOptBlindToUdfSelectivity) {
   RelOptBaseline relopt(&engine_, &catalog_, Cost());
-  ASSERT_TRUE(relopt.AnalyzeTable("part", {"p_partkey"}).ok());
   LeafExpr leaf;
   leaf.alias = "p";
   leaf.table = "part";
   leaf.filter = MakeHashFilterUdf("sel01", {"p_partkey"}, 0.01, 10.0);
   leaf.join_columns = {"p_partkey"};
-  auto est = relopt.EstimateLeaf(leaf);
+  auto est = relopt.EstimateLeaf(leaf, {"p_partkey"});
   ASSERT_TRUE(est.ok());
   auto file = catalog_.OpenTable("part");
   ASSERT_TRUE(file.ok());
   // UDF treated as selectivity 1.0: estimate equals the full table.
   EXPECT_DOUBLE_EQ(est->cardinality,
                    static_cast<double>((*file)->num_records()));
+}
+
+// ---------------------------------------------------------------------------
+// Offline statistics held by the catalog, once per table version.
+// ---------------------------------------------------------------------------
+
+void ExpectSameStats(const TableStats& got, const TableStats& want) {
+  EXPECT_EQ(got.cardinality, want.cardinality);
+  EXPECT_EQ(got.avg_record_size, want.avg_record_size);
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (const auto& [col, cs] : want.columns) {
+    SCOPED_TRACE(col);
+    ASSERT_EQ(got.columns.count(col), 1u);
+    const ColumnStats& g = got.columns.at(col);
+    EXPECT_EQ(g.ndv, cs.ndv);
+    ASSERT_EQ(g.min_value.has_value(), cs.min_value.has_value());
+    ASSERT_EQ(g.max_value.has_value(), cs.max_value.has_value());
+    if (cs.min_value) {
+      EXPECT_EQ(g.min_value->Compare(*cs.min_value), 0);
+      EXPECT_EQ(g.max_value->Compare(*cs.max_value), 0);
+    }
+  }
+}
+
+/// A catalog over the same DFS files that has worked nothing out yet.
+std::unique_ptr<Catalog> FreshCatalog(Dfs* dfs, const Catalog& from) {
+  auto fresh = std::make_unique<Catalog>(dfs);
+  for (const std::string& name : from.TableNames()) {
+    EXPECT_TRUE(fresh->RegisterTable(name, from.Lookup(name)->dfs_path).ok());
+  }
+  return fresh;
+}
+
+std::vector<Value> KeyRows(int n) {
+  std::vector<Value> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(MakeRow({{"k", Value::Int(i)}, {"g", Value::Int(i % 3)}}));
+  }
+  return rows;
+}
+
+TEST_F(BaselinesTest, HeldAnalysesMatchAFreshComputation) {
+  // Columns analyzed in two steps and then served held, against one pass
+  // of a catalog that holds nothing.
+  ASSERT_TRUE(catalog_.Analyze("orders", {"o_orderdate"}).ok());
+  auto held = catalog_.Analyze("orders", {"o_custkey", "o_orderdate"});
+  ASSERT_TRUE(held.ok());
+  auto again = catalog_.Analyze("orders", {"o_custkey"});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*held, *again);
+  auto fresh_catalog = FreshCatalog(&dfs_, catalog_);
+  auto fresh = fresh_catalog->Analyze("orders", {"o_orderdate", "o_custkey"});
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameStats((*held)->stats, (*fresh)->stats);
+  for (const char* col : {"o_orderdate", "o_custkey"}) {
+    SCOPED_TRACE(col);
+    const EquiDepthHistogram& h = (*held)->histograms.at(col);
+    const EquiDepthHistogram& f = (*fresh)->histograms.at(col);
+    EXPECT_EQ(h.total_count(), f.total_count());
+    EXPECT_EQ(h.num_buckets(), f.num_buckets());
+    EXPECT_EQ(h.distinct_estimate(), f.distinct_estimate());
+    for (int64_t literal : {0, 50, 19950101, 19961231}) {
+      for (Expr::CompareOp op : {Expr::CompareOp::kEq, Expr::CompareOp::kLt,
+                                 Expr::CompareOp::kGe}) {
+        EXPECT_EQ(h.EstimateSelectivity(op, Value::Int(literal)),
+                  f.EstimateSelectivity(op, Value::Int(literal)));
+      }
+    }
+  }
+
+  // Exact leaf statistics, keyed by filter and join columns alike.
+  const ExprPtr web = Eq(Col("o_channel"), LitString("web"));
+  auto exact = catalog_.ExactStats("orders", web, {"o_custkey"});
+  auto held_exact = catalog_.ExactStats("orders", web, {"o_custkey"});
+  auto fresh_exact = fresh_catalog->ExactStats("orders", web, {"o_custkey"});
+  ASSERT_TRUE(exact.ok() && held_exact.ok() && fresh_exact.ok());
+  ExpectSameStats(*exact, *fresh_exact);
+  ExpectSameStats(*held_exact, *fresh_exact);
+  auto by_date = catalog_.ExactStats("orders", web, {"o_orderdate"});
+  ASSERT_TRUE(by_date.ok());
+  EXPECT_EQ(by_date->columns.count("o_custkey"), 0u);
+  EXPECT_EQ(by_date->columns.count("o_orderdate"), 1u);
+  auto unfiltered = catalog_.ExactStats("orders", nullptr, {"o_custkey"});
+  ASSERT_TRUE(unfiltered.ok());
+  EXPECT_GT(unfiltered->cardinality, exact->cardinality);
+
+  // Held facts read no data: rot is seen only by a pass that reads it.
+  auto file = catalog_.OpenTable("orders");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->CorruptByteForTesting(0, 0, 0x01).ok());
+  EXPECT_TRUE(catalog_.Analyze("orders", {"o_custkey"}).ok());
+  EXPECT_TRUE(catalog_.ExactStats("orders", web, {"o_custkey"}).ok());
+  EXPECT_EQ(catalog_.Analyze("orders", {"o_clerk_group"}).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(HeldStatsTest, ARewrittenTableIsNeverServedStaleStatistics) {
+  Dfs dfs;
+  Catalog catalog(&dfs);
+  auto analyzed = [&catalog]() {
+    auto analysis = catalog.Analyze("t", {"k"});
+    EXPECT_TRUE(analysis.ok());
+    return analysis.ok() ? (*analysis)->stats.columns.at("k").ndv : -1.0;
+  };
+  auto exact = [&catalog]() {
+    auto stats = catalog.ExactStats("t", Lt(Col("k"), LitInt(1000)), {"k"});
+    EXPECT_TRUE(stats.ok());
+    return stats.ok() ? stats->cardinality : -1.0;
+  };
+  ASSERT_TRUE(catalog.CreateTable("t", KeyRows(10)).ok());
+  EXPECT_EQ(analyzed(), 10);
+  EXPECT_EQ(exact(), 10);
+
+  // Re-pointed at another file.
+  ASSERT_TRUE(WriteRows(&dfs, "/tables/t2", KeyRows(20)).ok());
+  ASSERT_TRUE(catalog.ReplaceTable("t", "/tables/t2").ok());
+  EXPECT_EQ(analyzed(), 20);
+  EXPECT_EQ(exact(), 20);
+
+  // Deleted and re-created at the same path.
+  ASSERT_TRUE(dfs.Delete("/tables/t2").ok());
+  ASSERT_TRUE(WriteRows(&dfs, "/tables/t2", KeyRows(30)).ok());
+  EXPECT_EQ(analyzed(), 30);
+  EXPECT_EQ(exact(), 30);
+
+  // Dropped and registered again under the same name.
+  catalog.DropTable("t");
+  ASSERT_TRUE(WriteRows(&dfs, "/tables/t3", KeyRows(40)).ok());
+  ASSERT_TRUE(catalog.RegisterTable("t", "/tables/t3").ok());
+  EXPECT_EQ(analyzed(), 40);
+  EXPECT_EQ(exact(), 40);
+}
+
+TEST(HeldStatsTest, AUdfIsKnownByItsObjectNotItsName) {
+  Dfs dfs;
+  Catalog catalog(&dfs);
+  ASSERT_TRUE(catalog.CreateTable("t", KeyRows(400)).ok());
+  // One name, two selectivities: equal filter text, different rows kept.
+  const ExprPtr few = MakeHashFilterUdf("keep", {"k"}, 0.1, 1.0);
+  const ExprPtr most = MakeHashFilterUdf("keep", {"k"}, 0.9, 1.0);
+  ASSERT_EQ(few->ToString(), most->ToString());
+  auto cardinality = [&catalog](const ExprPtr& filter) {
+    auto stats = catalog.ExactStats("t", filter, {"k"});
+    EXPECT_TRUE(stats.ok());
+    return stats.ok() ? stats->cardinality : -1.0;
+  };
+  const double few_rows = cardinality(few);
+  const double most_rows = cardinality(most);
+  EXPECT_LT(few_rows, 100);
+  EXPECT_GT(most_rows, 300);
+  EXPECT_EQ(cardinality(few), few_rows);
+  EXPECT_EQ(cardinality(most), most_rows);
+}
+
+TEST(HeldStatsTest, CatalogsWithEqualTableVersionsNeverShareFacts) {
+  // Two DFS instances count write epochs from zero, so the same table
+  // written at two scales has one TableVersion.
+  Dfs small_dfs;
+  Dfs large_dfs;
+  Catalog small(&small_dfs);
+  Catalog large(&large_dfs);
+  ASSERT_TRUE(small.CreateTable("lineitem", KeyRows(10)).ok());
+  ASSERT_TRUE(large.CreateTable("lineitem", KeyRows(30)).ok());
+  ASSERT_EQ(small.TableVersion("lineitem"), large.TableVersion("lineitem"));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (auto [catalog, rows] : {std::pair{&small, 10.0},
+                                 std::pair{&large, 30.0}}) {
+      auto analysis = catalog->Analyze("lineitem", {"k"});
+      ASSERT_TRUE(analysis.ok());
+      EXPECT_EQ((*analysis)->stats.cardinality, rows);
+      auto stats = catalog->ExactStats("lineitem", nullptr, {"k"});
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->columns.at("k").ndv, rows);
+    }
+  }
+}
+
+TEST_F(BaselinesTest, RelOptSeesOnlyItsBlocksColumns) {
+  // Another query has analyzed every column of every table: RELOPT still
+  // hands the optimizer the same leaf statistics, so its plans and their
+  // estimates are those of a catalog that analyzed nothing else.
+  auto cold_catalog = FreshCatalog(&dfs_, catalog_);
+  for (const std::string& name : catalog_.TableNames()) {
+    auto file = catalog_.OpenTable(name);
+    ASSERT_TRUE(file.ok());
+    std::vector<Value> rows = MustReadAll(**file);
+    ASSERT_FALSE(rows.empty());
+    std::vector<std::string> columns;
+    for (const auto& [column, value] : rows[0].fields()) {
+      columns.push_back(column);
+    }
+    ASSERT_TRUE(catalog_.Analyze(name, columns).ok());
+  }
+  for (const Query& query :
+       {MakeTpchQ2(), MakeTpchQ8Prime(), MakeTpchQ9Prime(), MakeTpchQ10()}) {
+    RelOptBaseline warm(&engine_, &catalog_, Cost());
+    RelOptBaseline cold(&engine_, cold_catalog.get(), Cost());
+    auto warm_plan = warm.Plan(query.join_block);
+    auto cold_plan = cold.Plan(query.join_block);
+    ASSERT_TRUE(warm_plan.ok() && cold_plan.ok());
+    EXPECT_EQ((*warm_plan)->ToTreeString(), (*cold_plan)->ToTreeString());
+    EXPECT_EQ((*warm_plan)->est_cost, (*cold_plan)->est_cost);
+  }
+
+  LeafExpr leaf;
+  leaf.alias = "o";
+  leaf.table = "orders";
+  leaf.filter = Ge(Col("o_orderdate"), LitInt(19950101));
+  leaf.join_columns = {"o_custkey"};
+  RelOptBaseline relopt(&engine_, &catalog_, Cost());
+  auto est = relopt.EstimateLeaf(leaf, {"o_custkey", "o_orderdate"});
+  ASSERT_TRUE(est.ok());
+  std::vector<std::string> carried;
+  for (const auto& [column, stats] : est->columns) carried.push_back(column);
+  EXPECT_EQ(carried, (std::vector<std::string>{"o_custkey", "o_orderdate"}));
 }
 
 TEST_F(BaselinesTest, RelOptPlansAndExecutesQ10) {

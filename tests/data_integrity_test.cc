@@ -229,6 +229,109 @@ TEST(BlockCorruptionTest, UndecodableRowUnderCleanChecksumIsDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
+// Verify once per split version: a split's first good check is remembered,
+// and every change to its bytes forgets it.
+// ---------------------------------------------------------------------------
+
+TEST(VerifiedBitTest, RotAfterACleanReadIsStillDataLoss) {
+  Dfs dfs;
+  MapReduceEngine engine(&dfs, BaseConfig());
+  auto input = MakeInput(&dfs, MakeRows(400), "/in");
+  auto clean = engine.Submit(CountByGroup(input, "/out_clean"));
+  ASSERT_TRUE(clean.ok() && clean->status.ok());
+  ASSERT_TRUE(ReadAllRows(*input).ok());
+  ASSERT_TRUE(input->splits()[0].verified.get()) << "a clean read verifies";
+
+  ASSERT_TRUE(input->CorruptByteForTesting(0, /*byte_offset=*/3, 0x40).ok());
+  EXPECT_FALSE(input->splits()[0].verified.get());
+  auto rotten = engine.Submit(CountByGroup(input, "/out_rotten"));
+  ASSERT_TRUE(rotten.ok());
+  EXPECT_EQ(rotten->status.code(), StatusCode::kDataLoss)
+      << rotten->status.ToString();
+  EXPECT_EQ(rotten->output, nullptr);
+  EXPECT_EQ(DecodeSplitRows(input->splits()[0]).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(ReadAllRows(*input).status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(input->splits()[0].verified.get()) << "a failed check is not";
+}
+
+TEST(VerifiedBitTest, CopiesStartUnverifiedAndMovesKeepTheBit) {
+  Dfs dfs;
+  auto input = MakeInput(&dfs, MakeRows(40), "/in");
+  const Split& stored = input->splits()[0];
+  ASSERT_TRUE(VerifySplit(stored).ok());
+  ASSERT_TRUE(stored.verified.get());
+
+  Split copy = stored;
+  EXPECT_FALSE(copy.verified.get());
+  copy.data[0] ^= 0x01;  // What the engine does to model a bad replica.
+  EXPECT_EQ(VerifySplit(copy).code(), StatusCode::kDataLoss);
+
+  Split assigned;
+  ASSERT_TRUE(VerifySplit(assigned).ok());  // Empty bytes, zero checksum.
+  assigned = stored;
+  EXPECT_FALSE(assigned.verified.get());
+
+  Split moved_from = stored;
+  ASSERT_TRUE(VerifySplit(moved_from).ok());
+  Split moved = std::move(moved_from);
+  EXPECT_TRUE(moved.verified.get());
+}
+
+TEST(VerifiedBitTest, ScriptedBlockCorruptionAfterACleanReadIsCaught) {
+  // Healed (two bad replicas) and permanent (every replica bad, twice).
+  for (int bad : {2, DfsFile::kDefaultReplicas}) {
+    SCOPED_TRACE(bad);
+    Dfs dfs;
+    ClusterConfig config = BaseConfig();
+    config.faults.max_task_attempts = 2;
+    config.faults.scripted_corruptions = {
+        {ScriptedCorruption::Target::kBlock, "count-by-group", 0,
+         /*attempt=*/1, bad},
+        {ScriptedCorruption::Target::kBlock, "count-by-group", 0,
+         /*attempt=*/2, bad}};
+    MapReduceEngine engine(&dfs, config);
+    auto input = MakeInput(&dfs, MakeRows(400), "/in");
+    // A differently named job reads (and verifies) every split first.
+    auto warm = engine.Submit(IdentityScan(input, "/warm"));
+    ASSERT_TRUE(warm.ok() && warm->status.ok());
+    for (const Split& split : input->splits()) {
+      ASSERT_TRUE(split.verified.get());
+    }
+    auto result = engine.Submit(CountByGroup(input, "/out"));
+    ASSERT_TRUE(result.ok());
+    if (bad < DfsFile::kDefaultReplicas) {
+      EXPECT_TRUE(result->status.ok()) << result->status.ToString();
+      EXPECT_EQ(result->block_corruptions, bad);
+    } else {
+      EXPECT_EQ(result->status.code(), StatusCode::kDataLoss)
+          << result->status.ToString();
+      EXPECT_EQ(result->block_corruptions, 2 * bad);
+    }
+  }
+}
+
+TEST(VerifiedBitTest, CorruptSpillReadBackIsDataLoss) {
+  Dfs dfs;
+  ClusterConfig config = BaseConfig();
+  config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kSpill;
+  config.memory_per_task_bytes = 1024;
+  config.faults.max_task_attempts = 2;
+  FaultConfig::ScriptedCorruption spill;
+  spill.target = ScriptedCorruption::Target::kSpill;
+  spill.job = "count-by-group";
+  config.faults.scripted_corruptions = {spill, spill};
+  config.faults.scripted_corruptions[1].attempt = 2;
+  MapReduceEngine engine(&dfs, config);
+  auto input = MakeInput(&dfs, MakeRows(2000), "/in");
+  auto doomed = engine.Submit(CountByGroup(input, "/out"));
+  ASSERT_TRUE(doomed.ok());
+  EXPECT_GT(doomed->reduce_spills, 0);
+  EXPECT_EQ(doomed->status.code(), StatusCode::kDataLoss)
+      << doomed->status.ToString();
+}
+
+// ---------------------------------------------------------------------------
 // Shuffle corruption: in-attempt re-fetch, attempt retry, permanent loss.
 // ---------------------------------------------------------------------------
 

@@ -162,6 +162,24 @@ TEST_F(FootprintTest, SpillRunsAreExact) {
   ExpectExactSplits(**out);
 }
 
+TEST_F(FootprintTest, MapEmissionsShrinkToTheirExactSize) {
+  // Emit grows the staged vectors one push at a time; the map task's end
+  // (TaskContext::Finish) shrinks them before they wait for the shuffle.
+  MapEmissions staged;
+  for (int i = 0; i < 1000; ++i) {
+    std::string payload;
+    Value::Int(i).EncodeTo(&payload);
+    staged.pairs.emplace_back(Value::Int(i % 13), std::move(payload));
+    staged.bytes.push_back(4);
+  }
+  ASSERT_GT(staged.pairs.capacity(), staged.pairs.size());
+  staged.ShrinkToFit();
+  EXPECT_EQ(staged.pairs.capacity(), staged.pairs.size());
+  EXPECT_EQ(staged.bytes.capacity(), staged.bytes.size());
+  EXPECT_EQ(staged.pairs.size(), 1000u);
+  EXPECT_EQ(staged.pairs[999].first.int_value(), 999 % 13);
+}
+
 TEST_F(FootprintTest, ShuffleBucketsAreExact) {
   std::vector<MapEmissions> maps(4);
   for (size_t m = 0; m < maps.size(); ++m) {

@@ -146,7 +146,6 @@ TEST_F(ReclaimTest, RelOptKeepsOnlyItsOutput) {
 
   RelOptBaseline relopt(&engine, &catalog_, Cost());
   Query query = MakeTpchQ10();
-  ASSERT_TRUE(relopt.AnalyzeForBlock(query.join_block).ok());
   auto run = relopt.PlanAndExecute(query.join_block, ExecOptions());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_TRUE(run->exec_status.ok()) << run->exec_status.ToString();
